@@ -19,29 +19,13 @@ from dataclasses import dataclass
 from . import configs, delpezzo, ecaut, fibers, lattice, tables
 from .report import Report
 
-SUITES = (
-    "lattice-selfcheck",
-    "fibers-euler",
-    "fibers-2conn",
-    "lefschetz",
-    "configs-enumerate",
-    "configs-shared8",
-    "ecaut-tables",
-    "delpezzo-verify",
-    "tables-consistency",
-    "all",
-)
-
-
 @dataclass
 class RunConfig:
     suite: str = "all"
     fmt: str = "markdown"
     out: str | None = None
     bound: int = 6
-    cap: int = 100
     ext_degree: int = 0  # 0: per-row sufficient degrees
-    char_mode: str = configs.CHAR2_SUPERSINGULAR
     order: int = 0  # 0: the tame orders 2, 3, 5, 7
 
     def __post_init__(self):
@@ -49,10 +33,13 @@ class RunConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.fmt not in ("markdown", "csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.bound < 1 or self.cap < 1 or self.ext_degree < 0:
-            raise ValueError("bounds must be positive")
-        if self.char_mode not in configs.MODES:
-            raise ValueError(f"unknown char mode {self.char_mode!r}")
+        if self.bound < 1:
+            raise ValueError("bound must be positive")
+        if self.order and self.order < 2:
+            raise ValueError(f"order {self.order}: use 0 (orders 2, 3, 5, 7) or an order >= 2")
+        if self.ext_degree and self.ext_degree not in ecaut.TABLE_EXT_DEGREES:
+            raise ValueError(f"ext degree {self.ext_degree}: use 0 (per-row degrees) "
+                             f"or one of {ecaut.TABLE_EXT_DEGREES}")
 
 
 def _random_vector(rng):
@@ -247,6 +234,7 @@ _SUITE_FUNCS = {
     "delpezzo-verify": suite_delpezzo_verify,
     "tables-consistency": suite_tables_consistency,
 }
+SUITES = (*_SUITE_FUNCS, "all")
 
 
 def run(cfg: RunConfig):
@@ -259,8 +247,8 @@ def run(cfg: RunConfig):
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(body)
-        meta = {"argv": {"suite": cfg.suite, "format": cfg.fmt, "bound": cfg.bound, "cap": cfg.cap,
-                         "ext_degree": cfg.ext_degree, "char_mode": cfg.char_mode, "order": cfg.order},
+        meta = {"argv": {"suite": cfg.suite, "format": cfg.fmt, "bound": cfg.bound,
+                         "ext_degree": cfg.ext_degree, "order": cfg.order},
                 "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
         with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2)
@@ -276,14 +264,12 @@ def main(argv=None):
     parser.add_argument("--format", dest="fmt", choices=("markdown", "csv", "json"), default="markdown")
     parser.add_argument("--out", default=None, help="write the report body to this path")
     parser.add_argument("--bound", type=int, default=6, help="coordinate bound for the lattice search")
-    parser.add_argument("--cap", type=int, default=100, help="result cap for the lattice search")
-    parser.add_argument("--ext-degree", type=int, default=0, help="override extension degree for point counting (0: per-row)")
-    parser.add_argument("--char-mode", choices=configs.MODES, default=configs.CHAR2_SUPERSINGULAR)
-    parser.add_argument("--order", type=int, default=0, help="restrict the lefschetz suite to one order (0: 2,3,5,7)")
+    parser.add_argument("--ext-degree", type=int, default=0,
+                        help=f"override extension degree for point counting: 0 (per-row) or one of {ecaut.TABLE_EXT_DEGREES}")
+    parser.add_argument("--order", type=int, default=0, help="restrict the lefschetz suite to one order >= 2 (0: 2,3,5,7)")
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(args.suite, args.fmt, args.out, args.bound, args.cap,
-                        args.ext_degree, args.char_mode, args.order)
+        cfg = RunConfig(args.suite, args.fmt, args.out, args.bound, args.ext_degree, args.order)
     except ValueError as exc:
         parser.error(str(exc))
     status, _ = run(cfg)

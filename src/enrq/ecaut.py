@@ -466,6 +466,13 @@ def _rows():
 
 
 TABLE_ROWS = tuple(_rows())
+# extension degrees that serve every row: a multiple of each row's
+# sufficient degree, with every row's field p^d within _FIELD_CAP
+TABLE_EXT_DEGREES = tuple(
+    d
+    for d in range(1, _FIELD_CAP.bit_length())
+    if all(d % row.ext_degree == 0 and row.curve.p**d <= _FIELD_CAP for row in TABLE_ROWS)
+)
 
 
 def classification_report(ext_degree: int | None = None):

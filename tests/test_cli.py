@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from enrq import cli
+from enrq import cli, ecaut
 from enrq.cli import RunConfig, run
 
 
@@ -53,8 +53,16 @@ def test_config_validation():
         RunConfig(fmt="yaml")
     with pytest.raises(ValueError):
         RunConfig(bound=0)
-    with pytest.raises(ValueError):
-        RunConfig(char_mode="char5")
+    for order in (1, -2):
+        with pytest.raises(ValueError):
+            RunConfig(order=order)
+    for degree in (1, 3, 9, -1):
+        with pytest.raises(ValueError):
+            RunConfig(ext_degree=degree)
+    assert RunConfig(order=4).order == 4
+    # multiples of every table row's degree whose fields stay enumerable
+    assert ecaut.TABLE_EXT_DEGREES == (2, 4)
+    assert all(RunConfig(ext_degree=d).ext_degree == d for d in (0, 2, 4))
 
 
 def test_cli_subprocess_and_usage_error(tmp_path):
@@ -72,6 +80,20 @@ def test_cli_subprocess_and_usage_error(tmp_path):
         text=True,
     )
     assert bad.returncode == 2
+
+
+@pytest.mark.parametrize("flag", [("--order", "1"), ("--order", "-2"), ("--ext-degree", "1"),
+                                  ("--ext-degree", "3"), ("--ext-degree", "9")])
+def test_cli_rejects_bad_order_and_ext_degree(flag):
+    proc = subprocess.run(
+        [sys.executable, "-m", "enrq.cli", "--suite", "fibers-euler", *flag],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("enrq: error: ")
+    assert proc.stdout == ""
 
 
 def test_lefschetz_order_flag(tmp_path):

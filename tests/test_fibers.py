@@ -58,6 +58,15 @@ def test_fiber_condition_enforced_at_construction():
             (("c0", 1), ("c1", 1)),
             (fibers.Point("p", (("c0", 1), ("c1", 1))),),
         )
+    # F.C = 0 holds here, but a negative local intersection is not a fiber
+    with pytest.raises(ValueError):
+        fibers.FiberModel(
+            (("c0", 1), ("c1", 1)),
+            (
+                fibers.Point("p", (("c0", 1), ("c1", 1)), local_mult=3),
+                fibers.Point("q", (("c0", 1), ("c1", 1)), local_mult=-1),
+            ),
+        )
 
 
 def two_connected_oracle(model):
@@ -87,10 +96,26 @@ def two_connected_oracle(model):
     return best
 
 
-@pytest.mark.parametrize("tag", ["I2", "I3", "III", "IV", "I0*", "I1*", "IV*"])
+def _i2_parts(prefix, mult):
+    comps = ((f"{prefix}0", mult), (f"{prefix}1", mult))
+    pts = tuple(fibers.Point(f"{prefix}p{i}", ((f"{prefix}0", 1), (f"{prefix}1", 1))) for i in range(2))
+    return comps, pts
+
+
+# models with a proper D1, D1^2 = 0 (a multiple fiber, a disconnected one)
+NON_CATALOG = {
+    "2I2": fibers.FiberModel(*_i2_parts("c", 2)),
+    "3III": fibers.FiberModel((("c0", 3), ("c1", 3)), (fibers.Point("tac", (("c0", 1), ("c1", 1)), local_mult=2),)),
+    "I2+I2": fibers.FiberModel(*(a + b for a, b in zip(_i2_parts("a", 1), _i2_parts("b", 1)))),
+}
+
+
+@pytest.mark.parametrize("tag", ["I2", "I3", "I9", "III", "IV", "I0*", "I1*", "I4*", "IV*", "III*", *NON_CATALOG])
 def test_two_connected_min_against_oracle(tag):
-    model = fibers.catalog(tag).model
-    assert fibers.two_connected_min(model) == two_connected_oracle(model)
+    model = NON_CATALOG[tag] if tag in NON_CATALOG else fibers.catalog(tag).model
+    expected = two_connected_oracle(model)
+    assert fibers.two_connected_min(model) == expected
+    assert expected == (0 if tag in NON_CATALOG else 2)
 
 
 def test_two_connected_min_examples():

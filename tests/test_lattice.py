@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,11 +32,32 @@ def test_gram_determinant_unimodular():
     assert det in (1, -1)
 
 
+def charpoly_by_faddeev_leverrier(matrix):
+    # independent oracle: coefficients of det(xI - A) over Q, leading first
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    coeffs = [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][t] * m[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        coeffs.append(-sum(a[i][t] * m[t][i] for i in range(n) for t in range(n)) / k)
+    return coeffs
+
+
+def sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
 def test_gram_signature_hyperbolic():
     assert lattice.gram_signature() == (1, 9, 0)
-    # float oracle: eigenvalue sign count
-    eig = np.linalg.eigvalsh(np.array(lattice.GRAM, dtype=float))
-    assert (eig > 0).sum() == 1 and (eig < 0).sum() == 9
+    # a symmetric matrix has a real-rooted characteristic polynomial, so
+    # Descartes' rule of signs counts its positive and negative roots exactly
+    coeffs = charpoly_by_faddeev_leverrier(lattice.GRAM)
+    assert coeffs[-1] != 0
+    assert sign_changes(coeffs) == 1
+    assert sign_changes([c * (-1) ** i for i, c in enumerate(coeffs)]) == 9
 
 
 def test_inner_normalizations():
