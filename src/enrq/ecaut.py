@@ -328,31 +328,41 @@ def check_preserves(curve: Weierstrass, aut: AutMap) -> bool:
     return scaled == lhs
 
 
-def _y_solutions(curve, fld, x, tables):
-    """All y with (x, y) on the curve, over the given field."""
+def _y_solver(curve, fld):
+    """The function x -> all y with (x, y) on the curve, over the given field.
+
+    The curve's coefficients, 1/2 and the root tables are set up once
+    here, not per x.
+    """
     p = curve.p
-    x2 = fld.mul(x, x)
-    x3 = fld.mul(x2, x)
-    rhs = x3
-    if curve.a2:
-        rhs = fld.add(rhs, fld.mul(fld.from_int(curve.a2), x2))
-    if curve.a4:
-        rhs = fld.add(rhs, fld.mul(fld.from_int(curve.a4), x))
-    if curve.a6:
-        rhs = fld.add(rhs, fld.from_int(curve.a6))
-    c = fld.add(fld.mul(fld.from_int(curve.a1), x), fld.from_int(curve.a3))
-    if p == 2:
-        if c == fld.zero:
-            # y^2 = rhs: Frobenius is bijective
-            return [fld.pow(rhs, fld.q // 2)]
-        # y = c z, z^2 + z = rhs / c^2
-        u = fld.mul(rhs, fld.inv(fld.mul(c, c)))
-        return [fld.mul(c, z) for z in tables.get(u, ())]
-    # odd characteristic: y^2 + c y = rhs, complete the square
-    inv2 = fld.inv(fld.from_int(2))
-    half_c = fld.mul(c, inv2)
-    disc = fld.add(rhs, fld.mul(half_c, half_c))
-    return [fld.sub(s, half_c) for s in tables.get(disc, ())]
+    a1, a2, a3, a4, a6 = (fld.from_int(a) for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    inv2 = fld.inv(fld.from_int(2)) if p != 2 else None
+    tables = _solution_tables(curve, fld)
+
+    def solutions(x):
+        x2 = fld.mul(x, x)
+        x3 = fld.mul(x2, x)
+        rhs = x3
+        if a2:
+            rhs = fld.add(rhs, fld.mul(a2, x2))
+        if a4:
+            rhs = fld.add(rhs, fld.mul(a4, x))
+        if a6:
+            rhs = fld.add(rhs, a6)
+        c = fld.add(fld.mul(a1, x), a3)
+        if p == 2:
+            if c == fld.zero:
+                # y^2 = rhs: Frobenius is bijective
+                return [fld.pow(rhs, fld.q // 2)]
+            # y = c z, z^2 + z = rhs / c^2
+            u = fld.mul(rhs, fld.inv(fld.mul(c, c)))
+            return [fld.mul(c, z) for z in tables.get(u, ())]
+        # odd characteristic: y^2 + c y = rhs, complete the square
+        half_c = fld.mul(c, inv2)
+        disc = fld.add(rhs, fld.mul(half_c, half_c))
+        return [fld.sub(s, half_c) for s in tables.get(disc, ())]
+
+    return solutions
 
 
 def _solution_tables(curve, fld):
@@ -396,10 +406,10 @@ def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int = 12) -> 
             acc = fld.add(acc, fld.mul(cf, fld.mul(fld.pow(xv, ex), fld.pow(yv, ey))))
         return acc
 
-    tables = _solution_tables(curve, fld)
+    y_solutions = _y_solver(curve, fld)
     count = 1  # point at infinity
     for x in fld.elements():
-        for y in _y_solutions(curve, fld, x, tables):
+        for y in y_solutions(x):
             if ev(xmap, x, y) == x and ev(ymap, x, y) == y:
                 count += 1
     return count

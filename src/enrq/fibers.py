@@ -356,7 +356,8 @@ def _can_split_into_cycles(count, order):
     lengths divide `order`?"""
     if count == 0:
         return True
-    divs = [d for d in range(2, order + 1) if order % d == 0]
+    # a cycle longer than `count` cannot occur, so the scan stops there
+    divs = [d for d in range(2, min(order, count) + 1) if order % d == 0]
     reachable = {0}
     for _ in range(count):
         reachable |= {r + d for r in reachable for d in divs if r + d <= count}

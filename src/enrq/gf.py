@@ -1,14 +1,31 @@
-"""Small finite fields GF(p^k) with deterministic construction.
+"""Small finite fields GF(p^k), table-driven, with deterministic construction.
 
-Elements are coefficient tuples (a0, ..., a_{k-1}) for a0 + a1 t + ...
+An element is a plain int whose base-p digits a0, ..., a_{k-1} (a0 least
+significant) are the coefficients of a0 + a1 t + ... + a_{k-1} t^{k-1}
 modulo a fixed monic irreducible polynomial, chosen as the first
-irreducible in lexicographic order of its lower coefficients.  All
-arithmetic is exact; iteration order over the field is deterministic,
-so searches (e.g. for a root of a defining polynomial) are reproducible.
+irreducible in lexicographic order of its lower coefficients.  For p = 2
+the int is a bitmask.
+
+Arithmetic is by lookup in tables built once per (p, k), on the first
+`GF(p, k)` call, and cached for the life of the process:
+
+* g is the first element, in element order, of multiplicative order q - 1;
+* exp[i] = g^i for 0 <= i < 2(q - 1), twice the period, so a product
+  exp[log a + log b] needs no reduction;
+* log[a] for a != 0 (log[0] is None);
+* for odd p, the Zech logarithms zech[d] = log(1 + g^d), None where
+  1 + g^d = 0, so a + b = g^(log a) (1 + g^(log b - log a)) is two
+  lookups.  For p = 2 addition is XOR and -a = a.
+
+All arithmetic is exact.  Iteration order over the field is that of the
+coefficient tuples (a0, ..., a_{k-1}) in lexicographic order, so searches
+(e.g. for a root of a defining polynomial) are reproducible.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import cache
 from itertools import product
 
 
@@ -101,61 +118,113 @@ def _find_irreducible(p, k):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+@cache
+def _tables(p, k):
+    """(modulus, exp, log, zech, order) for GF(p^k); see the module docstring.
+
+    `order` lists the elements in iteration order.  zech is None for p = 2.
+    """
+    modulus = _find_irreducible(p, k)
+    q = p**k
+    n = q - 1
+    weights = [p**i for i in range(k)]
+    order = [sum(map(operator.mul, digits, weights)) for digits in product(range(p), repeat=k)]
+    # g has order n iff g^(n/r) != 1 for every prime r dividing n
+    cofactors = [n // r for r in _prime_factors(n)]
+    g = next(
+        list(digits)
+        for digits in product(range(p), repeat=k)
+        if any(digits) and all(_poly_powmod(list(digits), e, modulus, p) != [1] for e in cofactors)
+    )
+    # multiplication by g as a k x k matrix over GF(p): rows[j][i] is the
+    # t^j coefficient of t^i g
+    columns = [_poly_mulmod([0] * i + [1], g, modulus, p) for i in range(k)]
+    rows = [[c[j] if j < len(c) else 0 for c in columns] for j in range(k)]
+    # every table entry is an int below q; all of them refer to the int
+    # objects of `order`, so the tables hold q ints, not 3q
+    shared = [None] * q
+    for a in order:
+        shared[a] = a
+    exp = []
+    x = [1] + [0] * (k - 1)
+    for _ in range(n):
+        exp.append(shared[sum(map(operator.mul, x, weights))])
+        x = [sum(map(operator.mul, x, row)) % p for row in rows]
+    log = [None] * q
+    for i, a in enumerate(exp):
+        log[a] = shared[i]
+    exp += exp
+    zech = None
+    if p != 2:
+        # adding 1 changes only the lowest digit, a % p
+        zech = [log[a - a % p + (a + 1) % p] for a in exp[:n]]
+    return modulus, exp, log, zech, order
+
+
 class GF:
-    """The field with p^k elements."""
+    """The field with p^k elements; elements are ints (see the module docstring)."""
 
     def __init__(self, p, k):
+        if _prime_factors(p) != {p}:
+            raise ValueError("p must be prime")
         if k < 1:
             raise ValueError("k must be >= 1")
         self.p = p
         self.k = k
         self.q = p**k
-        self.modulus = _find_irreducible(p, k)
-        self.zero = (0,) * k
-        self.one = tuple([1] + [0] * (k - 1))
-
-    def elem(self, coeffs):
-        c = list(coeffs)[: self.k]
-        c += [0] * (self.k - len(c))
-        return tuple(v % self.p for v in c)
+        self.modulus, self._exp, self._log, self._zech, self._order = _tables(p, k)
+        self._log_minus_one = (self.q - 1) // 2  # g^((q-1)/2) = -1 for odd p
+        self.zero = 0
+        self.one = 1
 
     def from_int(self, n):
-        return self.elem([n % self.p])
+        return n % self.p
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]  # a negative index wraps: g^-d = g^(q-1-d)
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a):
-        return tuple(-x % self.p for x in a)
+        if self.p == 2 or not a:
+            return a
+        return self._exp[self._log[a] + self._log_minus_one]
+
+    def sub(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        res = _poly_mulmod(list(a), list(b), self.modulus, self.p)
-        return self.elem(res)
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
 
     def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if e == 0:
+            return 1
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return 0
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def elements(self):
         """All field elements, in a fixed deterministic order."""
-        for coeffs in product(range(self.p), repeat=self.k):
-            yield coeffs
+        yield from self._order
 
     def find_root(self, poly):
         """First root (in element order) of a polynomial with prime-field

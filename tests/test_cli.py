@@ -82,6 +82,20 @@ def test_cli_subprocess_and_usage_error(tmp_path):
     assert bad.returncode == 2
 
 
+def test_cli_ecaut_tables_at_ext_degree_four(tmp_path):
+    # once about 40 s on a 2-vCPU VM, now about 1 s: the timeout catches a
+    # return of the per-multiply polynomial arithmetic
+    proc = subprocess.run(
+        [sys.executable, "-m", "enrq.cli", "--suite", "ecaut-tables", "--ext-degree", "4",
+         "--out", str(tmp_path / "r.md")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "## ecaut-tables" in (tmp_path / "r.md").read_text()
+
+
 @pytest.mark.parametrize("flag", [("--order", "1"), ("--order", "-2"), ("--ext-degree", "1"),
                                   ("--ext-degree", "3"), ("--ext-degree", "9")])
 def test_cli_rejects_bad_order_and_ext_degree(flag):

@@ -129,6 +129,13 @@ def test_classification_report_all_match():
     assert all(r["norm_engine"] == r["point_oracle"] == r["expected"] for r in rows)
 
 
+def test_classification_report_at_ext_degree_four():
+    # the largest override the CLI accepts; its GF(13^4) counts dominate
+    rows = ecaut.classification_report(4)
+    assert len(rows) == 14
+    assert all(r["match"] for r in rows)
+
+
 @pytest.mark.parametrize("row", ecaut.TABLE_ROWS, ids=lambda r: f"p{r.curve.p}-{r.cls.j}-o{r.order}")
 def test_counts_stabilize_under_field_growth(row):
     # the sufficient degree and its double give the same count, evidence

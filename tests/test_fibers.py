@@ -246,6 +246,33 @@ def test_lefschetz_check_all_orders():
             assert fibers.lefschetz_check(tag, order)["ok"], (tag, order)
 
 
+def test_lefschetz_check_large_prime_order_matches_small():
+    # both orders are primes above every cycle a catalog fiber can hold, so
+    # only the order key differs; the large one must not cost time in the order
+    for tag in fibers.standard_tags():
+        small = fibers.lefschetz_check(tag, 101)
+        large = fibers.lefschetz_check(tag, 1_000_003)
+        assert large.pop("order") == 1_000_003
+        assert small.pop("order") == 101
+        assert large == small, tag
+
+
+def _can_split_into_cycles_oracle(count, order):
+    # the definition with every divisor of the order up to the order itself
+    divs = [d for d in range(2, order + 1) if order % d == 0]
+    reachable = {0}
+    for _ in range(count):
+        reachable |= {r + d for r in reachable for d in divs if r + d <= count}
+    return count in reachable
+
+
+def test_can_split_into_cycles_matches_unbounded_definition():
+    for count in range(9):
+        for order in range(2, 61):
+            assert fibers._can_split_into_cycles(count, order) == _can_split_into_cycles_oracle(count, order), (
+                count, order)
+
+
 def test_model_json_round_trip():
     model = fibers.catalog("I1*").model
     again = fibers.FiberModel.from_json(model.to_json())

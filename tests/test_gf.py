@@ -1,0 +1,171 @@
+"""GF(p^k) lookup arithmetic against the polynomial route on coefficient lists."""
+
+import os
+import random
+import subprocess
+import sys
+from itertools import product
+
+import pytest
+
+from enrq import gf
+from enrq.gf import GF, _poly_mulmod, _poly_powmod
+
+SMALL_FIELDS = [
+    (p, k)
+    for p in range(2, 170)
+    if all(p % d for d in range(2, p))
+    for k in range(1, 8)
+    if p**k <= 169
+]
+LARGE_FIELDS = [(2, 12), (3, 8), (13, 4)]
+EXPONENTS = (-7, -2, -1, 0, 1, 2, 3, 10)
+
+
+def digits(fld, a):
+    out = []
+    for _ in range(fld.k):
+        a, d = divmod(a, fld.p)
+        out.append(d)
+    return out
+
+
+def encode(fld, coeffs):
+    return sum(c * fld.p**i for i, c in enumerate(coeffs))
+
+
+class Oracle:
+    """The field operations through polynomials reduced by the field's modulus."""
+
+    def __init__(self, fld):
+        self.fld = fld
+
+    def mul(self, a, b):
+        f = self.fld
+        return encode(f, _poly_mulmod(digits(f, a), digits(f, b), f.modulus, f.p))
+
+    def add(self, a, b):
+        f = self.fld
+        return encode(f, [(x + y) % f.p for x, y in zip(digits(f, a), digits(f, b))])
+
+    def sub(self, a, b):
+        f = self.fld
+        return encode(f, [(x - y) % f.p for x, y in zip(digits(f, a), digits(f, b))])
+
+    def neg(self, a):
+        f = self.fld
+        return encode(f, [-x % f.p for x in digits(f, a)])
+
+    def pow(self, a, e):
+        f = self.fld
+        if e < 0:
+            a, e = self.pow(a, f.q - 2), -e
+        return encode(f, _poly_powmod(digits(f, a), e, f.modulus, f.p))
+
+
+def check_unary(fld, oracle, a):
+    assert fld.neg(a) == oracle.neg(a)
+    if a:
+        inv = fld.inv(a)
+        assert inv == oracle.pow(a, fld.q - 2)
+        assert oracle.mul(a, inv) == fld.one
+    for e in EXPONENTS:
+        if a or e >= 0:
+            assert fld.pow(a, e) == oracle.pow(a, e), (a, e)
+
+
+def check_binary(fld, oracle, a, b):
+    assert fld.mul(a, b) == oracle.mul(a, b), (a, b)
+    assert fld.add(a, b) == oracle.add(a, b), (a, b)
+    assert fld.sub(a, b) == oracle.sub(a, b), (a, b)
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS, ids=lambda v: str(v))
+def test_operations_exhaustive_on_small_fields(p, k):
+    fld = GF(p, k)
+    oracle = Oracle(fld)
+    els = list(fld.elements())
+    for a in els:
+        check_unary(fld, oracle, a)
+        for b in els:
+            check_binary(fld, oracle, a, b)
+
+
+@pytest.mark.parametrize("p,k", LARGE_FIELDS, ids=lambda v: str(v))
+def test_operations_on_random_pairs_of_large_fields(p, k):
+    fld = GF(p, k)
+    oracle = Oracle(fld)
+    rng = random.Random(p * 100 + k)
+    for _ in range(2000):
+        a, b = rng.randrange(fld.q), rng.randrange(fld.q)
+        check_binary(fld, oracle, a, b)
+    for _ in range(200):
+        check_unary(fld, oracle, rng.randrange(fld.q))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 3), (5, 2), (2, 12), (13, 4)], ids=lambda v: str(v))
+def test_elements_follow_coefficient_tuple_order(p, k):
+    fld = GF(p, k)
+    els = list(fld.elements())
+    assert [tuple(digits(fld, a)) for a in els] == list(product(range(p), repeat=k))
+    assert sorted(els) == list(range(fld.q))
+
+
+# first roots of the two defining polynomials the classification rows use,
+# as coefficient tuples (a0, ..., a_{k-1}), pinned from the tuple-based field
+SEED_ROOTS = {
+    (2, 2): ((0, 1), (1, 0)),
+    (2, 4): ((0, 1, 0, 1), (1, 0, 0, 0)),
+    (2, 6): ((0, 0, 0, 1, 1, 1), (1, 0, 0, 0, 0, 0)),
+    (2, 12): ((0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0), (1,) + (0,) * 11),
+    (3, 2): ((1, 0), (0, 1)),
+    (3, 4): ((1, 0, 0, 0), (0, 1, 2, 0)),
+    (3, 8): ((1,) + (0,) * 7, (1, 1, 0, 1, 2, 0, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("p,k", SEED_ROOTS, ids=lambda v: str(v))
+def test_find_root_returns_seed_root(p, k):
+    fld = GF(p, k)
+    cube_root, fourth_root = SEED_ROOTS[p, k]
+    assert fld.find_root((1, 1, 1)) == encode(fld, cube_root)
+    assert fld.find_root((1, 0, 1)) == encode(fld, fourth_root)
+
+
+def test_find_root_none_when_absent():
+    assert GF(2, 1).find_root((1, 1, 1)) is None
+    assert GF(3, 1).find_root((1, 0, 1)) is None
+
+
+def test_zero_and_exponent_edge_cases():
+    for p, k in ((2, 3), (3, 2), (13, 1)):
+        fld = GF(p, k)
+        with pytest.raises(ZeroDivisionError):
+            fld.inv(fld.zero)
+        with pytest.raises(ZeroDivisionError):
+            fld.pow(fld.zero, -1)
+        assert fld.pow(fld.zero, 0) == fld.one
+        assert fld.pow(fld.zero, 5) == fld.zero
+        for a in fld.elements():
+            if a:
+                assert fld.pow(a, -1) == fld.inv(a)
+                assert fld.mul(fld.pow(a, -3), fld.pow(a, 3)) == fld.one
+
+
+def test_modulus_and_construction():
+    assert GF(2, 2).modulus == [1, 1, 1]
+    assert GF(3, 8).modulus == [1, 0, 0, 0, 0, 1, 1, 0, 1]
+    assert GF(2, 3).from_int(5) == 1
+    assert GF(13, 2).from_int(-1) == 12
+    for p, k in ((2, 0), (4, 1), (9, 2), (1, 3), (0, 1)):
+        with pytest.raises(ValueError):
+            GF(p, k)
+
+
+def test_tables_are_built_on_first_use_and_shared():
+    assert GF(5, 3)._exp is GF(5, 3)._exp
+    code = "import enrq.cli; from enrq import gf; print(gf._tables.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(gf.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "0"  # importing builds no field
