@@ -32,4 +32,4 @@ for t1, t2 in [("I4*", "I4*"), ("I4*", "II*"), ("II*", "II*")]:
             print(f"  rejected {count} overlays: {reason}")
     print()
 
-print("normalization:", configs.shared_eight_search("I4*", "I4*")["normalization"])
+print("normalization:", configs.OVERLAY_NORMALIZATION)

@@ -165,7 +165,7 @@ def suite_configs_shared8(report, cfg):
             reasons = sorted({h["rejected"] for br in res["branches"] for h in br["hits"]})
             detail += f"; all rejected: {reasons}"
         s.add(f"{t1} + {t2} overlay", res["satisfiable"] == want, detail)
-    s.add("normalization", None, configs.shared_eight_search("I4*", "I4*")["normalization"])
+    s.add("normalization", None, configs.OVERLAY_NORMALIZATION)
 
 
 def suite_ecaut_tables(report, cfg):

@@ -117,21 +117,17 @@ class Configuration:
         }
 
 
-# additive types that fit in the Shioda-Tate room
-def _additive_tags():
-    tags = ["II", "III", "IV"] + [f"I{n}*" for n in range(0, 5)] + ["IV*", "III*", "II*"]
-    return tags
-
-
 def enumerate_pairs():
     """All unordered pairs of additive types with m1 + m2 = 10 and tame
     Euler numbers summing to the budget e(S) = 12 (no wild term)."""
     out = []
-    tags = _additive_tags()
-    for t1, t2 in combinations_with_replacement(sorted(tags), 2):
-        e1, e2 = fibers.catalog(t1), fibers.catalog(t2)
+    # the additive types that fit in the Shioda-Tate room; m(I_n*) = n + 5
+    # keeps every fitting I_n* within standard_tags()
+    entries = [fibers.catalog(t) for t in sorted(fibers.standard_tags())]
+    additive = [e for e in entries if e.kind == fibers.ADDITIVE and e.m - 1 <= 8]
+    for e1, e2 in combinations_with_replacement(additive, 2):
         if e1.m + e2.m == 10 and e1.euler_tame + e2.euler_tame == 12:
-            out.append(Configuration((FiberEntry(t1), FiberEntry(t2))))
+            out.append(Configuration((FiberEntry(e1.tag), FiberEntry(e2.tag))))
     return out
 
 
@@ -310,6 +306,9 @@ def _connected(nodes, weight):
     return len(seen) == len(nodes)
 
 
+OVERLAY_NORMALIZATION = "F.F' = 4, unimodular closure of <curves, F/2, F'/2>, connected shared configuration"
+
+
 def shared_eight_search(t1: str, t2: str):
     """Exhaustive overlay search for two nine-component additive fibers
     sharing eight components (see the module docstring for the pinned
@@ -401,7 +400,7 @@ def shared_eight_search(t1: str, t2: str):
     return {
         "t1": t1,
         "t2": t2,
-        "normalization": "F.F' = 4, unimodular closure of <curves, F/2, F'/2>, connected shared configuration",
+        "normalization": OVERLAY_NORMALIZATION,
         "satisfiable": witness is not None,
         "witness": witness,
         "branches": branches,

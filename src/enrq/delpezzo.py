@@ -332,35 +332,6 @@ def aut_d3_torus(lam=LAM):
     return ProjMap((X0, il * X1, lam * X2, lam**3 * X3, lam * X4))
 
 
-def aut(kind: str, **params):
-    """Printed generator families by surface kind.
-
-    D1 takes lam, mu; D2 takes alpha, beta; D3 takes alpha, beta or lam.
-    Omitted parameters default to the symbolic generators.
-    """
-    if kind == "D1":
-        allowed = {"lam", "mu"}
-    elif kind == "D2":
-        allowed = {"alpha", "beta"}
-    elif kind == "D3":
-        allowed = {"alpha", "beta", "lam"}
-    else:
-        raise ValueError(f"unknown surface {kind!r}")
-    if set(params) - allowed:
-        raise ValueError(f"surface {kind} takes parameters {sorted(allowed)}")
-    if kind == "D1":
-        return aut_d1(params.get("lam", LAM), params.get("mu", MU))
-    if kind == "D2":
-        return aut_d2(params.get("alpha", ALPHA), params.get("beta", BETA))
-    if "lam" in params:
-        if "alpha" in params or "beta" in params:
-            raise ValueError("D3 takes either (alpha, beta) or lam, not both")
-        return aut_d3_torus(params["lam"])
-    if params:
-        return aut_d3_additive(params.get("alpha", ALPHA), params.get("beta", BETA))
-    raise ValueError("D3 needs lam (torus) or alpha/beta (additive)")
-
-
 # ---------------------------------------------------------------------------
 # verification
 

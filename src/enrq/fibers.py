@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations, product
 from math import gcd
 
@@ -97,12 +98,6 @@ class FiberModel:
         ids = [c for c, _ in self.components]
         pair = self.pairwise_intersections()
         return [[-2 if a == b else pair.get(frozenset((a, b)), 0) for b in ids] for a in ids]
-
-    def points_on(self, cid):
-        return [p for p in self.points if any(c == cid for c, _ in p.branches)]
-
-    def branch_count(self, point, cid):
-        return sum(cnt for c, cnt in point.branches if c == cid)
 
     def to_json(self):
         return {
@@ -248,6 +243,7 @@ def from_dynkin(label: str) -> str:
     raise ValueError(f"unknown Dynkin label {label!r}")
 
 
+@cache  # entries are frozen, so one instance per tag can be shared
 def catalog(tag: str) -> CatalogEntry:
     """Canonical incidence model and invariants for a singular fiber type."""
     family, n = parse_tag(tag)
@@ -263,10 +259,6 @@ def catalog(tag: str) -> CatalogEntry:
         model = {"II": _model_II, "III": _model_III, "IV": _model_IV, "IV*": _model_IVstar, "III*": _model_IIIstar, "II*": _model_IIstar}[family]()
         kind = ADDITIVE
     return CatalogEntry(tag, model, len(model.components), euler(model), kind)
-
-
-def is_additive(tag: str) -> bool:
-    return catalog(tag).kind == ADDITIVE
 
 
 def standard_tags(max_n: int = 9):
@@ -320,6 +312,11 @@ class ComponentAction:
     kind: str  # "identity" | "tame"
     fixed_branches: tuple = ()
     free_slots: int = 0
+
+    def __post_init__(self):
+        # one form per action, so equal actions compare equal
+        canonical = tuple(sorted((pid, k) for pid, k in self.fixed_branches if k))
+        object.__setattr__(self, "fixed_branches", canonical)
 
 
 @dataclass(frozen=True)
@@ -386,24 +383,27 @@ def _point_perms(model: FiberModel, order: int):
         yield perm
 
 
-def _component_options(model, cid, perm, order):
-    pts = model.points_on(cid)
-    moved = [p for p in pts if perm[p.id] != p.id]
-    fixed = [p for p in pts if perm[p.id] == p.id]
-    options = []
-    if not moved:
-        options.append(ComponentAction("identity"))
+def _incidence(model: FiberModel):
+    """{component id: [(point id, branches of the component there), ...]}
+    with the points in model order."""
+    counts = {cid: {} for cid, _ in model.components}
+    for p in model.points:
+        for cid, cnt in p.branches:
+            counts[cid][p.id] = counts[cid].get(p.id, 0) + cnt
+    return {cid: list(pts.items()) for cid, pts in counts.items()}
+
+
+def _component_options(incidence, perm, order):
+    """The admissible ComponentActions on one component, given its
+    incidence list and the point permutation."""
+    fixed = [(pid, b) for pid, b in incidence if perm[pid] == pid]
+    options = [ComponentAction("identity")] if len(fixed) == len(incidence) else []
     # tame: choose how many branch slots stay fixed at each fixed point
-    per_point = []
-    for p in fixed:
-        b = model.branch_count(p, cid)
-        ks = [k for k in range(b, -1, -1) if _can_split_into_cycles(b - k, order)]
-        per_point.append([(p.id, k) for k in ks])
+    per_point = [[(pid, k) for k in range(b, -1, -1) if _can_split_into_cycles(b - k, order)] for pid, b in fixed]
     for combo in product(*per_point):
         k_total = sum(k for _, k in combo)
         if k_total <= 2:
-            fixed_branches = tuple((pid, k) for pid, k in combo if k > 0)
-            options.append(ComponentAction("tame", fixed_branches, 2 - k_total))
+            options.append(ComponentAction("tame", combo, 2 - k_total))
     return options
 
 
@@ -418,54 +418,15 @@ def admissible_actions(model: FiberModel, order: int):
     if order < 2:
         raise ValueError("order must be >= 2")
     actions = []
-    comp_ids = [c for c, _ in model.components]
+    incidence = _incidence(model)
     for perm in _point_perms(model, order):
-        opts = [_component_options(model, cid, perm, order) for cid in comp_ids]
+        opts = [_component_options(inc, perm, order) for inc in incidence.values()]
         if any(not o for o in opts):
             continue
         perm_t = tuple(sorted(perm.items()))
         for combo in product(*opts):
-            actions.append(FiberAction(order, perm_t, tuple(zip(comp_ids, combo))))
+            actions.append(FiberAction(order, perm_t, tuple(zip(incidence, combo))))
     return actions
-
-
-def _check_admissible(model, action):
-    perm = action.perm()
-    if sorted(perm) != sorted(p.id for p in model.points) or sorted(perm.values()) != sorted(perm):
-        raise ValueError("point permutation must permute the singular points")
-    pt = {p.id: p for p in model.points}
-    for pid, img in perm.items():
-        if pt[pid].signature() != pt[img].signature():
-            raise ValueError("point permutation must preserve incidence")
-    for ln in _cycle_lengths(perm):
-        if ln > 1 and action.order % ln != 0:
-            raise ValueError("point cycle length must divide the order")
-    comp = action.component_map()
-    if sorted(comp) != sorted(c for c, _ in model.components):
-        raise ValueError("component map must cover all components")
-    for cid, ca in comp.items():
-        pts = model.points_on(cid)
-        if ca.kind == "identity":
-            if any(perm[p.id] != p.id for p in pts):
-                raise ValueError(f"identity component {cid} has a moved point")
-        elif ca.kind == "tame":
-            fb = dict(ca.fixed_branches)
-            total = sum(fb.values()) + ca.free_slots
-            if total != 2 or ca.free_slots < 0:
-                raise ValueError("a tame component has exactly 2 fixed slots")
-            for p in pts:
-                k = fb.get(p.id, 0)
-                if k and perm[p.id] != p.id:
-                    raise ValueError("fixed slot at a moved point")
-                if perm[p.id] == p.id:
-                    b = model.branch_count(p, cid)
-                    if k > b or not _can_split_into_cycles(b - k, action.order):
-                        raise ValueError("branch slots at a fixed point cannot move this way")
-            for pid in fb:
-                if pid not in {p.id for p in pts}:
-                    raise ValueError("fixed slot at a point off the component")
-        else:
-            raise ValueError(f"unknown component action {ca.kind!r}")
 
 
 def fixed_euler(model: FiberModel, action: FiberAction) -> int:
@@ -474,9 +435,15 @@ def fixed_euler(model: FiberModel, action: FiberAction) -> int:
     euler() of the union of identity components (with their retained
     singular points) plus the isolated fixed points: fixed singular
     points off that subcurve, and the tame components' free slots.
-    Raises ValueError when the action is not admissible on the model.
+    Raises ValueError unless the action is one that the generators of
+    `admissible_actions` yield for its order: the point permutation from
+    `_point_perms`, each component action from `_component_options`.
     """
-    _check_admissible(model, action)
+    perm, order, comp = action.perm(), action.order, action.component_map()
+    incidence = _incidence(model)
+    if (perm not in _point_perms(model, order) or comp.keys() != incidence.keys()
+            or any(comp[cid] not in _component_options(inc, perm, order) for cid, inc in incidence.items())):
+        raise ValueError(f"action of order {order} is not admissible on the model")
     return _fixed_euler(model, action)
 
 

@@ -57,14 +57,6 @@ def inner(u, v) -> int:
     return total
 
 
-def is_isotropic(v) -> bool:
-    return inner(v, v) == 0
-
-
-def is_root(v) -> bool:
-    return inner(v, v) == -2
-
-
 def add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,10 +16,22 @@ def test_each_suite_passes(suite, tmp_path, capsys):
     assert report.passed()
 
 
+# sha256 of the `all` report bodies; a change that alters a body must say why
+ALL_BODY_SHA256 = {
+    "markdown": "acedaeaa1f8848ad3463eec53d07938d33cd0ddf4314427c8250cfbec6024a7f",
+    "csv": "c3b5483998d26a8ae9d46a9080e9c1909b5466f6f638ea9aca43c66864bfe963",
+    "json": "185123ad151779ab9372fb64d994976c14d6932ed6aecfeb23462751594d3707",
+}
+
+
 def test_run_all_reports_every_suite(tmp_path):
-    status, report = run(RunConfig(suite="all", out=str(tmp_path / "all.md")))
+    out = tmp_path / "all.md"
+    status, report = run(RunConfig(suite="all", out=str(out)))
     assert status == 0
     assert [s.name for s in report.suites] == [s for s in cli.SUITES if s != "all"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_BODY_SHA256["markdown"]
+    for fmt, digest in ALL_BODY_SHA256.items():
+        assert hashlib.sha256(report.render(fmt).encode("utf-8")).hexdigest() == digest, fmt
 
 
 def test_formats_render(tmp_path):

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -32,6 +33,7 @@ def test_catalog_entries():
     assert sorted(m for _, m in e8.model.components) == [1, 2, 2, 3, 3, 4, 4, 5, 6]
     nodal = fibers.catalog("I1")
     assert nodal.m == 1 and nodal.euler_tame == 1 and nodal.kind == fibers.MULTIPLICATIVE
+    assert fibers.catalog("II*") is e8  # built once per tag
 
 
 def test_dynkin_labels_round_trip():
@@ -198,18 +200,147 @@ def test_fixed_euler_i2_examples():
     assert fibers.fixed_euler(model, swap) == 4
 
 
+def _tame(*fixed, free=0):
+    return fibers.ComponentAction("tame", fixed, free)
+
+
+I2_FIXED = (("p0", "p0"), ("p1", "p1"))
+I2_SWAP = (("p0", "p1"), ("p1", "p0"))
+I2_BOTH = _tame(("p0", 1), ("p1", 1))  # the only tame option at fixed nodes
+I0STAR_FIXED = tuple((f"q{i}", f"q{i}") for i in range(4))
+I0STAR_TAILS = tuple((f"t{i}", _tame((f"q{i}", 1), free=1)) for i in range(4))
+
+
+# one kind of inadmissible input per case; the other components are admissible
+INADMISSIBLE = {
+    "a 2-cycle of points at order 3": ("I2", 3, I2_SWAP, (("c0", _tame(free=2)), ("c1", _tame(free=2)))),
+    "a fixed slot at a moved point": ("I2", 2, I2_SWAP, (("c0", _tame(("p0", 1), free=1)), ("c1", _tame(free=2)))),
+    "negative free slots": ("I0*", 3, I0STAR_FIXED,
+                            (("z0", _tame(*((f"q{i}", 1) for i in range(4)), free=-2)), *I0STAR_TAILS)),
+    "an unknown kind": ("I2", 2, I2_FIXED, (("c0", fibers.ComponentAction("wild", I2_BOTH.fixed_branches)),
+                                            ("c1", I2_BOTH))),
+    "a missing component": ("I2", 2, I2_FIXED, (("c0", I2_BOTH),)),
+    "more than 2 slots": ("I2", 2, I2_FIXED, (("c0", _tame(("p0", 1), ("p1", 1), free=1)), ("c1", I2_BOTH))),
+    "an identity component with slots": ("I0*", 3, I0STAR_FIXED,
+                                         (("z0", fibers.ComponentAction("identity", (), 2)), *I0STAR_TAILS)),
+    "a negative branch count": ("I1", 2, (("node", "node"),), (("c0", _tame(("node", -1), free=3)),)),
+}
+
+
 def test_fixed_euler_rejects_inadmissible():
-    model = fibers.catalog("I2").model
-    bad = fibers.FiberAction(
-        3,
-        (("p0", "p1"), ("p1", "p0")),  # 2-cycle does not divide order 3
-        (
-            ("c0", fibers.ComponentAction("tame", (), 2)),
-            ("c1", fibers.ComponentAction("tame", (), 2)),
-        ),
-    )
-    with pytest.raises(ValueError):
-        fibers.fixed_euler(model, bad)
+    for case, (tag, order, perm, components) in INADMISSIBLE.items():
+        model = fibers.catalog(tag).model
+        action = fibers.FiberAction(order, perm, components)
+        assert not admissible_oracle(model, action), case
+        try:
+            fibers.fixed_euler(model, action)
+        except ValueError:
+            continue
+        pytest.fail(f"fixed_euler accepted {case}")
+
+
+@pytest.mark.parametrize("tag, perm, given, generated, euler", [
+    ("I2", I2_FIXED, _tame(("p1", 1), ("p0", 1)), _tame(("p0", 1), ("p1", 1)), 2),  # reordered
+    ("I1", (("node", "node"),), _tame(("node", 0), free=2), _tame(free=2), 3),  # zero count: the branches swap
+])
+def test_fixed_euler_accepts_reordered_and_zero_count_fixed_branches(tag, perm, given, generated, euler):
+    model = fibers.catalog(tag).model
+    assert given == generated
+    action = fibers.FiberAction(2, perm, tuple((cid, given) for cid, _ in model.components))
+    assert action in fibers.admissible_actions(model, 2)
+    assert fibers.fixed_euler(model, action) == euler
+
+
+def _cycle_length(perm, start):
+    length, x = 1, perm[start]
+    while x != start:
+        length, x = length + 1, perm[x]
+    return length
+
+
+def admissible_oracle(model, action):
+    """The admissibility rules checked one by one, an independent route to
+    the generators behind admissible_actions and fixed_euler."""
+    perm = action.perm()
+    ids = sorted(p.id for p in model.points)
+    if sorted(perm) != ids or sorted(perm.values()) != ids:
+        return False  # not a permutation of the singular points
+    signature = {p.id: p.signature() for p in model.points}
+    if any(signature[pid] != signature[img] for pid, img in perm.items()):
+        return False  # does not preserve incidence
+    if any(action.order % _cycle_length(perm, pid) for pid in perm):
+        return False  # a point cycle length does not divide the order
+    comp = action.component_map()
+    if sorted(comp) != sorted(c for c, _ in model.components):
+        return False  # the component map does not cover the components
+    for cid, ca in comp.items():
+        branches = {p.id: sum(n for c, n in p.branches if c == cid) for p in model.points}
+        on = [pid for pid, b in branches.items() if b]
+        if ca.kind == "identity":
+            if ca.fixed_branches or ca.free_slots or any(perm[pid] != pid for pid in on):
+                return False  # an identity component fixes all of its points and has no slots
+        elif ca.kind == "tame":
+            fixed = dict(ca.fixed_branches)
+            if len(fixed) < len(ca.fixed_branches) or ca.free_slots < 0:
+                return False  # a point listed twice, or negative free slots
+            if sum(fixed.values()) + ca.free_slots != 2:
+                return False  # a tame component has exactly 2 fixed slots
+            if any(k < 0 or pid not in on or perm[pid] != pid for pid, k in fixed.items()):
+                return False  # a fixed slot at a moved point or off the component
+            for pid in on:
+                k = fixed.get(pid, 0)
+                if perm[pid] == pid and (k > branches[pid] or not _can_split_into_cycles_oracle(
+                        branches[pid] - k, action.order)):
+                    return False  # the other branch slots at a fixed point cannot move this way
+        else:
+            return False  # unknown component action
+    return True
+
+
+def _random_action(rng, model):
+    # mostly inadmissible: moved points, bad slot counts, unknown kinds,
+    # missing components, reordered, zero-count or repeated fixed_branches
+    ids = [p.id for p in model.points]
+    images = rng.sample(ids, len(ids)) if rng.random() < 0.5 else ids
+    components = []
+    for cid, _ in model.components:
+        kind = rng.choice(["identity", "tame", "tame", "tame", "wild"])
+        fixed = [(pid, rng.choice([-1, 0, 1, 1, 2])) for pid in rng.sample(ids, rng.randint(0, min(3, len(ids))))]
+        if fixed and rng.random() < 0.05:
+            fixed.append(fixed[0])
+        free = 2 - sum(k for _, k in fixed) + rng.choice([0, 0, 0, -1, 1])
+        if kind == "identity" and rng.random() < 0.8:
+            fixed, free = [], 0
+        components.append((cid, fibers.ComponentAction(kind, tuple(fixed), free)))
+    if rng.random() < 0.05:
+        del components[rng.randrange(len(components))]
+    return fibers.FiberAction(rng.randint(1, 12), tuple(zip(ids, images)), tuple(components))
+
+
+def test_fixed_euler_matches_admissible_oracle():
+    rng = random.Random(4)
+    models = [fibers.catalog(t).model for t in ("I1", "I2", "I3", "II", "III", "IV", "I0*", "I1*")]
+    models.append(NON_CATALOG["2I2"])
+    accepted = 0
+    for _ in range(3000):
+        model = rng.choice(models)
+        action = _random_action(rng, model)
+        want = admissible_oracle(model, action)
+        try:
+            fibers.fixed_euler(model, action)
+            got = True
+        except ValueError:
+            got = False
+        assert got == want, action
+        accepted += got
+    assert accepted > 100
+
+
+def test_admissible_actions_pass_the_oracle():
+    for tag in ("I1", "I2", "I4", "III", "IV", "I0*", "I2*", "IV*"):
+        model = fibers.catalog(tag).model
+        for order in (2, 3, 4, 6):
+            assert all(admissible_oracle(model, a) for a in fibers.admissible_actions(model, order)), (tag, order)
 
 
 def test_e8_actions_all_give_ten():
