@@ -64,17 +64,6 @@ class ParamPoly:
 
     monomials: frozenset
 
-    @staticmethod
-    def from_monomials(mons):
-        acc = set()
-        for m in mons:
-            m = reduce_monomial(m)
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
-        return ParamPoly(frozenset(acc))
-
     def __add__(self, other):
         return ParamPoly(self.monomials ^ other.monomials)
 
@@ -441,16 +430,13 @@ def _form_vector(poly):
 
 def _solve_f2(cols, target):
     """Solve sum_j w_j * cols[j] = target where the columns are
-    constant (0/1) vectors and the target has ParamPoly entries.
+    constant (0/1) vectors, as Pencil guarantees, and the target has
+    ParamPoly entries.
     Returns the unique solution or None (inconsistent or underdetermined
     columns are rejected)."""
     nrows = len(target)
     ncols = len(cols)
-    mat = [[ONE if not cols[j][i].is_zero() else ZERO for j in range(ncols)] for i in range(nrows)]
-    for j in range(ncols):
-        for i in range(nrows):
-            if cols[j][i] not in (ZERO, ONE):
-                raise ValueError("pencil basis forms must have constant coefficients")
+    mat = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
     rhs = list(target)
     piv_rows = []
     used = [False] * nrows

@@ -327,6 +327,10 @@ class FiberAction:
     point_perm: tuple  # sorted ((point_id, image_id), ...)
     components: tuple  # sorted ((component_id, ComponentAction), ...)
 
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("action order must be >= 1")
+
     def perm(self):
         return dict(self.point_perm)
 

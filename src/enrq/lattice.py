@@ -13,15 +13,15 @@ short branch attached to node 4):
         |
     v1--v3--v4--v5--v6--v7--v8
 
-Vectors are plain tuples of 10 integers.  Everything here is exact:
-determinants are computed by fraction-free elimination and the signature
-by congruence reduction over the rationals, never by floating point.
+Vectors are plain tuples of 10 integers.  Everything here is exact: one
+fraction-free congruence elimination, over the integers, gives the
+determinant, the inertia and the bound of the isotropic sequence search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 RANK = 10
 
@@ -128,81 +128,78 @@ class IsotropicSequence:
 
 
 # ---------------------------------------------------------------------------
-# exact determinant and signature
+# exact determinant, signature and search bound
+
+
+def _reduce(gram):
+    """Fraction-free symmetric elimination of an integer Gram matrix.
+
+    Returns (rows, minors, nullity).  Step k (from 0) is the Bareiss update
+    m[i][j] = (m[i][j] m[k][k] - m[i][k] m[k][j]) // D_k, so every entry
+    stays an integer and the pivots are the leading minors: minors is
+    [D_0 = 1, D_1, D_2, ...].  A zero pivot is mended by a congruence move,
+    in this order: swap in a later nonzero diagonal entry (row and column);
+    else add a row and column j with m[k][j] != 0 (the new pivot is
+    2 m[k][j]); else the pivot row is null, so it is swapped last, dropped
+    and counted as nullity.  Moves keep the determinant and the inertia.
+    rows[k] is the pivot row U_k, meaningful from column k on; when no move
+    was needed, x.G.x is the sum over k of (U_k.x)^2 / (D_k D_{k+1})
+    (Bareiss 1968).
+    """
+    m = [list(row) for row in gram]
+    n = len(m)
+    if any(len(row) != n for row in m) or any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("Gram matrix must be square and symmetric")
+    if not all(isinstance(x, int) for row in m for x in row):
+        raise ValueError("Gram matrix entries must be integers")
+
+    def swap(a, b):
+        m[a], m[b] = m[b], m[a]
+        for row in m:
+            row[a], row[b] = row[b], row[a]
+
+    rows, minors = [], [1]
+    k = 0
+    while k < n:
+        if m[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if m[j][j]), None)
+            if j is not None:
+                swap(k, j)
+            else:
+                j = next((j for j in range(k + 1, n) if m[k][j]), None)
+                if j is None:
+                    n -= 1
+                    swap(k, n)
+                    continue
+                for c in range(k, n):
+                    m[k][c] += m[j][c]
+                for row in m:
+                    row[k] += row[j]
+        pivot, prev = m[k][k], minors[-1]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        rows.append(m[k])
+        minors.append(pivot)
+        k += 1
+    return rows, minors, len(m) - n
 
 
 def exact_det(matrix) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [[int(x) for x in row] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Determinant of a symmetric integer matrix (1 for the empty matrix)."""
+    _, minors, nullity = _reduce(matrix)
+    return 0 if nullity else minors[-1]
 
 
 def signature(matrix):
-    """Inertia (n_plus, n_minus, n_zero) of a symmetric matrix.
+    """Inertia (n_plus, n_minus, n_zero) of a symmetric integer matrix.
 
-    Uses exact symmetric congruence reduction over the rationals
-    (simultaneous row and column operations), so the result is not
-    subject to floating-point error.
+    A pivot D_{k+1} counts as positive when it has the sign of D_k; each
+    dropped null row counts as zero.  Exact, never floating point.
     """
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    pos = neg_ = zero = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            pivot = None
-            for j in range(k + 1, n):
-                if m[j][j] != 0:
-                    pivot = j
-                    break
-            if pivot is not None:
-                for r in range(n):
-                    m[r][k], m[r][pivot] = m[r][pivot], m[r][k]
-                m[k], m[pivot] = m[pivot], m[k]
-            else:
-                off = None
-                for j in range(k + 1, n):
-                    if m[k][j] != 0:
-                        off = j
-                        break
-                if off is None:
-                    zero += 1
-                    continue
-                # congruence: add row/col `off` into slot k to create a pivot
-                for r in range(n):
-                    m[r][k] += m[r][off]
-                for c in range(n):
-                    m[k][c] += m[off][c]
-        d = m[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg_ += 1
-        for i in range(k + 1, n):
-            factor = m[i][k] / d
-            if factor:
-                for c in range(n):
-                    m[i][c] -= factor * m[k][c]
-                for r in range(n):
-                    m[r][i] -= factor * m[r][k]
-    return (pos, neg_, zero)
+    _, minors, nullity = _reduce(matrix)
+    pos = sum((a > 0) == (b > 0) for a, b in zip(minors, minors[1:]))
+    return (pos, len(minors) - 1 - pos, nullity)
 
 
 def gram_determinant() -> int:
@@ -216,23 +213,23 @@ def gram_signature():
 # ---------------------------------------------------------------------------
 # isotropic sequence search
 
-# LDL^T data for the positive definite form q(x) = -x'.(E8 block).x',
-# used for branch-and-bound pruning: q(x) = sum_i d_i (x_i + sum_{j>i} L_ji x_j)^2.
+
+def _e8_bound():
+    """Integer data for branch and bound on q(x) = -x'.x' over the E8 block.
+
+    From the pivot rows U_k and leading minors of -E8 (see _reduce),
+    SCALE q(x) = sum_k W_k (U_k.x)^2 with SCALE the lcm of the D_k D_{k+1}
+    and integer weights W_k.  Term k reads only x_{k+1}..x8; U_k is kept
+    as (lattice index, coefficient) pairs.
+    """
+    rows, minors, _ = _reduce([[-GRAM[2 + i][2 + j] for j in range(8)] for i in range(8)])
+    denominators = [a * b for a, b in zip(minors, minors[1:])]
+    scale = math.lcm(*denominators)
+    pivots = tuple(tuple((2 + j, row[j]) for j in range(k, 8) if row[j]) for k, row in enumerate(rows))
+    return scale, tuple(scale // d for d in denominators), pivots
 
 
-def _ldl_e8():
-    c = [[Fraction(-GRAM[2 + i][2 + j]) for j in range(8)] for i in range(8)]
-    d = [Fraction(0)] * 8
-    lo = [[Fraction(0)] * 8 for _ in range(8)]
-    for j in range(8):
-        d[j] = c[j][j] - sum(lo[j][k] ** 2 * d[k] for k in range(j))
-        lo[j][j] = Fraction(1)
-        for i in range(j + 1, 8):
-            lo[i][j] = (c[i][j] - sum(lo[i][k] * lo[j][k] * d[k] for k in range(j))) / d[j]
-    return d, lo
-
-
-_E8_D, _E8_L = _ldl_e8()
+_E8_SCALE, _E8_WEIGHTS, _E8_ROWS = _e8_bound()
 
 
 def _value_order(bound):
@@ -247,8 +244,8 @@ def _candidates(prefix_duals, bound):
     previous sequence member f (prefix_duals holds the rows G.f).
 
     Coordinates are chosen in the order (a, b, x8, ..., x1) so that the
-    LDL partial sums of the E8 block give monotone lower bounds on
-    q(x) = 2ab (branch-and-bound).  Enumeration order is deterministic.
+    partial sums of SCALE q(x) give monotone integer lower bounds on
+    SCALE 2ab (branch-and-bound).  Enumeration order is deterministic.
     """
     vals = _value_order(bound)
     order = [0, 1] + [9 - i for i in range(8)]  # a, b, x8..x1
@@ -287,21 +284,21 @@ def _candidates(prefix_duals, bound):
                 if t < 0:
                     coords[idx] = 0
                     continue
-                yield from rec(2, newpartial, Fraction(0), t)
+                yield from rec(2, newpartial, 0, _E8_SCALE * t)
             elif step >= 2:
-                # running LDL sum over already-fixed coordinates x_k..x8
+                # the E8 term of this coordinate reads only coordinates already fixed
                 k = idx - 2
-                term = Fraction(coords[idx])
-                for j in range(k + 1, 8):
-                    term += _E8_L[j][k] * coords[2 + j]
-                q = qpart + _E8_D[k] * term * term
+                term = 0
+                for i, c in _E8_ROWS[k]:
+                    term += c * coords[i]
+                q = qpart + _E8_WEIGHTS[k] * term * term
                 if q <= target:
                     yield from rec(step + 1, newpartial, q, target)
             else:
                 yield from rec(step + 1, newpartial, qpart, target)
         coords[idx] = 0
 
-    yield from rec(0, [0] * ncon, Fraction(0), None)
+    yield from rec(0, [0] * ncon, 0, None)
 
 
 def search_sequences(n: int, bound: int, cap: int | None = 100):

@@ -117,6 +117,8 @@ def test_compose_torus_multiplicative():
     assert dp.proj_equal(comp, dp.aut_d1(LAM * LAM2, MU * MU2))
     rec = dp.recover_params(comp, "D1")
     assert rec == {"lam": LAM * LAM2, "mu": MU * MU2}
+    comp = dp.compose(dp.aut_d3_torus(LAM), dp.aut_d3_torus(LAM2))
+    assert dp.recover_params(comp, "D3-torus") == {"lam": LAM * LAM2}
 
 
 def test_compose_d2_two_torsion():
@@ -124,6 +126,8 @@ def test_compose_d2_two_torsion():
     comp = dp.compose(dp.aut_d2(ALPHA, BETA), dp.aut_d2(ALPHA2, BETA2))
     rec = dp.recover_params(comp, "D2")
     assert rec == {"alpha": ALPHA + ALPHA2, "beta": BETA + BETA2}
+    comp = dp.compose(dp.aut_d3_additive(ALPHA, BETA), dp.aut_d3_additive(ALPHA2, BETA2))
+    assert dp.recover_params(comp, "D3-additive") == {"alpha": ALPHA + ALPHA2, "beta": BETA + BETA2}
 
 
 def test_compose_identity_unit():

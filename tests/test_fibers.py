@@ -239,6 +239,20 @@ def test_fixed_euler_rejects_inadmissible():
         pytest.fail(f"fixed_euler accepted {case}")
 
 
+@pytest.mark.parametrize("order", [0, -4])
+def test_fiber_action_rejects_order_below_one(order):
+    with pytest.raises(ValueError):
+        fibers.FiberAction(order, I2_FIXED, (("c0", I2_BOTH), ("c1", I2_BOTH)))
+
+
+def test_identity_action_of_order_one_is_admissible():
+    model = fibers.catalog("I2").model
+    identity = fibers.ComponentAction("identity")
+    action = fibers.FiberAction(1, I2_FIXED, (("c0", identity), ("c1", identity)))
+    assert admissible_oracle(model, action)
+    assert fibers.fixed_euler(model, action) == fibers.euler(model)
+
+
 @pytest.mark.parametrize("tag, perm, given, generated, euler", [
     ("I2", I2_FIXED, _tame(("p1", 1), ("p0", 1)), _tame(("p0", 1), ("p1", 1)), 2),  # reordered
     ("I1", (("node", "node"),), _tame(("node", 0), free=2), _tame(free=2), 3),  # zero count: the branches swap

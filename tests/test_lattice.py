@@ -1,9 +1,13 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enrq import lattice
+from enrq import fibers, lattice
 
 
 def det_by_fraction_elimination(matrix):
@@ -58,6 +62,59 @@ def test_gram_signature_hyperbolic():
     assert coeffs[-1] != 0
     assert sign_changes(coeffs) == 1
     assert sign_changes([c * (-1) ** i for i, c in enumerate(coeffs)]) == 9
+
+
+def inertia_by_descartes(matrix):
+    coeffs = charpoly_by_faddeev_leverrier(matrix)
+    # the trailing zero coefficients count the root 0, which is the nullity
+    nullity = next(i for i, c in enumerate(reversed(coeffs)) if c != 0)
+    return (sign_changes(coeffs), sign_changes([c * (-1) ** i for i, c in enumerate(coeffs)]), nullity)
+
+
+def random_symmetric(rng, n):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.choice([0, 0, rng.randint(-3, 3)])
+    if rng.random() < 0.3:
+        for i in range(n):
+            m[i][i] = 0
+    if n >= 2 and rng.random() < 0.3:
+        # row and column b become c times row and column a: singular
+        a, b = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        for i in range(n):
+            m[i][b] = m[i][a] * c
+        m[b] = [x * c for x in m[a]]
+    return m
+
+
+def test_det_and_inertia_match_exact_oracles():
+    rng = random.Random(20)
+    matrices = [random_symmetric(rng, rng.randint(1, 7)) for _ in range(300)]
+    matrices += [fibers.catalog(t).model.component_gram() for t in fibers.standard_tags()
+                 if fibers.catalog(t).model.reducible()]
+    singular = zero_diagonal = 0
+    for m in matrices:
+        det = lattice.exact_det(m)
+        assert det == det_by_fraction_elimination(m), m
+        assert lattice.signature(m) == inertia_by_descartes(m), m
+        singular += det == 0
+        zero_diagonal += not any(m[i][i] for i in range(len(m)))
+    assert singular >= 50 and zero_diagonal >= 50
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0, 1], [2, 0]],
+    [[1, 2, 3], [2, 1, 0]],
+    [[Fraction(1, 2)]],
+    [[2, 1.0], [1.0, 2]],
+])
+def test_det_and_signature_reject_non_symmetric_or_non_integer(matrix):
+    with pytest.raises(ValueError):
+        lattice.exact_det(matrix)
+    with pytest.raises(ValueError):
+        lattice.signature(matrix)
 
 
 def test_inner_normalizations():
@@ -168,3 +225,46 @@ def test_sequence_json_round_trip():
 def test_isotropic_sequence_validates_on_construction():
     with pytest.raises(ValueError):
         lattice.IsotropicSequence((lattice.E, lattice.E))
+
+
+def test_e8_bound_is_the_scaled_form():
+    # the search bound: SCALE * (-x.x) as a weighted sum of integer squares
+    assert lattice._E8_SCALE == 120
+    assert lattice._E8_WEIGHTS == (60, 15, 5, 4, 6, 10, 20, 60)
+    rng = random.Random(8)
+    for _ in range(500):
+        x = (0, 0) + tuple(rng.randint(-6, 6) for _ in range(8))
+        terms = [sum(c * x[i] for i, c in row) for row in lattice._E8_ROWS]
+        assert sum(w * t * t for w, t in zip(lattice._E8_WEIGHTS, terms)) == 120 * -lattice.inner(x, x)
+
+
+def test_candidates_match_the_full_box_at_bound_one():
+    # the search's coordinate order (a, b, x8, ..., x1) and value order 0, 1, -1
+    order = [0, 1] + [9 - i for i in range(8)]
+    box = []
+    for values in product((0, 1, -1), repeat=lattice.RANK):
+        v = [0] * lattice.RANK
+        for idx, val in zip(order, values):
+            v[idx] = val
+        box.append(tuple(v))
+    isotropic = [v for v in box if any(v) and lattice.inner(v, v) == 0]
+    sizes = []
+    for prefix in ((), (lattice.F,), (lattice.F, lattice.E), ((1, 1, 1, 0, 0, 0, 0, 0, 0, 0),)):
+        want = [v for v in isotropic if all(lattice.inner(v, f) == 1 for f in prefix)]
+        duals = [tuple(lattice.inner(b, f) for b in lattice.BASIS) for f in prefix]
+        assert list(lattice._candidates(duals, 1)) == want, prefix
+        sizes.append(len(want))
+    assert sizes == [180, 89, 88, 24]
+
+
+def test_search_output_pinned_and_fano_polarized():
+    found = lattice.search_sequences(10, 4, cap=10)
+    digest = hashlib.sha256(json.dumps([s.to_json() for s in found]).encode()).hexdigest()
+    assert digest == "eef29dd028866adc49307d89f1e85c762c8c483d472880909d89b413c9fda603"
+    for seq in found:
+        # Fano polarization: sum f_i = 3 Delta with Delta^2 = 10 and Delta.f_i = 3
+        total = [sum(c) for c in zip(*seq)]
+        assert all(c % 3 == 0 for c in total)
+        delta = tuple(c // 3 for c in total)
+        assert lattice.inner(delta, delta) == 10
+        assert all(lattice.inner(delta, f) == 3 for f in seq)
