@@ -4,7 +4,8 @@ reports in markdown, CSV or JSON.
 Exit status is 0 when every assertion in the selected suite passes, 1 on
 an assertion failure (a partial report is still written), 2 on usage
 errors.  Report bodies contain no timestamps; when writing to a file, a
-sidecar <out>.meta.json records the invocation and time.
+sidecar <out>.meta.json records the invocation, the time and each suite's
+wall time in seconds ("suite_s").
 """
 
 from __future__ import annotations
@@ -241,15 +242,19 @@ def run(cfg: RunConfig):
     """Execute the configured suite(s); returns (exit_status, report)."""
     report = Report()
     names = list(_SUITE_FUNCS) if cfg.suite == "all" else [cfg.suite]
+    suite_s = {}
     for name in names:
+        start = time.perf_counter()
         _SUITE_FUNCS[name](report, cfg)
+        suite_s[name] = time.perf_counter() - start
     body = report.render(cfg.fmt)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(body)
         meta = {"argv": {"suite": cfg.suite, "format": cfg.fmt, "bound": cfg.bound,
                          "ext_degree": cfg.ext_degree, "order": cfg.order},
-                "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+                "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                "suite_s": suite_s}
         with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2)
             fh.write("\n")

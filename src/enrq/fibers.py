@@ -22,6 +22,20 @@ each component either as the identity or with exactly two fixed points
 fixed-point bookkeeping for fibers: e(F^g) always equals e(F) for
 reducible fibers, except for the two-component cycle I2 where swapping
 the two nodes (possible only for even order) gives e(F^g) = 4.
+
+The value splits per component: for a given permutation of the singular
+points,
+
+    e(F^g) = #fixed points + sum over components c of w_c,
+
+with w_c = 2 - deg(c) for an identity component (deg(c) its branches at
+singular points) and w_c = free slots for a tame one.  So
+`lefschetz_check` aggregates per point permutation, counting the actions
+as a product and the values as a Minkowski sum of per-component sets,
+and checks each permutation's value against the Lefschetz number
+L(g) = 2 * #components - sum over fixed points p of (branches(p) - 1).
+`admissible_actions` and `fixed_euler` materialize the actions one by
+one and are the oracle for the aggregate.
 """
 
 from __future__ import annotations
@@ -468,16 +482,54 @@ def _fixed_euler(model, action):
     return sub_e + isolated
 
 
+def _lefschetz_number(model, perm):
+    """L(g) = 2 * #components - sum over fixed singular points p of
+    (branches(p) - 1): every component is a fixed P1 of trace 2, and the
+    points g moves drop out."""
+    return 2 * len(model.components) - sum(p.total_branches() - 1 for p in model.points if perm[p.id] == p.id)
+
+
+def _perm_tallies(model: FiberModel, order: int):
+    """For each point permutation that admits actions: (perm, number of
+    admissible actions, their fixed-locus Euler numbers), from the
+    per-component split of the module docstring, without building the
+    actions.  A fixed point p adds 1 - (identity branches at p) to
+    _fixed_euler and a moved point adds nothing, hence the split.
+    """
+    incidence = _incidence(model)
+    for perm in _point_perms(model, order):
+        count, values = 1, {sum(perm[p.id] == p.id for p in model.points)}
+        for inc in incidence.values():
+            options = _component_options(inc, perm, order)
+            if not options:
+                break
+            deg = sum(b for _, b in inc)
+            weights = {2 - deg if ca.kind == "identity" else ca.free_slots for ca in options}
+            count *= len(options)
+            values = {v + w for v in values for w in weights}
+        else:
+            yield perm, count, values
+
+
 def lefschetz_check(tag: str, order: int):
     """Fixed-locus Euler numbers over all admissible actions of one order.
 
     For a reducible type other than I2 the value set must be {e(F)}; for
-    I2 it is {2} at odd order and {2, 4} at even order.  Irreducible
-    singular types (I1, II) are reported without a constancy claim.
+    I2 it is {2} at odd order and {2, 4} at even order.  A reducible type
+    must also give, for each point permutation, the single value L(g) of
+    the Lefschetz fixed-point formula.  Irreducible singular types (I1,
+    II) are reported without a claim: at even order the I1 branch swap
+    acts by -1 on the loop class, so L(g) does not count its fixed locus.
     """
+    if order < 2:
+        raise ValueError("order must be >= 2")
     entry = catalog(tag)
-    actions = admissible_actions(entry.model, order)
-    values = sorted({_fixed_euler(entry.model, a) for a in actions})
+    actions, values, trace_ok = 0, set(), True
+    for perm, count, perm_values in _perm_tallies(entry.model, order):
+        actions += count
+        values |= perm_values
+        trace_ok = trace_ok and perm_values == {_lefschetz_number(entry.model, perm)}
+    values = sorted(values)
     if not entry.model.reducible():
         expected = None
     elif tag == "I2":
@@ -491,6 +543,6 @@ def lefschetz_check(tag: str, order: int):
         "euler": entry.euler_tame,
         "values": values,
         "expected": expected,
-        "ok": expected is None or values == expected,
-        "actions": len(actions),
+        "ok": expected is None or (values == expected and trace_ok),
+        "actions": actions,
     }

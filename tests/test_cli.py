@@ -50,6 +50,11 @@ def test_metadata_sidecar_written(tmp_path):
     meta = json.loads((out.parent / "report.md.meta.json").read_text())
     assert meta["argv"]["suite"] == "fibers-euler"
     assert "generated_at" in meta
+    assert list(meta["suite_s"]) == ["fibers-euler"]
+    run(RunConfig(suite="all", out=str(out)))
+    suite_s = json.loads((out.parent / "report.md.meta.json").read_text())["suite_s"]
+    assert list(suite_s) == [s for s in cli.SUITES if s != "all"]
+    assert all(isinstance(t, float) and t >= 0 for t in suite_s.values())
 
 
 def test_stdout_when_no_out(capsys):

@@ -385,6 +385,75 @@ def test_lefschetz_check_examples():
     assert fibers.lefschetz_check("I2", 3)["values"] == [2]
 
 
+def test_lefschetz_check_builds_no_action(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the aggregate must not materialize actions")
+
+    monkeypatch.setattr(fibers, "FiberAction", fail)
+    monkeypatch.setattr(fibers, "_fixed_euler", fail)
+    for tag in ("I2", "I4*", "II*"):
+        assert fibers.lefschetz_check(tag, 2)["ok"], tag
+
+
+@pytest.mark.parametrize("order", [1, 0, -3])
+def test_lefschetz_check_rejects_order_below_two(order):
+    with pytest.raises(ValueError):
+        fibers.lefschetz_check("I2", order)
+
+
+def _materialized_by_perm(model, order):
+    """{point permutation: (action count, fixed-locus values)} from the
+    enumerated actions, the oracle for the aggregate."""
+    by_perm = {}
+    for action in fibers.admissible_actions(model, order):
+        count, values = by_perm.get(action.point_perm, (0, set()))
+        by_perm[action.point_perm] = (count + 1, values | {fibers._fixed_euler(model, action)})
+    return by_perm
+
+
+def _tallies_by_perm(model, order):
+    return {tuple(sorted(perm.items())): (n, v) for perm, n, v in fibers._perm_tallies(model, order)}
+
+
+@pytest.mark.parametrize("tag", fibers.standard_tags(9))
+def test_lefschetz_check_matches_the_materialized_actions(tag):
+    model = fibers.catalog(tag).model
+    for order in range(2, 13):
+        by_perm = _materialized_by_perm(model, order)
+        res = fibers.lefschetz_check(tag, order)
+        assert res["actions"] == sum(n for n, _ in by_perm.values()), order
+        assert res["values"] == sorted(set().union(*(v for _, v in by_perm.values()))), order
+        assert _tallies_by_perm(model, order) == by_perm, order
+        if model.reducible():
+            # the Lefschetz number is the one fixed-locus value of each point permutation
+            assert all(v == {fibers._lefschetz_number(model, dict(p))} for p, (_, v) in by_perm.items()), order
+
+
+@pytest.mark.parametrize("name", NON_CATALOG)
+def test_perm_tallies_match_the_materialized_actions_off_the_catalog(name):
+    model = NON_CATALOG[name]
+    for order in range(2, 9):
+        assert _tallies_by_perm(model, order) == _materialized_by_perm(model, order), order
+
+
+def test_lefschetz_number_examples():
+    for tag in fibers.standard_tags(9):
+        model = fibers.catalog(tag).model
+        if model.reducible():
+            identity = {p.id: p.id for p in model.points}
+            assert fibers._lefschetz_number(model, identity) == EULER_ORACLE[tag], tag
+    i2 = fibers.catalog("I2").model
+    assert fibers._lefschetz_number(i2, dict(I2_SWAP)) == 4
+
+
+def test_lefschetz_check_fails_off_the_lefschetz_number(monkeypatch):
+    # the I2 values stay {2, 4}, but a point permutation now disagrees with L(g)
+    monkeypatch.setattr(fibers, "_lefschetz_number", lambda model, perm: 4)
+    res = fibers.lefschetz_check("I2", 2)
+    assert res["values"] == res["expected"] == [2, 4] and not res["ok"]
+    assert fibers.lefschetz_check("I1", 2)["ok"]  # irreducible: no claim
+
+
 def test_lefschetz_check_all_orders():
     for order in (2, 3, 5, 7):
         for tag in fibers.standard_tags(6):
