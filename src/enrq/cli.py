@@ -3,9 +3,9 @@ reports in markdown, CSV or JSON.
 
 Exit status is 0 when every assertion in the selected suite passes, 1 on
 an assertion failure (a partial report is still written), 2 on usage
-errors.  Report bodies contain no timestamps; when writing to a file, a
-sidecar <out>.meta.json records the invocation, the time and each suite's
-wall time in seconds ("suite_s").
+errors, an unwritable --out among them.  Report bodies contain no
+timestamps; when writing to a file, a sidecar <out>.meta.json records the
+invocation, the time and each suite's wall time in seconds ("suite_s").
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ from dataclasses import dataclass
 
 from . import configs, delpezzo, ecaut, fibers, lattice, tables
 from .report import Report
+
+
+class OutputError(OSError):
+    """The report or its sidecar could not be written."""
+
 
 @dataclass
 class RunConfig:
@@ -249,15 +254,18 @@ def run(cfg: RunConfig):
         suite_s[name] = time.perf_counter() - start
     body = report.render(cfg.fmt)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
         meta = {"argv": {"suite": cfg.suite, "format": cfg.fmt, "bound": cfg.bound,
                          "ext_degree": cfg.ext_degree, "order": cfg.order},
                 "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "suite_s": suite_s}
-        with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(body)
+            with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
+                json.dump(meta, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     else:
         sys.stdout.write(body)
     return (0 if report.passed() else 1), report
@@ -277,7 +285,10 @@ def main(argv=None):
         cfg = RunConfig(args.suite, args.fmt, args.out, args.bound, args.ext_degree, args.order)
     except ValueError as exc:
         parser.error(str(exc))
-    status, _ = run(cfg)
+    try:
+        status, _ = run(cfg)
+    except OutputError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     return status
 
 

@@ -7,8 +7,10 @@ Overlay search normalization.  `shared_eight_search` looks for two
 additive nine-component fibers F, F' (one per pencil) sharing eight
 components C1..C8, with one extra curve each (C9 in F, C10 in F').
 Realizing the two affine diagrams pins every pairwise intersection
-except u = C9.C10, which ranges over {0, ..., 4}.  A branch counts as
-satisfiable when
+except u = C9.C10, which ranges over {0, ..., 4}.  F.F' is affine in u
+with slope m(C9) * m(C10) >= 1 (C9 is not in F', C10 not in F), so the
+search solves F.F' = 4 for the one admissible u instead of trying each.
+A branch counts as satisfiable when
 
   * F.F' = 4  (simple fibers are numerically twice the half-fibers,
     so F.F' = 2F1 . 2F2 = 4 with F1.F2 = 1);
@@ -257,6 +259,9 @@ def _isomorphisms(nodes1, weight1, nodes2, weight2):
         return
     prof1 = {n: _weight_profile(n, nodes1, weight1) for n in nodes1}
     prof2 = {n: _weight_profile(n, nodes2, weight2) for n in nodes2}
+    # an isomorphism maps each node to one of equal profile
+    if sorted(prof1.values()) != sorted(prof2.values()):
+        return
     assign = {}
     used = set()
 
@@ -333,68 +338,74 @@ def shared_eight_search(t1: str, t2: str):
                 shared = sorted(r1)
                 inv = {v: k for k, v in iso.items()}  # shared node -> diagram-2 node
                 n = 10
-                for u in range(0, 5):
-                    gram = [[0] * n for _ in range(n)]
-                    for k in range(n):
-                        gram[k][k] = -2
-                    for a in range(8):
-                        for b in range(a + 1, 8):
-                            v = w1.get((shared[a], shared[b]), 0)
-                            gram[a][b] = gram[b][a] = v
-                    for a in range(8):
-                        gram[a][8] = gram[8][a] = w1.get((shared[a], c1), 0)
-                        gram[a][9] = gram[9][a] = w2.get((inv[shared[a]], c2), 0)
-                    gram[8][9] = gram[9][8] = u
-                    f1 = [mult1[s] for s in shared] + [mult1[c1], 0]
-                    f2 = [mult2[inv[s]] for s in shared] + [0, mult2[c2]]
-                    gf1 = [sum(gram[i][j] * f1[j] for j in range(n)) for i in range(n)]
-                    gf2 = [sum(gram[i][j] * f2[j] for j in range(n)) for i in range(n)]
-                    assert all(gf1[k] == 0 for k in range(9)), "fiber condition violated in F"
-                    assert all(gf2[k] == 0 for k in range(8)) and gf2[9] == 0, "fiber condition violated in F'"
-                    product = sum(gf1[k] * f2[k] for k in range(n))
-                    if product != 4:
-                        continue
-                    # half-fiber classes F/2, F'/2 must pair integrally
-                    if gf1[9] % 2 or gf2[8] % 2:
-                        continue
-                    det = exact_det(gram)
-                    rank = _mod2_rank(f1, f2)
-                    closure = det // 4**rank
-                    if closure * 4**rank != det:
-                        continue
-                    unimodular = abs(closure) == 1
-                    if not unimodular:
-                        reason = f"closure discriminant {closure} != +-1"
-                    elif not shared_conn:
-                        reason = "shared configuration disconnected"
-                    else:
-                        reason = None
-                    hit = {
+                gram = [[0] * n for _ in range(n)]
+                for k in range(n):
+                    gram[k][k] = -2
+                for a in range(8):
+                    for b in range(a + 1, 8):
+                        v = w1.get((shared[a], shared[b]), 0)
+                        gram[a][b] = gram[b][a] = v
+                for a in range(8):
+                    gram[a][8] = gram[8][a] = w1.get((shared[a], c1), 0)
+                    gram[a][9] = gram[9][a] = w2.get((inv[shared[a]], c2), 0)
+                f1 = [mult1[s] for s in shared] + [mult1[c1], 0]
+                f2 = [mult2[inv[s]] for s in shared] + [0, mult2[c2]]
+                gf1 = [sum(gram[i][j] * f1[j] for j in range(n)) for i in range(n)]
+                gf2 = [sum(gram[i][j] * f2[j] for j in range(n)) for i in range(n)]
+                # u = C9.C10 enters only gf1[9] and gf2[8]
+                assert all(gf1[k] == 0 for k in range(9)), "fiber condition violated in F"
+                assert all(gf2[k] == 0 for k in range(8)) and gf2[9] == 0, "fiber condition violated in F'"
+                # F.F' = gf1[9] * f2[9] is affine in u with slope m(C9) * m(C10) >= 1
+                slope = f1[8] * f2[9]
+                u, rem = divmod(4 - gf1[9] * f2[9], slope)
+                if rem or not 0 <= u <= 4:
+                    continue
+                gram[8][9] = gram[9][8] = u
+                gf1[9] += u * f1[8]
+                gf2[8] += u * f2[9]
+                product = sum(gf1[k] * f2[k] for k in range(n))
+                assert product == 4
+                # half-fiber classes F/2, F'/2 must pair integrally
+                if gf1[9] % 2 or gf2[8] % 2:
+                    continue
+                det = exact_det(gram)
+                rank = _mod2_rank(f1, f2)
+                closure = det // 4**rank
+                if closure * 4**rank != det:
+                    continue
+                unimodular = abs(closure) == 1
+                if not unimodular:
+                    reason = f"closure discriminant {closure} != +-1"
+                elif not shared_conn:
+                    reason = "shared configuration disconnected"
+                else:
+                    reason = None
+                hit = {
+                    "u": u,
+                    "product": product,
+                    "overlay_det": det,
+                    "closure_disc": closure,
+                    "unimodular": unimodular,
+                    "shared_connected": shared_conn,
+                    "rejected": reason,
+                }
+                branch["hits"].append(hit)
+                if reason is None and witness is None:
+                    witness = {
+                        "connector1": c1,
+                        "connector1_mult": mult1[c1],
+                        "connector2": c2,
+                        "connector2_mult": mult2[c2],
+                        "shared": shared,
+                        "iso": {k: iso[k] for k in sorted(iso)},
                         "u": u,
+                        "gram": gram,
+                        "fiber1_mult": f1,
+                        "fiber2_mult": f2,
                         "product": product,
                         "overlay_det": det,
                         "closure_disc": closure,
-                        "unimodular": unimodular,
-                        "shared_connected": shared_conn,
-                        "rejected": reason,
                     }
-                    branch["hits"].append(hit)
-                    if reason is None and witness is None:
-                        witness = {
-                            "connector1": c1,
-                            "connector1_mult": mult1[c1],
-                            "connector2": c2,
-                            "connector2_mult": mult2[c2],
-                            "shared": shared,
-                            "iso": {k: iso[k] for k in sorted(iso)},
-                            "u": u,
-                            "gram": gram,
-                            "fiber1_mult": f1,
-                            "fiber2_mult": f2,
-                            "product": product,
-                            "overlay_det": det,
-                            "closure_disc": closure,
-                        }
             if branch["isomorphisms"]:
                 branches.append(branch)
     return {

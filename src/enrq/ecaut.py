@@ -7,7 +7,9 @@ Fixed points are counted two independent ways:
   in the endomorphism order (Gaussian integers for j = 1728, Eisenstein
   integers for j = 0, a maximal quaternion order for the supersingular
   cases).  Unit groups are modeled inside a rational quaternion algebra
-  (a, b | Q), which covers all four orders at once.
+  (a, b | Q), which covers all four orders at once.  Each class's unit
+  group and element orders are built once per process and shared by
+  `aut_group`, `element_orders` and `fixed_count`.
 
 * brute force: explicit Weierstrass curves over small prime fields with
   explicit coordinate maps; points over an extension field are
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .gf import GF
 
@@ -151,21 +154,27 @@ _STRUCTURE = {
 }
 
 
+@cache
+def _unit_group(c: CurveClass):
+    """(elements, a, b, {element: order}) for the class, built once."""
+    (a, b), gens = _group_data(c)
+    elems = tuple(_closure(gens, a, b))
+    return elems, a, b, {x: _element_order(x, a, b) for x in elems}
+
+
 def aut_group(c: CurveClass):
     """(order, structure tag) of Aut(E) for a curve of the given class."""
-    (a, b), gens = _group_data(c)
-    return len(_closure(gens, a, b)), _STRUCTURE[(c.char, c.j)]
+    return len(_unit_group(c)[0]), _STRUCTURE[(c.char, c.j)]
 
 
 def unit_elements(c: CurveClass):
     """The unit group of the endomorphism order, as quaternions."""
-    (a, b), gens = _group_data(c)
-    return _closure(gens, a, b), a, b
+    elems, a, b, _ = _unit_group(c)
+    return list(elems), a, b
 
 
 def element_orders(c: CurveClass):
-    elems, a, b = unit_elements(c)
-    return sorted({_element_order(x, a, b) for x in elems})
+    return sorted(set(_unit_group(c)[3].values()))
 
 
 # separable degrees for the inseparable cases, cross-validated by the
@@ -187,8 +196,8 @@ def fixed_count(c: CurveClass, order: int) -> int:
     beyond it, if N(1 - g) is coprime to the characteristic then 1 - g
     is separable and the norm is still the count.
     """
-    elems, a, b = unit_elements(c)
-    of_order = [x for x in elems if _element_order(x, a, b) == order]
+    elems, a, b, orders = _unit_group(c)
+    of_order = [x for x in elems if orders[x] == order]
     if not of_order:
         raise ValueError(f"no automorphism of order {order} in class {c}")
     norms = set()

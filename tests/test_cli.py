@@ -100,6 +100,21 @@ def test_cli_subprocess_and_usage_error(tmp_path):
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("target", ["missing-dir/x.md", "."])
+def test_cli_unwritable_out_is_a_usage_error(tmp_path, target):
+    out = tmp_path / target
+    proc = subprocess.run(
+        [sys.executable, "-m", "enrq.cli", "--suite", "fibers-euler", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("enrq: error: cannot write "), proc.stderr
+    assert str(out) in lines[0]
+
+
 def test_cli_ecaut_tables_at_ext_degree_four(tmp_path):
     # once about 40 s on a 2-vCPU VM, now about 1 s: the timeout catches a
     # return of the per-multiply polynomial arithmetic

@@ -1,9 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
 from enrq import configs, fibers
+from enrq.lattice import exact_det
 
 
 def test_enumerate_pairs_matches_independent_scan():
@@ -182,3 +185,125 @@ def test_shared_eight_deterministic():
     a = configs.shared_eight_search("I4*", "II*")
     b = configs.shared_eight_search("I4*", "II*")
     assert a == b
+
+
+def unpruned_isomorphisms(nodes1, weight1, nodes2, weight2):
+    # the backtrack without the profile-multiset shortcut
+    nodes1, nodes2 = sorted(nodes1), sorted(nodes2)
+    if len(nodes1) != len(nodes2):
+        return []
+    prof1 = {n: configs._weight_profile(n, nodes1, weight1) for n in nodes1}
+    prof2 = {n: configs._weight_profile(n, nodes2, weight2) for n in nodes2}
+    out, assign = [], {}
+
+    def rec(i):
+        if i == len(nodes2):
+            out.append(dict(assign))
+            return
+        n2 = nodes2[i]
+        for n1 in nodes1:
+            if n1 in assign.values() or prof1[n1] != prof2[n2]:
+                continue
+            if any(weight2.get((n2, m2), 0) != weight1.get((n1, assign[m2]), 0) for m2 in assign):
+                continue
+            assign[n2] = n1
+            rec(i + 1)
+            del assign[n2]
+
+    rec(0)
+    return out
+
+
+def overlay_scan_oracle(t1, t2):
+    # the overlay search that builds the Gram matrix for each u in 0..4
+    ids1, mult1, w1 = configs._diagram(t1)
+    ids2, mult2, w2 = configs._diagram(t2)
+    branches, witness = [], None
+    for c1 in ids1:
+        r1 = [n for n in ids1 if n != c1]
+        for c2 in ids2:
+            r2 = [n for n in ids2 if n != c2]
+            isos = unpruned_isomorphisms(r1, w1, r2, w2)
+            branch = {"connector1": c1, "connector2": c2, "isomorphisms": len(isos), "hits": []}
+            shared_conn = configs._connected(sorted(r1), w1)
+            for iso in isos:
+                shared = sorted(r1)
+                inv = {v: k for k, v in iso.items()}
+                for u in range(5):
+                    gram = [[-2 if i == j else 0 for j in range(10)] for i in range(10)]
+                    for a in range(8):
+                        for b in range(8):
+                            if a != b:
+                                gram[a][b] = w1.get((shared[a], shared[b]), 0)
+                        gram[a][8] = gram[8][a] = w1.get((shared[a], c1), 0)
+                        gram[a][9] = gram[9][a] = w2.get((inv[shared[a]], c2), 0)
+                    gram[8][9] = gram[9][8] = u
+                    f1 = [mult1[s] for s in shared] + [mult1[c1], 0]
+                    f2 = [mult2[inv[s]] for s in shared] + [0, mult2[c2]]
+                    gf1 = [sum(g * f for g, f in zip(row, f1)) for row in gram]
+                    gf2 = [sum(g * f for g, f in zip(row, f2)) for row in gram]
+                    product = sum(x * y for x, y in zip(gf1, f2))
+                    if product != 4 or gf1[9] % 2 or gf2[8] % 2:
+                        continue
+                    det = exact_det(gram)
+                    rank = configs._mod2_rank(f1, f2)
+                    closure = det // 4**rank
+                    if closure * 4**rank != det:
+                        continue
+                    unimodular = abs(closure) == 1
+                    if not unimodular:
+                        reason = f"closure discriminant {closure} != +-1"
+                    elif not shared_conn:
+                        reason = "shared configuration disconnected"
+                    else:
+                        reason = None
+                    branch["hits"].append({
+                        "u": u, "product": product, "overlay_det": det, "closure_disc": closure,
+                        "unimodular": unimodular, "shared_connected": shared_conn, "rejected": reason,
+                    })
+                    if reason is None and witness is None:
+                        witness = {
+                            "connector1": c1, "connector1_mult": mult1[c1],
+                            "connector2": c2, "connector2_mult": mult2[c2],
+                            "shared": shared, "iso": {k: iso[k] for k in sorted(iso)}, "u": u,
+                            "gram": gram, "fiber1_mult": f1, "fiber2_mult": f2, "product": product,
+                            "overlay_det": det, "closure_disc": closure,
+                        }
+            if branch["isomorphisms"]:
+                branches.append(branch)
+    return {"t1": t1, "t2": t2, "normalization": configs.OVERLAY_NORMALIZATION,
+            "satisfiable": witness is not None, "witness": witness, "branches": branches}
+
+
+OVERLAY_PAIRS = [("I4*", "I4*"), ("I4*", "II*"), ("II*", "I4*"), ("II*", "II*")]
+
+
+@pytest.mark.parametrize("t1,t2", OVERLAY_PAIRS)
+def test_shared_eight_search_equals_the_u_scan(t1, t2):
+    assert configs.shared_eight_search(t1, t2) == overlay_scan_oracle(t1, t2)
+
+
+# sha256 of json.dumps(shared_eight_search(t1, t2), sort_keys=True)
+SHARED_EIGHT_SHA256 = {
+    ("I4*", "I4*"): "9ce73c1f4da8a12280c14b68c98e841aeda808150f14f35507452d2dce179f73",
+    ("I4*", "II*"): "455f9bde167fb71aaa92972aee3116efb2b45b23b6ccdc8491bd4c45e572523b",
+    ("II*", "II*"): "5674e37411928316b6ecbe65fd71a8a1cc9a75ead40683b527648c606e55ec45",
+}
+
+
+@pytest.mark.parametrize("pair", SHARED_EIGHT_SHA256)
+def test_shared_eight_search_output_pinned(pair):
+    res = configs.shared_eight_search(*pair)
+    digest = hashlib.sha256(json.dumps(res, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == SHARED_EIGHT_SHA256[pair]
+
+
+@pytest.mark.parametrize("t1,t2", OVERLAY_PAIRS)
+def test_isomorphism_pruning_keeps_every_isomorphism(t1, t2):
+    ids1, _, w1 = configs._diagram(t1)
+    ids2, _, w2 = configs._diagram(t2)
+    for c1 in ids1:
+        r1 = [n for n in ids1 if n != c1]
+        for c2 in ids2:
+            r2 = [n for n in ids2 if n != c2]
+            assert list(configs._isomorphisms(r1, w1, r2, w2)) == unpruned_isomorphisms(r1, w1, r2, w2), (c1, c2)

@@ -152,3 +152,59 @@ def test_counts_stabilize_degree_six_to_twelve_char_two():
             continue
         assert ecaut.brute_force_count(row.curve, row.aut, 6) == row.expected
         assert ecaut.brute_force_count(row.curve, row.aut, 12) == row.expected
+
+
+ALL_CLASSES = [CurveClass(0, GENERIC), CurveClass(0, J1728), CurveClass(0, J0), CurveClass(3, GENERIC),
+               CurveClass(3, SPECIAL), CurveClass(2, GENERIC), CurveClass(2, SPECIAL)]
+
+
+def uncached_fixed_count(cls, order):
+    # the norm engine from scratch: closure, orders and N(1 - g), no cache
+    (a, b), gens = ecaut._group_data(cls)
+    elems = ecaut._closure(gens, a, b)
+    norms = {ecaut.quat_norm(tuple(o - gi for o, gi in zip(ecaut.QUAT_ONE, g)), a, b)
+             for g in elems if ecaut._element_order(g, a, b) == order}
+    assert len(norms) == 1
+    n = int(norms.pop())
+    p = cls.char
+    if p and order % p == 0:
+        wild = ecaut._WILD_RULES.get((p, cls.j, order))
+        if wild is not None:
+            return wild
+        assert n % p != 0
+    return n
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: f"char{c.char}-{c.j}")
+def test_fixed_count_equals_uncached_recomputation(cls):
+    for order in ecaut.element_orders(cls):
+        assert ecaut.fixed_count(cls, order) == uncached_fixed_count(cls, order), order
+
+
+def test_unit_elements_returns_a_fresh_list():
+    cls = CurveClass(2, SPECIAL)
+    elems, a, b = ecaut.unit_elements(cls)
+    before = list(elems)
+    elems.clear()
+    assert ecaut.unit_elements(cls) == (before, a, b)
+    assert ecaut.aut_group(cls) == (24, "Q8:Z/3")
+
+
+def test_unit_group_built_once_per_class(monkeypatch):
+    from enrq import configs
+
+    calls = []
+    closure = ecaut._closure
+
+    def counting(generators, a, b):
+        calls.append((a, b))
+        return closure(generators, a, b)
+
+    monkeypatch.setattr(ecaut, "_closure", counting)
+    ecaut._unit_group.cache_clear()
+    try:
+        ecaut.classification_report()
+        configs.odd_order_smooth_case(3)
+    finally:
+        ecaut._unit_group.cache_clear()
+    assert len(calls) == len(ALL_CLASSES)
