@@ -251,14 +251,19 @@ def _weight_profile(node, nodes, weight):
     return tuple(sorted(weight.get((node, o), 0) for o in nodes if o != node))
 
 
-def _isomorphisms(nodes1, weight1, nodes2, weight2):
+def _profiles(nodes, weight):
+    return {n: _weight_profile(n, nodes, weight) for n in nodes}
+
+
+def _isomorphisms(nodes1, weight1, nodes2, weight2, prof1=None, prof2=None):
     """All weighted-graph isomorphisms nodes2 -> nodes1 (deterministic
-    backtracking in sorted node order)."""
+    backtracking in sorted node order).  prof1 and prof2, when given, are
+    the _profiles of the two node sets."""
     nodes1, nodes2 = sorted(nodes1), sorted(nodes2)
     if len(nodes1) != len(nodes2):
         return
-    prof1 = {n: _weight_profile(n, nodes1, weight1) for n in nodes1}
-    prof2 = {n: _weight_profile(n, nodes2, weight2) for n in nodes2}
+    prof1 = prof1 or _profiles(nodes1, weight1)
+    prof2 = prof2 or _profiles(nodes2, weight2)
     # an isomorphism maps each node to one of equal profile
     if sorted(prof1.values()) != sorted(prof2.values()):
         return
@@ -327,15 +332,19 @@ def shared_eight_search(t1: str, t2: str):
     ids2, mult2, w2 = _diagram(t2)
     branches = []
     witness = None
+    # diagram 2 minus each connector, with its weight profiles
+    rests2 = []
+    for c2 in ids2:
+        r2 = sorted(n for n in ids2 if n != c2)
+        rests2.append((c2, r2, _profiles(r2, w2)))
     for c1 in ids1:
-        r1 = [n for n in ids1 if n != c1]
-        for c2 in ids2:
-            r2 = [n for n in ids2 if n != c2]
-            isos = list(_isomorphisms(r1, w1, r2, w2))
+        shared = sorted(n for n in ids1 if n != c1)
+        prof1 = _profiles(shared, w1)
+        shared_conn = _connected(shared, w1)
+        for c2, r2, prof2 in rests2:
+            isos = list(_isomorphisms(shared, w1, r2, w2, prof1, prof2))
             branch = {"connector1": c1, "connector2": c2, "isomorphisms": len(isos), "hits": []}
-            shared_conn = _connected(sorted(r1), w1)
             for iso in isos:
-                shared = sorted(r1)
                 inv = {v: k for k, v in iso.items()}  # shared node -> diagram-2 node
                 n = 10
                 gram = [[0] * n for _ in range(n)]

@@ -16,6 +16,9 @@ short branch attached to node 4):
 Vectors are plain tuples of 10 integers.  Everything here is exact: one
 fraction-free congruence elimination, over the integers, gives the
 determinant, the inertia and the bound of the isotropic sequence search.
+The search keeps the constraints v.f = 1 of the sequence so far in
+integer reduced echelon form with late pivots: a pivot coordinate is
+computed from the coordinates chosen before it, not branched on.
 """
 
 from __future__ import annotations
@@ -46,14 +49,15 @@ F = (0, 1, 0, 0, 0, 0, 0, 0, 0, 0)
 BASIS = tuple(tuple(1 if j == i else 0 for j in range(RANK)) for i in range(RANK))
 
 
+# the 24 nonzero entries (i, j, GRAM[i][j]) of the Gram matrix
+_GRAM_ENTRIES = tuple((i, j, g) for i, row in enumerate(GRAM) for j, g in enumerate(row) if g)
+
+
 def inner(u, v) -> int:
     """Intersection product u.v in the fixed Gram basis."""
     total = 0
-    for i in range(RANK):
-        ui = u[i]
-        if ui:
-            row = GRAM[i]
-            total += ui * sum(row[j] * v[j] for j in range(RANK) if v[j])
+    for i, j, g in _GRAM_ENTRIES:
+        total += g * u[i] * v[j]
     return total
 
 
@@ -232,11 +236,48 @@ def _e8_bound():
 _E8_SCALE, _E8_WEIGHTS, _E8_ROWS = _e8_bound()
 
 
+_ORDER = (0, 1, 9, 8, 7, 6, 5, 4, 3, 2)  # search positions: a, b, x8, ..., x1
+
+
 def _value_order(bound):
     vals = [0]
     for v in range(1, bound + 1):
         vals.extend((v, -v))
     return vals
+
+
+def _echelon(prefix_duals):
+    """Reduced integer echelon form of the constraints v.f = 1, with every
+    pivot as late as possible in the search order.
+
+    A row is [c_0, ..., c_9, rhs] over search positions (see _ORDER).
+    Positions are eliminated from the last to the first: a remaining row
+    with a nonzero c_p becomes the pivot row s of position p, and p is
+    cleared from every other row by r <- s_p r - r_p s, each row then
+    divided by the gcd of its entries.  Returns {position: row}, or None
+    when a row with no coefficient left keeps a nonzero right-hand side.
+    A pivot row is zero at every other pivot position and at every
+    position after its own, so its pivot coordinate is fixed by the
+    coordinates the search has already chosen.
+    """
+    rest = [[dual[i] for i in _ORDER] + [1] for dual in prefix_duals]
+    pivots = {}
+    for p in range(RANK - 1, -1, -1):
+        s = next((r for r in rest if r[p]), None)
+        if s is None:
+            continue
+        rest = [r for r in rest if r is not s]
+        for r in rest + list(pivots.values()):
+            c = r[p]
+            if c:
+                r[:] = [s[p] * x - c * y for x, y in zip(r, s)]
+                g = math.gcd(*r)
+                if g > 1:
+                    r[:] = [x // g for x in r]
+        pivots[p] = s
+    if any(r[RANK] for r in rest):
+        return None
+    return pivots
 
 
 def _candidates(prefix_duals, bound):
@@ -245,18 +286,26 @@ def _candidates(prefix_duals, bound):
 
     Coordinates are chosen in the order (a, b, x8, ..., x1) so that the
     partial sums of SCALE q(x) give monotone integer lower bounds on
-    SCALE 2ab (branch-and-bound).  Enumeration order is deterministic.
+    SCALE 2ab (branch-and-bound).  The constraints are kept in reduced
+    echelon form with late pivots (see _echelon): a pivot coordinate is
+    computed from the coordinates before it, never branched on, and a
+    free coordinate runs through 0, 1, -1, 2, -2, ... while each row can
+    still reach its right-hand side within the box.  So the vectors come
+    in the lexicographic order of that value order, deterministically.
     """
+    pivots = _echelon(prefix_duals)
+    if pivots is None:
+        return
+    rows = list(pivots.values())
+    rhs = [r[RANK] for r in rows]
+    # reach[c][step]: the most the positions from step on can add to row c
+    reach = [[bound * sum(abs(x) for x in r[step:RANK]) for step in range(RANK + 1)] for r in rows]
+    # per position: the (row, pivot) that fixes it, if any, and the (row, coefficient) pairs it moves
+    solve = [None] * RANK
+    for c, (pos, r) in enumerate(pivots.items()):
+        solve[pos] = (c, r[pos])
+    moves = [tuple((c, r[step]) for c, r in enumerate(rows) if r[step]) for step in range(RANK)]
     vals = _value_order(bound)
-    order = [0, 1] + [9 - i for i in range(8)]  # a, b, x8..x1
-    ncon = len(prefix_duals)
-    reach = []
-    for dual in prefix_duals:
-        r = [0] * (RANK + 1)
-        for step in range(RANK - 1, -1, -1):
-            r[step] = r[step + 1] + abs(dual[order[step]]) * bound
-        reach.append(r)
-
     coords = [0] * RANK
 
     def rec(step, partial, qpart, target):
@@ -264,17 +313,24 @@ def _candidates(prefix_duals, bound):
             if qpart == target and any(coords):
                 yield tuple(coords)
             return
-        idx = order[step]
-        for val in vals:
+        idx = _ORDER[step]
+        values = vals
+        if solve[step] is not None:
+            c, d = solve[step]
+            val, rem = divmod(rhs[c] - partial[c], d)
+            if rem or abs(val) > bound:
+                return
+            values = (val,)
+        for val in values:
             coords[idx] = val
             ok = True
-            newpartial = []
-            for c in range(ncon):
-                p = partial[c] + val * prefix_duals[c][idx]
-                if abs(p - 1) > reach[c][step + 1]:
+            newpartial = list(partial)
+            for c, coef in moves[step]:
+                p = partial[c] + val * coef
+                if abs(rhs[c] - p) > reach[c][step + 1]:
                     ok = False
                     break
-                newpartial.append(p)
+                newpartial[c] = p
             if not ok:
                 coords[idx] = 0
                 continue
@@ -298,7 +354,7 @@ def _candidates(prefix_duals, bound):
                 yield from rec(step + 1, newpartial, qpart, target)
         coords[idx] = 0
 
-    yield from rec(0, [0] * ncon, 0, None)
+    yield from rec(0, [0] * len(rows), 0, None)
 
 
 def search_sequences(n: int, bound: int, cap: int | None = 100):

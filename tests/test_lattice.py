@@ -1,8 +1,10 @@
 import hashlib
 import json
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,15 @@ def test_det_and_signature_reject_non_symmetric_or_non_integer(matrix):
         lattice.signature(matrix)
 
 
+def test_inner_matches_the_gram_double_sum():
+    rng = random.Random(49)
+    for _ in range(300):
+        u = tuple(rng.randint(-6, 6) for _ in range(lattice.RANK))
+        v = tuple(rng.randint(-6, 6) for _ in range(lattice.RANK))
+        want = sum(u[i] * lattice.GRAM[i][j] * v[j] for i in range(lattice.RANK) for j in range(lattice.RANK))
+        assert lattice.inner(u, v) == want, (u, v)
+
+
 def test_inner_normalizations():
     assert lattice.inner(lattice.E, lattice.F) == 1
     assert lattice.inner(lattice.E, lattice.E) == 0
@@ -198,8 +209,30 @@ def test_search_sequences_rejects_bad_lengths():
         lattice.search_sequences(2, 0)
 
 
+SEARCH_LIMIT_S = 30
+
+
+@contextmanager
+def time_limit(seconds):
+    # a search that runs away (say, on a broken bound) fails instead of hanging
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        # raised afresh: the interrupted frame may lack the line number pytest reports
+        raise TimeoutError(f"search ran past {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_search_finds_full_ten_sequence_within_bound_six():
-    found = lattice.search_sequences(10, 6, cap=1)
+    with time_limit(SEARCH_LIMIT_S):
+        found = lattice.search_sequences(10, 6, cap=1)
     assert len(found) == 1
     seq = found[0]
     assert len(seq) == 10
@@ -258,7 +291,8 @@ def test_candidates_match_the_full_box_at_bound_one():
 
 
 def test_search_output_pinned_and_fano_polarized():
-    found = lattice.search_sequences(10, 4, cap=10)
+    with time_limit(SEARCH_LIMIT_S):
+        found = lattice.search_sequences(10, 4, cap=10)
     digest = hashlib.sha256(json.dumps([s.to_json() for s in found]).encode()).hexdigest()
     assert digest == "eef29dd028866adc49307d89f1e85c762c8c483d472880909d89b413c9fda603"
     for seq in found:
@@ -268,3 +302,113 @@ def test_search_output_pinned_and_fano_polarized():
         delta = tuple(c // 3 for c in total)
         assert lattice.inner(delta, delta) == 10
         assert all(lattice.inner(delta, f) == 3 for f in seq)
+
+
+def candidates_dfs_oracle(prefix_duals, bound):
+    # the search before echelon form: branch on every coordinate, in the
+    # order (a, b, x8, ..., x1), and prune a value only when some raw row
+    # G.f can no longer reach 1 within the box
+    vals = lattice._value_order(bound)
+    order = [0, 1] + [9 - i for i in range(8)]
+    ncon = len(prefix_duals)
+    reach = []
+    for dual in prefix_duals:
+        r = [0] * (lattice.RANK + 1)
+        for step in range(lattice.RANK - 1, -1, -1):
+            r[step] = r[step + 1] + abs(dual[order[step]]) * bound
+        reach.append(r)
+    coords = [0] * lattice.RANK
+
+    def rec(step, partial, qpart, target):
+        if step == lattice.RANK:
+            if qpart == target and any(coords):
+                yield tuple(coords)
+            return
+        idx = order[step]
+        for val in vals:
+            coords[idx] = val
+            ok = True
+            newpartial = []
+            for c in range(ncon):
+                p = partial[c] + val * prefix_duals[c][idx]
+                if abs(p - 1) > reach[c][step + 1]:
+                    ok = False
+                    break
+                newpartial.append(p)
+            if not ok:
+                continue
+            if step == 1:
+                t = 2 * coords[0] * coords[1]
+                if t >= 0:
+                    yield from rec(2, newpartial, 0, lattice._E8_SCALE * t)
+            elif step >= 2:
+                k = idx - 2
+                term = 0
+                for i, c in lattice._E8_ROWS[k]:
+                    term += c * coords[i]
+                q = qpart + lattice._E8_WEIGHTS[k] * term * term
+                if q <= target:
+                    yield from rec(step + 1, newpartial, q, target)
+            else:
+                yield from rec(step + 1, newpartial, qpart, target)
+        coords[idx] = 0
+
+    yield from rec(0, [0] * ncon, 0, None)
+
+
+def duals_of(prefix):
+    return [tuple(lattice.inner(b, f) for b in lattice.BASIS) for f in prefix]
+
+
+# the empty prefix has 1,535,436 candidates at bound 4: compare its head only
+EMPTY_PREFIX_HEAD = 20000
+
+
+def assert_candidates_match_oracle(prefix, bound):
+    duals = duals_of(prefix)
+    limit = None if prefix else EMPTY_PREFIX_HEAD
+    got = list(islice(lattice._candidates(duals, bound), limit))
+    assert got == list(islice(candidates_dfs_oracle(duals, bound), limit)), (prefix, bound)
+    return len(got)
+
+
+def test_candidates_match_the_dfs_oracle_on_ten_sequence_prefixes():
+    with time_limit(SEARCH_LIMIT_S):
+        found = lattice.search_sequences(10, 4, cap=10)
+    prefixes = sorted({s.vectors[:k] for s in found for k in range(10)})
+    assert len(prefixes) == 23
+    for prefix in prefixes:
+        for bound in (4, 6):
+            assert assert_candidates_match_oracle(prefix, bound) >= 1
+
+
+def test_candidates_match_the_dfs_oracle_on_short_prefixes():
+    found = lattice.search_sequences(4, 2, cap=2000)
+    prefixes = sorted({s.vectors[:k] for s in found for k in range(4)})
+    assert len(prefixes) == 58
+    for prefix in prefixes:
+        for bound in (1, 2, 3):
+            # a permuted prefix puts the pivots in other places
+            assert_candidates_match_oracle(prefix, bound)
+            assert_candidates_match_oracle(prefix[::-1], bound)
+
+
+def test_candidates_edge_cases_of_the_echelon_form():
+    f_dual = duals_of((lattice.F,))[0]
+    # v.F = a: the pivot is the first search position, with no free one before it
+    assert lattice._echelon([f_dual]) == {0: [1] + [0] * 9 + [1]}
+    for bound in (1, 2, 4):
+        assert assert_candidates_match_oracle((lattice.F,), bound) > 0
+    # dependent rows: the same row twice is consistent, G.F and 2 G.F are not
+    double = tuple(2 * x for x in f_dual)
+    assert lattice._echelon([f_dual, double]) is None
+    assert list(lattice._candidates([f_dual, double], 2)) == []
+    assert list(candidates_dfs_oracle([f_dual, double], 2)) == []
+    assert list(lattice._candidates([f_dual, f_dual], 1)) == list(candidates_dfs_oracle([f_dual, f_dual], 1))
+    # rows a + x1 = 1 and -x1 = 1 reduce to x1 = -1 and a = 2: a lone pivot
+    # that no reach test bounds, so only the box check keeps a = 2 out at bound 1
+    rows = [(1, 0, 1, 0, 0, 0, 0, 0, 0, 0), (0, 0, -1, 0, 0, 0, 0, 0, 0, 0)]
+    assert lattice._echelon(rows) == {9: [0] * 9 + [1, -1], 0: [1] + [0] * 9 + [2]}
+    assert list(lattice._candidates(rows, 1)) == list(candidates_dfs_oracle(rows, 1)) == []
+    got = list(lattice._candidates(rows, 2))
+    assert got == list(candidates_dfs_oracle(rows, 2)) and len(got) == 1330
