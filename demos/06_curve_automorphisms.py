@@ -28,7 +28,7 @@ print()
 print("one computation in slow motion: order 3 on the supersingular curve")
 print("  y^2 + y = x^3 over F2, map (x, y) -> (w x, y) with w^2 + w + 1 = 0")
 curve = ecaut.Weierstrass(2, a3=1)
-aut = ecaut.AutMap.make({(1, 0, 1): 1}, {(0, 1, 0): 1}, sym_poly=(1, 1, 1))
+aut = ecaut.AutMap(u=(1, 1), sym_poly=(1, 1, 1))  # u = w^2 = 1 + w, so u^2 x = w x
 for k in (2, 4, 6):
     print(f"  fixed points over F_(2^{k}):", ecaut.brute_force_count(curve, aut, k))
 print("  norm engine: N(1 - w) =", ecaut.fixed_count(ecaut.CurveClass(2, "special"), 3))

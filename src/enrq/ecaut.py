@@ -11,10 +11,12 @@ Fixed points are counted two independent ways:
   group and element orders are built once per process and shared by
   `aut_group`, `element_orders` and `fixed_count`.
 
-* brute force: explicit Weierstrass curves over small prime fields with
-  explicit coordinate maps; points over an extension field are
-  enumerated and the fixed ones counted.  With the extension chosen
-  large enough that ker(1 - g) is rational, this is the geometric count.
+* brute force: explicit Weierstrass curves over small prime fields, with
+  each automorphism given as a Weierstrass substitution (u, r, s, t).
+  Every x of an extension field is enumerated; y is solved for only over
+  the x that the map fixes, and the fixed points there are counted.  With
+  the extension chosen large enough that ker(1 - g) is rational, this is
+  the geometric count.
 
 When the characteristic divides the order of g the map 1 - g can be
 inseparable and the fixed-point count is the separable degree; those
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 from .gf import GF
 
@@ -237,116 +239,93 @@ class Weierstrass:
 
 @dataclass(frozen=True)
 class AutMap:
-    """Coordinate map (x, y) -> (X, Y) with polynomial entries.
+    """The Weierstrass substitution (x, y) -> (u^2 x + r, u^3 y + s u^2 x + t).
 
-    X and Y are dicts {(ex, ey, ew): coefficient mod p}; `w` is an
-    auxiliary algebraic constant with prime-field defining polynomial
-    `sym_poly` (coefficient list, low degree first), e.g. (1, 1, 1) for
-    w^2 + w + 1 = 0.  Maps are affine in (x, y) and fix the point at
-    infinity.
+    Every isomorphism of Weierstrass curves has this form (Silverman,
+    AEC III.1); it fixes the point at infinity.  Each constant is a tuple
+    of prime-field coefficients of a polynomial in an auxiliary algebraic
+    constant w, low degree first: (1, 1) is 1 + w and () is 0.  w is a
+    root of the prime-field polynomial `sym_poly` (coefficient list, low
+    degree first), e.g. (1, 1, 1) for w^2 + w + 1 = 0.
     """
 
-    X: tuple
-    Y: tuple
+    u: tuple = (1,)
+    r: tuple = ()
+    s: tuple = ()
+    t: tuple = ()
     sym_poly: tuple = ()
 
-    @staticmethod
-    def make(xterms, yterms, sym_poly=()):
-        return AutMap(tuple(sorted(xterms.items())), tuple(sorted(yterms.items())), tuple(sym_poly))
+    def __post_init__(self):
+        if not any(self.u):
+            raise ValueError("AutMap needs u != 0: with u = 0 the substitution is not invertible")
+        if not self.sym_poly and any(any(c[1:]) for c in (self.u, self.r, self.s, self.t)):
+            raise ValueError("AutMap constants with powers of w need sym_poly")
 
 
-def _resolve_w(fld: GF, sym_poly):
-    if not sym_poly:
-        return fld.zero
-    w = fld.find_root(sym_poly)
+def _constants(aut: AutMap, fld: GF):
+    """(u, r, s, t) as elements of fld, with w the first root of sym_poly."""
+    w = fld.find_root(aut.sym_poly) if aut.sym_poly else fld.zero
     if w is None:
         raise ValueError("extension field does not contain the map's coefficients")
-    return w
+
+    def value(coeffs):
+        acc = fld.zero
+        for c in reversed(coeffs):
+            acc = fld.add(fld.mul(acc, w), fld.from_int(c))
+        return acc
+
+    return tuple(value(c) for c in (aut.u, aut.r, aut.s, aut.t))
 
 
-def _map_as_bivariate(terms, fld, w):
-    """Collapse the w-powers to field constants: dict {(ex, ey): element}."""
-    out = {}
-    for (ex, ey, ew), coef in terms:
-        val = fld.mul(fld.from_int(coef), fld.pow(w, ew))
-        key = (ex, ey)
-        out[key] = fld.add(out.get(key, fld.zero), val)
-    return {k: v for k, v in out.items() if v != fld.zero}
+def _substitution_preserves(curve: Weierstrass, fld: GF, u, r, s, t) -> bool:
+    """Whether the substitution with these constants of fld carries the
+    curve to itself.
 
+    Substituting gives W(u^2 x + r, u^3 y + s u^2 x + t) = u^6 W'(x, y),
+    where the coefficients a_i' of W' satisfy Silverman's Table 3.1; the
+    curve is preserved iff u != 0 and a_i' = a_i for i = 1, 2, 3, 4, 6.
+    """
+    mul, neg = fld.mul, fld.neg
+    a1, a2, a3, a4, a6 = (fld.from_int(a) for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    two, three = fld.from_int(2), fld.from_int(3)
+    u2 = mul(u, u)
+    u3 = mul(u2, u)
+    r2 = mul(r, r)
 
-def _poly2_mul(a, b, fld):
-    out = {}
-    for (e1, f1), c1 in a.items():
-        for (e2, f2), c2 in b.items():
-            key = (e1 + e2, f1 + f2)
-            out[key] = fld.add(out.get(key, fld.zero), fld.mul(c1, c2))
-    return {k: v for k, v in out.items() if v != fld.zero}
+    def total(*terms):
+        return reduce(fld.add, terms, fld.zero)
 
-
-def _poly2_add(a, b, fld):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = fld.add(out.get(k, fld.zero), v)
-    return {k: v for k, v in out.items() if v != fld.zero}
-
-
-def _poly2_scale(a, c, fld):
-    return {k: fld.mul(v, c) for k, v in a.items() if fld.mul(v, c) != fld.zero}
-
-
-def _poly2_pow(a, n, fld):
-    out = {(0, 0): fld.one}
-    for _ in range(n):
-        out = _poly2_mul(out, a, fld)
-    return out
-
-
-def _weierstrass_poly(curve, X, Y, fld):
-    """W(X, Y) = Y^2 + a1 XY + a3 Y - X^3 - a2 X^2 - a4 X - a6."""
-    w = _poly2_pow(Y, 2, fld)
-    if curve.a1:
-        xy = _poly2_mul(X, Y, fld)
-        w = _poly2_add(w, _poly2_scale(xy, fld.from_int(curve.a1), fld), fld)
-    if curve.a3:
-        w = _poly2_add(w, _poly2_scale(Y, fld.from_int(curve.a3), fld), fld)
-    w = _poly2_add(w, _poly2_scale(_poly2_pow(X, 3, fld), fld.from_int(-1), fld), fld)
-    for coef, power in ((curve.a2, 2), (curve.a4, 1)):
-        if coef:
-            w = _poly2_add(w, _poly2_scale(_poly2_pow(X, power, fld), fld.from_int(-coef), fld), fld)
-    if curve.a6:
-        w = _poly2_add(w, {(0, 0): fld.from_int(-curve.a6)}, fld)
-    return w
+    lhs = (mul(u, a1), mul(u2, a2), mul(u3, a3), mul(mul(u2, u2), a4), mul(mul(u3, u3), a6))
+    rhs = (
+        total(a1, mul(two, s)),
+        total(a2, neg(mul(s, a1)), mul(three, r), neg(mul(s, s))),
+        total(a3, mul(r, a1), mul(two, t)),
+        total(a4, neg(mul(s, a3)), mul(two, mul(r, a2)), neg(mul(total(t, mul(r, s)), a1)), mul(three, r2),
+              neg(mul(two, mul(s, t)))),
+        total(a6, mul(r, a4), mul(r2, a2), mul(r2, r), neg(mul(t, a3)), neg(mul(t, t)), neg(mul(mul(r, t), a1))),
+    )
+    return u != fld.zero and lhs == rhs
 
 
 def check_preserves(curve: Weierstrass, aut: AutMap) -> bool:
-    """Symbolic check that the map carries the curve to itself:
-    W(X(x,y), Y(x,y)) must equal c * W(x, y) for a nonzero constant c."""
-    deg = max(1, len(aut.sym_poly) - 1)
-    fld = GF(curve.p, deg)
-    w = _resolve_w(fld, aut.sym_poly)
-    X = _map_as_bivariate(aut.X, fld, w)
-    Y = _map_as_bivariate(aut.Y, fld, w)
-    lhs = _weierstrass_poly(curve, X, Y, fld)
-    x_id = {(1, 0): fld.one}
-    y_id = {(0, 1): fld.one}
-    rhs = _weierstrass_poly(curve, x_id, y_id, fld)
-    cy2 = lhs.get((0, 2))
-    if cy2 is None:
-        return False
-    scaled = _poly2_scale(rhs, cy2, fld)  # rhs has y^2 coefficient 1
-    return scaled == lhs
+    """Whether the map carries the curve to itself, by Table 3.1 over the
+    smallest field that contains w (see `_substitution_preserves`)."""
+    fld = GF(curve.p, max(1, len(aut.sym_poly) - 1))
+    return _substitution_preserves(curve, fld, *_constants(aut, fld))
 
 
 def _y_solver(curve, fld):
     """The function x -> all y with (x, y) on the curve, over the given field.
 
-    The curve's coefficients, 1/2 and the root tables are set up once
-    here, not per x.
+    The curve's coefficients and 1/2 are set up once here, not per x.  For
+    odd p the roots come from `GF.sqrt`.  For p = 2 and c = a1 x + a3 != 0,
+    y = c z with z^2 + z = rhs / c^2, looked up in a table of z^2 + z that
+    is built on the first x that needs it.
     """
     p = curve.p
     a1, a2, a3, a4, a6 = (fld.from_int(a) for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
     inv2 = fld.inv(fld.from_int(2)) if p != 2 else None
-    tables = _solution_tables(curve, fld)
+    artin_schreier = {}  # z^2 + z -> [z], for p = 2
 
     def solutions(x):
         x2 = fld.mul(x, x)
@@ -362,31 +341,22 @@ def _y_solver(curve, fld):
         if p == 2:
             if c == fld.zero:
                 # y^2 = rhs: Frobenius is bijective
-                return [fld.pow(rhs, fld.q // 2)]
-            # y = c z, z^2 + z = rhs / c^2
-            u = fld.mul(rhs, fld.inv(fld.mul(c, c)))
-            return [fld.mul(c, z) for z in tables.get(u, ())]
+                return [fld.sqrt(rhs)]
+            if not artin_schreier:
+                for z in fld.elements():
+                    artin_schreier.setdefault(fld.add(fld.mul(z, z), z), []).append(z)
+            v = fld.mul(rhs, fld.inv(fld.mul(c, c)))
+            return [fld.mul(c, z) for z in artin_schreier.get(v, ())]
         # odd characteristic: y^2 + c y = rhs, complete the square
         half_c = fld.mul(c, inv2)
-        disc = fld.add(rhs, fld.mul(half_c, half_c))
-        return [fld.sub(s, half_c) for s in tables.get(disc, ())]
+        root = fld.sqrt(fld.add(rhs, fld.mul(half_c, half_c)))
+        if root is None:
+            return []
+        if root == fld.zero:
+            return [fld.neg(half_c)]
+        return [fld.sub(root, half_c), fld.sub(fld.neg(root), half_c)]
 
     return solutions
-
-
-def _solution_tables(curve, fld):
-    if curve.p == 2:
-        table = {}
-        for z in fld.elements():
-            v = fld.add(fld.mul(z, z), z)
-            table.setdefault(v, []).append(z)
-        return table
-    table = {}
-    for s in fld.elements():
-        table.setdefault(fld.mul(s, s), [])
-    for s in fld.elements():
-        table[fld.mul(s, s)].append(s)
-    return table
 
 
 _FIELD_CAP = 1 << 20
@@ -396,8 +366,10 @@ def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int = 12) -> 
     """Count points fixed by the map over the degree-ext_degree extension
     (including the point at infinity).
 
-    The map is first checked symbolically to preserve the curve.  When
-    ext_degree makes ker(1 - g) rational this is the geometric
+    The map is first checked to preserve the curve.  Every x of the field
+    is enumerated; X = u^2 x + r depends on x alone, so y is solved for
+    only where X = x, and there (x, y) is fixed iff u^3 y + s u^2 x + t = y.
+    When ext_degree makes ker(1 - g) rational this is the geometric
     fixed-point count.
     """
     if ext_degree < 1 or curve.p**ext_degree > _FIELD_CAP:
@@ -405,21 +377,18 @@ def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int = 12) -> 
     if not check_preserves(curve, aut):
         raise ValueError("map does not preserve the curve")
     fld = GF(curve.p, ext_degree)
-    w = _resolve_w(fld, aut.sym_poly)
-    xmap = _map_as_bivariate(aut.X, fld, w)
-    ymap = _map_as_bivariate(aut.Y, fld, w)
-
-    def ev(poly, xv, yv):
-        acc = fld.zero
-        for (ex, ey), cf in poly.items():
-            acc = fld.add(acc, fld.mul(cf, fld.mul(fld.pow(xv, ex), fld.pow(yv, ey))))
-        return acc
-
+    u, r, s, t = _constants(aut, fld)
+    u2 = fld.mul(u, u)
+    u3 = fld.mul(u2, u)
     y_solutions = _y_solver(curve, fld)
     count = 1  # point at infinity
     for x in fld.elements():
+        u2x = fld.mul(u2, x)
+        if fld.add(u2x, r) != x:
+            continue
+        shift = fld.add(fld.mul(s, u2x), t)
         for y in y_solutions(x):
-            if ev(xmap, x, y) == x and ev(ymap, x, y) == y:
+            if fld.add(fld.mul(u3, y), shift) == y:
                 count += 1
     return count
 
@@ -441,46 +410,38 @@ class TableRow:
 def _rows():
     rows = []
     # characteristic > 3, realized over F_13 (both i and a cube root of
-    # unity exist: 5^2 = -1, 3^3 = 1)
+    # unity exist: 5^2 = -1, 3^3 = 1).  The maps are (x, -y), (-x, 5y)
+    # with u = 8, (3x, y) with u = 1/3 = 9 and (3x, -y) with u = 4.
     c = Weierstrass(13, a4=1, a6=1)
-    neg = AutMap.make({(1, 0, 0): 1}, {(0, 1, 0): 12})
+    neg = AutMap(u=(12,))
     rows.append(TableRow(CurveClass(0, GENERIC), 2, 4, c, neg, 2))
     c = Weierstrass(13, a4=1)
     rows.append(TableRow(CurveClass(0, J1728), 2, 4, c, neg, 2))
-    rows.append(TableRow(CurveClass(0, J1728), 4, 2, c, AutMap.make({(1, 0, 0): 12}, {(0, 1, 0): 5}), 2))
+    rows.append(TableRow(CurveClass(0, J1728), 4, 2, c, AutMap(u=(8,)), 2))
     c = Weierstrass(13, a6=1)
     rows.append(TableRow(CurveClass(0, J0), 2, 4, c, neg, 2))
-    rows.append(TableRow(CurveClass(0, J0), 3, 3, c, AutMap.make({(1, 0, 0): 3}, {(0, 1, 0): 1}), 2))
-    rows.append(TableRow(CurveClass(0, J0), 6, 1, c, AutMap.make({(1, 0, 0): 3}, {(0, 1, 0): 12}), 2))
+    rows.append(TableRow(CurveClass(0, J0), 3, 3, c, AutMap(u=(9,)), 2))
+    rows.append(TableRow(CurveClass(0, J0), 6, 1, c, AutMap(u=(4,)), 2))
     # characteristic 3: ordinary rep y^2 = x^3 + x^2 + 1 (j = 2 != 0),
-    # supersingular rep y^2 = x^3 - x
+    # supersingular rep y^2 = x^3 - x; maps (x, -y), (x + 1, y) and
+    # (-x, -w y) with w^2 = -1, u = w
     c = Weierstrass(3, a2=1, a6=1)
-    neg3 = AutMap.make({(1, 0, 0): 1}, {(0, 1, 0): 2})
+    neg3 = AutMap(u=(2,))
     rows.append(TableRow(CurveClass(3, GENERIC), 2, 4, c, neg3, 2))
     c = Weierstrass(3, a4=2)
     rows.append(TableRow(CurveClass(3, SPECIAL), 2, 4, c, neg3, 2))
-    rows.append(TableRow(CurveClass(3, SPECIAL), 3, 1, c, AutMap.make({(1, 0, 0): 1, (0, 0, 0): 1}, {(0, 1, 0): 1}), 2))
-    rows.append(
-        TableRow(CurveClass(3, SPECIAL), 4, 2, c, AutMap.make({(1, 0, 0): 2}, {(0, 1, 1): 2}, sym_poly=(1, 0, 1)), 2)
-    )
+    rows.append(TableRow(CurveClass(3, SPECIAL), 3, 1, c, AutMap(r=(1,)), 2))
+    rows.append(TableRow(CurveClass(3, SPECIAL), 4, 2, c, AutMap(u=(0, 1), sym_poly=(1, 0, 1)), 2))
     # characteristic 2: ordinary rep y^2 + xy = x^3 + 1, supersingular
-    # rep y^2 + y = x^3 (w is a cube root of unity, w^2 + w + 1 = 0)
+    # rep y^2 + y = x^3 (w is a cube root of unity, w^2 + w + 1 = 0); maps
+    # (x, y + x), (x, y + 1), (w x, y) with u = w^2 = 1 + w, (x + 1, y + x + w)
     c = Weierstrass(2, a1=1, a6=1)
-    rows.append(TableRow(CurveClass(2, GENERIC), 2, 2, c, AutMap.make({(1, 0, 0): 1}, {(0, 1, 0): 1, (1, 0, 0): 1}), 2))
+    rows.append(TableRow(CurveClass(2, GENERIC), 2, 2, c, AutMap(s=(1,)), 2))
     c = Weierstrass(2, a3=1)
     w3 = (1, 1, 1)
-    rows.append(TableRow(CurveClass(2, SPECIAL), 2, 1, c, AutMap.make({(1, 0, 0): 1}, {(0, 1, 0): 1, (0, 0, 0): 1}), 2))
-    rows.append(TableRow(CurveClass(2, SPECIAL), 3, 3, c, AutMap.make({(1, 0, 1): 1}, {(0, 1, 0): 1}, sym_poly=w3), 2))
-    rows.append(
-        TableRow(
-            CurveClass(2, SPECIAL),
-            4,
-            1,
-            c,
-            AutMap.make({(1, 0, 0): 1, (0, 0, 0): 1}, {(0, 1, 0): 1, (1, 0, 0): 1, (0, 0, 1): 1}, sym_poly=w3),
-            2,
-        )
-    )
+    rows.append(TableRow(CurveClass(2, SPECIAL), 2, 1, c, AutMap(t=(1,)), 2))
+    rows.append(TableRow(CurveClass(2, SPECIAL), 3, 3, c, AutMap(u=(1, 1), sym_poly=w3), 2))
+    rows.append(TableRow(CurveClass(2, SPECIAL), 4, 1, c, AutMap(r=(1,), s=(1,), t=(0, 1), sym_poly=w3), 2))
     return rows
 
 

@@ -222,6 +222,20 @@ class GF:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[self.q - 1 - self._log[a]]
 
+    def sqrt(self, a):
+        """A square root of a, or None if a is not a square.
+
+        For odd p a nonzero a is a square iff log a is even, and then its
+        roots are +-g^(log a / 2).  For p = 2 squaring is bijective and
+        a^(q/2) is the root.
+        """
+        if not a:
+            return 0
+        la = self._log[a]
+        if self.p == 2:
+            return self._exp[la * (self.q // 2) % (self.q - 1)]
+        return None if la % 2 else self._exp[la // 2]
+
     def elements(self):
         """All field elements, in a fixed deterministic order."""
         yield from self._order

@@ -1,7 +1,11 @@
+import random
+from itertools import product
+
 import pytest
 
 from enrq import ecaut
 from enrq.ecaut import AutMap, CurveClass, Weierstrass
+from enrq.gf import GF
 
 GENERIC, J1728, J0, SPECIAL = ecaut.GENERIC, ecaut.J1728, ecaut.J0, ecaut.SPECIAL
 
@@ -91,35 +95,222 @@ def test_brute_force_cube_root_twist():
     # y^2 + y = x^3 over F2, (x, y) -> (w x, y) with w a cube root of 1:
     # fixed points are the origin column x = 0 plus infinity
     curve = Weierstrass(2, a3=1)
-    aut = AutMap.make({(1, 0, 1): 1}, {(0, 1, 0): 1}, sym_poly=(1, 1, 1))
+    aut = AutMap(u=(1, 1), sym_poly=(1, 1, 1))  # u = w^2 = 1 + w
     assert ecaut.brute_force_count(curve, aut, 2) == 3
 
 
 def test_brute_force_translation_like_involution():
     curve = Weierstrass(2, a3=1)
-    aut = AutMap.make({(1, 0, 0): 1}, {(0, 1, 0): 1, (0, 0, 0): 1})
+    aut = AutMap(t=(1,))
     assert ecaut.brute_force_count(curve, aut, 2) == 1
 
 
 def test_brute_force_order_four_char_thirteen():
     # y^2 = x^3 + x over F13, (x, y) -> (-x, 5y) with 5^2 = -1
     curve = Weierstrass(13, a4=1)
-    aut = AutMap.make({(1, 0, 0): 12}, {(0, 1, 0): 5})
+    aut = AutMap(u=(8,))  # u^2 = -1, u^3 = 5
     assert ecaut.brute_force_count(curve, aut, 2) == 2
 
 
 def test_brute_force_rejects_non_preserving_map():
     curve = Weierstrass(2, a3=1)
-    bad = AutMap.make({(1, 0, 0): 1, (0, 0, 0): 1}, {(0, 1, 0): 1})  # x -> x + 1 alone
+    bad = AutMap(r=(1,))  # x -> x + 1 alone
     with pytest.raises(ValueError):
         ecaut.brute_force_count(curve, bad, 2)
 
 
 def test_brute_force_rejects_huge_fields():
     curve = Weierstrass(13, a4=1)
-    aut = AutMap.make({(1, 0, 0): 12}, {(0, 1, 0): 5})
+    aut = AutMap(u=(8,))  # u^2 = -1, u^3 = 5
     with pytest.raises(ValueError):
         ecaut.brute_force_count(curve, aut, 12)
+
+
+def test_aut_map_rejects_u_zero_and_w_without_sym_poly():
+    for u in ((), (0,), (0, 0)):
+        with pytest.raises(ValueError, match="u != 0"):
+            AutMap(u=u, sym_poly=(1, 1, 1))
+    with pytest.raises(ValueError, match="sym_poly"):
+        AutMap(u=(1, 1))  # 1 + w, with no w
+    AutMap(u=(1, 0))  # a zero coefficient of w needs no sym_poly
+    # u = 13 vanishes only in the field; on the cusp y^2 = x^3 every
+    # Table 3.1 equation then reads 0 = 0, yet the map is no automorphism
+    assert not ecaut.check_preserves(Weierstrass(13), AutMap(u=(13,)))
+
+
+# ---------------------------------------------------------------------------
+# oracles for the substitution form: plain evaluation at every point
+
+
+def field_constants(aut, fld):
+    """(u, r, s, t) in fld, each polynomial in w evaluated at the first root of sym_poly."""
+    w = fld.find_root(aut.sym_poly) if aut.sym_poly else fld.zero
+    out = []
+    for coeffs in (aut.u, aut.r, aut.s, aut.t):
+        out.append(sum_terms(fld, [fld.mul(fld.from_int(c), fld.pow(w, i)) for i, c in enumerate(coeffs)]))
+    return tuple(out)
+
+
+def sum_terms(fld, terms):
+    acc = fld.zero
+    for term in terms:
+        acc = fld.add(acc, term)
+    return acc
+
+
+def weierstrass(curve, fld):
+    """The function (x, y) -> W(x, y) = y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6."""
+    a1, a2, a3, a4, a6 = (fld.from_int(a) for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    mul, add = fld.mul, fld.add
+
+    def value(x, y):
+        x2 = mul(x, x)
+        lhs = add(add(mul(y, y), mul(a1, mul(x, y))), mul(a3, y))
+        return fld.sub(lhs, add(add(add(mul(x2, x), mul(a2, x2)), mul(a4, x)), a6))
+
+    return value
+
+
+def apply_map(fld, constants, x, y):
+    u, r, s, t = constants
+    u2x = fld.mul(fld.mul(u, u), x)
+    return fld.add(u2x, r), sum_terms(fld, [fld.mul(fld.pow(u, 3), y), fld.mul(s, u2x), t])
+
+
+def curve_points(curve, fld):
+    """Every affine point, by scanning all of fld^2."""
+    w = weierstrass(curve, fld)
+    return [(x, y) for x in fld.elements() for y in fld.elements() if w(x, y) == fld.zero]
+
+
+def every_point_fixed_count(curve, aut, ext_degree):
+    fld = GF(curve.p, ext_degree)
+    constants = field_constants(aut, fld)
+    return 1 + sum(apply_map(fld, constants, x, y) == (x, y) for x, y in curve_points(curve, fld))
+
+
+def preserves_by_evaluation(curve, aut, fld):
+    """W(X, Y) = u^6 W(x, y) at every point of fld^2, with u != 0.
+
+    For q >= 4 both sides have degree < q in x and in y, so agreement at
+    every point is equality of polynomials.
+    """
+    assert fld.q >= 4
+    constants = field_constants(aut, fld)
+    u6 = fld.pow(constants[0], 6)
+    if u6 == fld.zero:
+        return False
+    w = weierstrass(curve, fld)
+    return all(
+        w(*apply_map(fld, constants, x, y)) == fld.mul(u6, w(x, y)) for x in fld.elements() for y in fld.elements()
+    )
+
+
+ROW_IDS = {"ids": lambda r: f"p{r.curve.p}-{r.cls.j}-o{r.order}"}
+TABLE_CURVES = sorted({row.curve for row in ecaut.TABLE_ROWS}, key=repr)
+
+
+@pytest.mark.parametrize("row", ecaut.TABLE_ROWS, **ROW_IDS)
+def test_filtered_count_matches_every_point_oracle(row):
+    assert ecaut.brute_force_count(row.curve, row.aut, row.ext_degree) == row.expected
+    assert every_point_fixed_count(row.curve, row.aut, row.ext_degree) == row.expected
+
+
+@pytest.mark.parametrize("degree", (1, 2))
+@pytest.mark.parametrize("curve", TABLE_CURVES, ids=repr)
+def test_y_solver_matches_the_pair_scan(curve, degree):
+    # the brute-force count runs the y-solver only over fixed x, so check
+    # it here at every x: odd p through GF.sqrt, p = 2 through the z^2 + z
+    # table (and the c = 0 square root of the ordinary curve at x = 0)
+    fld = GF(curve.p, degree)
+    points = curve_points(curve, fld)
+    solutions = ecaut._y_solver(curve, fld)
+    for x in fld.elements():
+        assert sorted(solutions(x)) == sorted(y for px, y in points if px == x), x
+    assert 1 + sum(len(solutions(x)) for x in fld.elements()) == 1 + len(points)
+
+
+@pytest.mark.parametrize("row", ecaut.TABLE_ROWS, **ROW_IDS)
+def test_check_preserves_matches_evaluation_on_table_rows(row):
+    fld = GF(row.curve.p, 1 if row.curve.p >= 4 and not row.aut.sym_poly else 2)
+    assert ecaut.check_preserves(row.curve, row.aut)
+    assert preserves_by_evaluation(row.curve, row.aut, fld)
+
+
+@pytest.mark.parametrize("p,k,n_curves", [(2, 2, 32), (3, 2, 80), (5, 1, 30)])
+def test_check_preserves_matches_evaluation_on_prime_field_maps(p, k, n_curves):
+    # every prime-field map on a fixed-seed sample of all curves over F_p
+    # (all of them for p = 2): unlike the table curves, these have a1 and
+    # a3 != 0, and automorphisms with r, s and t != 0, so every term of
+    # Table 3.1 takes part
+    fld = GF(p, k)
+    curves = random.Random(p).sample([Weierstrass(p, *a) for a in product(range(p), repeat=5)], n_curves)
+    maps = [AutMap((u,), (r,), (s,), (t,)) for u in range(1, p) for r, s, t in product(range(p), repeat=3)]
+    preserving = 0
+    for curve in curves:
+        for aut in maps:
+            verdict = ecaut.check_preserves(curve, aut)
+            assert verdict == preserves_by_evaluation(curve, aut, fld), (curve, aut)
+            preserving += verdict
+    assert preserving > n_curves  # more than the identities
+
+
+def substitution_automorphisms(curve):
+    """Third route to |Aut(E)|: every (u, r, s, t) over F_{p^2} with u != 0
+    that satisfies Table 3.1 for the curve.
+
+    For p > 3, 2 and 3 are units: the a1 and a3 equations fix s and t and
+    the a2 equation fixes r, so only u is enumerated.  For p = 2 and 3 all
+    four constants are.
+    """
+    fld = GF(curve.p, 2)
+    units = [e for e in fld.elements() if e]
+    if curve.p > 3:
+        a1, a2, a3 = (fld.from_int(a) for a in (curve.a1, curve.a2, curve.a3))
+        half, third = fld.inv(fld.from_int(2)), fld.inv(fld.from_int(3))
+        candidates = []
+        for u in units:
+            s = fld.mul(half, fld.sub(fld.mul(u, a1), a1))
+            r = fld.mul(third, sum_terms(fld, [fld.mul(fld.mul(u, u), a2), fld.neg(a2), fld.mul(s, a1), fld.mul(s, s)]))
+            t = fld.mul(half, sum_terms(fld, [fld.mul(fld.pow(u, 3), a3), fld.neg(a3), fld.neg(fld.mul(r, a1))]))
+            candidates.append((u, r, s, t))
+    else:
+        candidates = product(units, fld.elements(), fld.elements(), fld.elements())
+    return fld, [c for c in candidates if ecaut._substitution_preserves(curve, fld, *c)]
+
+
+CLASS_CURVES = {}
+for _row in ecaut.TABLE_ROWS:
+    CLASS_CURVES.setdefault(_row.cls, _row.curve)
+
+
+@pytest.mark.parametrize("cls", list(CLASS_CURVES), ids=lambda c: f"char{c.char}-{c.j}")
+def test_aut_group_order_from_substitutions(cls):
+    _, found = substitution_automorphisms(CLASS_CURVES[cls])
+    assert len(found) == ecaut.aut_group(cls)[0]
+
+
+@pytest.mark.parametrize("curve", TABLE_CURVES, ids=repr)
+def test_check_preserves_matches_evaluation_on_random_maps(curve):
+    # random (u, r, s, t) over GF(p, 2), w the first root of the field's
+    # modulus, mostly not preserving the curve; plus every automorphism the
+    # third route finds and the same map with t + 1
+    p = curve.p
+    fld, automorphisms = substitution_automorphisms(curve)
+    sym_poly = tuple(fld.modulus)
+    w = fld.find_root(sym_poly)
+    coords = {fld.add(fld.from_int(a0), fld.mul(fld.from_int(a1), w)): (a0, a1) for a0 in range(p) for a1 in range(p)}
+    rng = random.Random(repr(curve))
+    maps = []
+    for _ in range(60):
+        u = (rng.randrange(p), rng.randrange(1, p))  # a nonzero w-coefficient, so u != 0
+        maps.append(AutMap(u, *((rng.randrange(p), rng.randrange(p)) for _ in range(3)), sym_poly=sym_poly))
+    for u, r, s, t in automorphisms:
+        for shift in (0, 1):
+            maps.append(AutMap(*(coords[c] for c in (u, r, s, fld.add(t, shift))), sym_poly=sym_poly))
+    verdicts = [ecaut.check_preserves(curve, aut) for aut in maps]
+    assert verdicts == [preserves_by_evaluation(curve, aut, fld) for aut in maps]
+    assert sum(verdicts) >= len(automorphisms) and not all(verdicts)
 
 
 def test_classification_report_all_match():
@@ -136,7 +327,7 @@ def test_classification_report_at_ext_degree_four():
     assert all(r["match"] for r in rows)
 
 
-@pytest.mark.parametrize("row", ecaut.TABLE_ROWS, ids=lambda r: f"p{r.curve.p}-{r.cls.j}-o{r.order}")
+@pytest.mark.parametrize("row", ecaut.TABLE_ROWS, **ROW_IDS)
 def test_counts_stabilize_under_field_growth(row):
     # the sufficient degree and its double give the same count, evidence
     # that ker(1 - g) is already rational at the chosen degree

@@ -103,6 +103,19 @@ def test_operations_on_random_pairs_of_large_fields(p, k):
         check_unary(fld, oracle, rng.randrange(fld.q))
 
 
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + LARGE_FIELDS, ids=lambda v: str(v))
+def test_sqrt_against_the_squares(p, k):
+    fld = GF(p, k)
+    oracle = Oracle(fld)
+    squares = {oracle.mul(a, a) for a in fld.elements()}
+    for a in fld.elements():
+        root = fld.sqrt(a)
+        if a in squares:
+            assert oracle.mul(root, root) == a, a
+        else:
+            assert root is None, a
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 3), (5, 2), (2, 12), (13, 4)], ids=lambda v: str(v))
 def test_elements_follow_coefficient_tuple_order(p, k):
     fld = GF(p, k)
