@@ -79,6 +79,8 @@ class ParamPoly:
         return ParamPoly(frozenset(acc))
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power: use unit_inverse")
         out = ONE
         for _ in range(n):
             out = out * self
@@ -150,27 +152,6 @@ LAM2, ILAM2, MU2, IMU2 = var("lam2"), var("ilam2"), var("mu2"), var("imu2")
 ALPHA2, BETA2 = var("alpha2"), var("beta2")
 
 
-def substitute(poly, mapping):
-    """Substitute ParamPoly values for variables (by name)."""
-    idx_map = {_IDX[k]: v for k, v in mapping.items()}
-    out = ZERO
-    for m in poly.monomials:
-        term = ONE
-        for i, e in enumerate(m):
-            if not e:
-                continue
-            base = idx_map.get(i)
-            if base is None:
-                mon = [0] * NVARS
-                mon[i] = e
-                base_p = ParamPoly(frozenset({reduce_monomial(tuple(mon))}))
-                term = term * base_p
-            else:
-                term = term * base**e
-        out = out + term
-    return out
-
-
 # ---------------------------------------------------------------------------
 # surfaces, maps, pencils
 
@@ -222,16 +203,20 @@ def identity_map():
     return ProjMap((X0, X1, X2, X3, X4))
 
 
+def _proportional(e1, e2) -> bool:
+    """Whether two nonzero vectors of ParamPoly entries are proportional,
+    by cross-multiplication (the parameter ring is a domain).  A zero
+    vector is proportional to nothing."""
+    if all(e.is_zero() for e in e1) or all(e.is_zero() for e in e2):
+        return False
+    n = len(e1)
+    return all(e1[i] * e2[j] == e1[j] * e2[i] for i in range(n) for j in range(i + 1, n))
+
+
 def proj_equal(m1: ProjMap, m2: ProjMap) -> bool:
     """Equality of projective maps: coordinates proportional by a common
-    factor (cross-multiplication test)."""
-    c1, c2 = m1.coords, m2.coords
-    for i in range(5):
-        for j in range(i + 1, 5):
-            if c1[i] * c2[j] != c1[j] * c2[i]:
-                return False
-    # rule out the degenerate all-zero pairing
-    return any(not (a.is_zero() and b.is_zero()) for a, b in zip(c1, c2))
+    factor."""
+    return _proportional(m1.coords, m2.coords)
 
 
 @dataclass(frozen=True)
@@ -326,22 +311,25 @@ def aut_d3_torus(lam=LAM):
 
 
 def pullback(poly, m: ProjMap):
-    return substitute(poly, {f"x{i}": m.coords[i] for i in range(5)})
+    """Substitute the map's coordinates for x0..x4.  Each monomial's
+    parameter part is already reduced and is kept as it is."""
+    out = ZERO
+    for mon in poly.monomials:
+        term = ParamPoly(frozenset({(0,) * 5 + mon[5:]}))
+        for i in X_VARS:
+            if mon[i]:
+                term = term * m.coords[i] ** mon[i]
+        out = out + term
+    return out
 
 
 def _x_coefficients(poly):
     """Split a polynomial by its x-monomial part: {x-exponent-tuple:
-    parameter-polynomial coefficient}."""
+    parameter-polynomial coefficient}.  Distinct monomials never cancel."""
     out = {}
     for mon in poly.monomials:
-        xpart = tuple(mon[i] for i in X_VARS)
-        rest = list(mon)
-        for i in X_VARS:
-            rest[i] = 0
-        key = xpart
-        cur = out.get(key, ZERO)
-        out[key] = cur + ParamPoly(frozenset({tuple(rest)}))
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        out.setdefault(mon[:5], set()).add((0,) * 5 + mon[5:])
+    return {k: ParamPoly(frozenset(v)) for k, v in out.items()}
 
 
 def verify_preserves(m: ProjMap, kind: str):
@@ -385,12 +373,11 @@ def pencil_action(m: ProjMap, pencil: Pencil):
     NOT_PRESERVED when no consistent solution exists.
     """
     (a1, b1), (a2, b2) = pencil.forms
-    cols = [_form_vector(f) for f in (a1, b1, a2, b2)]
+    cols = [[f.coefficient_of(j) for j in X_VARS] for f in (a1, b1, a2, b2)]
     rows = []
     for i in range(2):
         pulled = pullback(pencil.member(i), m)
-        vec = _form_vector(pulled)
-        sol = _solve_f2(cols, vec)
+        sol = _solve_f2(cols, [pulled.coefficient_of(j) for j in X_VARS])
         if sol is None:
             return NOT_PRESERVED
         w1, w2, w3, w4 = sol
@@ -400,11 +387,8 @@ def pencil_action(m: ProjMap, pencil: Pencil):
         for pair in ((w1, w2), (w3, w4)):
             if not (pair[0].is_zero() and pair[1].is_zero()):
                 rows.append(pair)
-    if not rows:
+    if not rows or not all(_proportional(rows[0], row) for row in rows[1:]):
         return NOT_PRESERVED
-    for (p1, q1), (p2, q2) in zip(rows, rows[1:]):
-        if p1 * q2 != p2 * q1:
-            return NOT_PRESERVED
     aprime, bprime = rows[0]
     mat = (
         (aprime.coefficient_of(_IDX["a"]), aprime.coefficient_of(_IDX["b"])),
@@ -416,16 +400,6 @@ def pencil_action(m: ProjMap, pencil: Pencil):
     if rebuilt_a != aprime or rebuilt_b != bprime:
         return NOT_PRESERVED
     return normalize_action(mat)
-
-
-def _form_vector(poly):
-    """A linear form as its five x-coordinates (parameter coefficients)."""
-    coeffs = _x_coefficients(poly)
-    vec = []
-    for i in range(5):
-        key = tuple(1 if j == i else 0 for j in range(5))
-        vec.append(coeffs.get(key, ZERO))
-    return vec
 
 
 def _solve_f2(cols, target):
@@ -483,13 +457,7 @@ def action_equal(m1, m2) -> bool:
     """Projective equality of 2x2 actions."""
     if m1 == NOT_PRESERVED or m2 == NOT_PRESERVED:
         return m1 == m2
-    e1 = [m1[0][0], m1[0][1], m1[1][0], m1[1][1]]
-    e2 = [m2[0][0], m2[0][1], m2[1][0], m2[1][1]]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if e1[i] * e2[j] != e1[j] * e2[i]:
-                return False
-    return True
+    return _proportional((*m1[0], *m1[1]), (*m2[0], *m2[1]))
 
 
 IDENTITY_ACTION = ((ONE, ZERO), (ZERO, ONE))

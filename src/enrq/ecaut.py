@@ -6,9 +6,11 @@ Fixed points are counted two independent ways:
   characteristic has exactly N(1 - g) fixed points, with the norm taken
   in the endomorphism order (Gaussian integers for j = 1728, Eisenstein
   integers for j = 0, a maximal quaternion order for the supersingular
-  cases).  Unit groups are modeled inside a rational quaternion algebra
-  (a, b | Q), which covers all four orders at once.  Each class's unit
-  group and element orders are built once per process and shared by
+  cases).  Unit groups are modeled inside a quaternion algebra (a, b | Q),
+  which covers all four orders at once.  Every unit has integer or
+  half-integer coordinates, so each is stored with doubled integer
+  coordinates and the arithmetic stays in the integers.  Each class's
+  unit group and element orders are built once per process and shared by
   `aut_group`, `element_orders` and `fixed_count`.
 
 * brute force: explicit Weierstrass curves over small prime fields, with
@@ -27,43 +29,50 @@ oracle) rather than computed from the norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, reduce
 
 from .gf import GF
 
 # ---------------------------------------------------------------------------
-# quaternion algebra (a, b | Q): i^2 = a, j^2 = b, ij = k = -ji
+# quaternion algebra (a, b | Q): i^2 = a, j^2 = b, ij = k = -ji, with
+# doubled coordinates: the integer tuple X stands for the quaternion X/2
 
 
 def quat_mul(x, y, a, b):
+    """Product of two quaternions in doubled coordinates: the raw product
+    of X and Y is 4 * (X/2)(Y/2), so halving it gives the doubled product."""
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
-    return (
+    raw = (
         x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
         x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
         x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
         x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
     )
+    assert all(c % 2 == 0 for c in raw), "product leaves the half-integers"
+    return tuple(c // 2 for c in raw)
 
 
 def quat_norm(x, a, b):
+    """Reduced norm of the quaternion X/2 given in doubled coordinates X."""
     x0, x1, x2, x3 = x
-    return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+    raw = x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+    assert raw % 4 == 0, "norm of a unit-group element is an integer"
+    return raw // 4
 
 
-QUAT_ONE = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+QUAT_ONE = (2, 0, 0, 0)
+"""The quaternion 1 in doubled coordinates."""
 
 
 def _closure(generators, a, b):
     """Multiplicative closure of a set of quaternions (a finite group)."""
     elems = {QUAT_ONE}
     frontier = [QUAT_ONE]
-    gens = [tuple(Fraction(c) for c in g) for g in generators]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
+            for g in generators:
                 y = quat_mul(x, g, a, b)
                 if y not in elems:
                     elems.add(y)
@@ -124,25 +133,25 @@ class CurveClass:
         return self.char in (2, 3) and self.j == GENERIC
 
 
-# quaternion algebra parameters and unit-group generators per class
+# quaternion algebra parameters and unit-group generators per class, in
+# doubled coordinates
 def _group_data(c: CurveClass):
-    half = Fraction(1, 2)
-    i = (0, 1, 0, 0)
+    i = (0, 2, 0, 0)
     if c.char == 0:
         if c.j == GENERIC:
-            return (-1, -1), [(-1, 0, 0, 0)]
+            return (-1, -1), [(-2, 0, 0, 0)]
         if c.j == J1728:
             return (-1, -1), [i]
         # Eisenstein: w = (-1 + j)/2 of order 3; -w has order 6
-        return (-1, -3), [(half, 0, -half, 0)]
+        return (-1, -3), [(1, 0, -1, 0)]
     if c.char == 3:
         if c.j == GENERIC:
-            return (-1, -3), [(-1, 0, 0, 0)]
-        return (-1, -3), [i, (-half, 0, half, 0)]
+            return (-1, -3), [(-2, 0, 0, 0)]
+        return (-1, -3), [i, (-1, 0, 1, 0)]
     if c.j == GENERIC:
-        return (-1, -1), [(-1, 0, 0, 0)]
+        return (-1, -1), [(-2, 0, 0, 0)]
     # Hurwitz units: Q8 extended by w = (-1 + i + j + k)/2
-    return (-1, -1), [i, (0, 0, 1, 0), (-half, half, half, half)]
+    return (-1, -1), [i, (0, 0, 2, 0), (-1, 1, 1, 1)]
 
 
 _STRUCTURE = {
@@ -208,8 +217,6 @@ def fixed_count(c: CurveClass, order: int) -> int:
         norms.add(n)
     assert len(norms) == 1, "norm must not depend on the primitive element"
     n = norms.pop()
-    assert n.denominator == 1
-    n = int(n)
     p = c.char
     if p == 0 or order % p != 0:
         return n

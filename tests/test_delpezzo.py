@@ -194,3 +194,89 @@ def test_poly_string_is_deterministic():
     p = LAM * X1 + X0 + ALPHA * ALPHA * X4
     assert str(p) == str(LAM * X1 + X0 + ALPHA * ALPHA * X4)
     assert str(ZERO) == "0"
+
+
+def substitute_oracle(poly, mapping):
+    # substitution by variable name, one variable factor at a time: an
+    # independent route to `pullback`
+    idx_map = {dp._IDX[k]: v for k, v in mapping.items()}
+    out = ZERO
+    for m in poly.monomials:
+        term = dp.ONE
+        for i, e in enumerate(m):
+            if not e:
+                continue
+            base = idx_map.get(i)
+            if base is None:
+                mon = [0] * dp.NVARS
+                mon[i] = e
+                base_p = dp.ParamPoly(frozenset({dp.reduce_monomial(tuple(mon))}))
+                term = term * base_p
+            else:
+                term = term * base**e
+        out = out + term
+    return out
+
+
+def _oracle_pullback(poly, m):
+    return substitute_oracle(poly, {f"x{i}": m.coords[i] for i in range(5)})
+
+
+FAMILY_MAPS = [dp.aut_d1(), dp.aut_d2(), dp.aut_d3_additive(), dp.aut_d3_torus()]
+SECOND_GENERATION = [dp.aut_d1(LAM2, MU2), dp.aut_d2(ALPHA2, BETA2), dp.aut_d3_additive(ALPHA2, BETA2),
+                     dp.aut_d3_torus(LAM2)]
+
+
+def test_pullback_matches_substitution_oracle():
+    polys = []
+    for kind in ("D1", "D2", "D3"):
+        quad = dp.surface(kind)
+        polys += [quad.g1, quad.g2]
+        polys += [p.member(i) for p in dp.pencils(kind) for i in range(2)]
+    maps = FAMILY_MAPS + [dp.compose(m1, m2) for m1 in FAMILY_MAPS for m2 in SECOND_GENERATION]
+    for m in maps:
+        for poly in polys:
+            assert dp.pullback(poly, m) == _oracle_pullback(poly, m), (str(poly), m)
+
+
+def _random_poly(rng):
+    # x-degree up to 3, parameter parts drawn from lam/ilam, mu/imu and alpha
+    params = [dp._IDX[n] for n in ("lam", "ilam", "mu", "imu", "alpha")]
+    monomials = set()
+    for _ in range(rng.randrange(1, 7)):
+        mon = [0] * dp.NVARS
+        for _ in range(rng.randrange(4)):
+            mon[rng.randrange(5)] += 1
+        for i in params:
+            mon[i] = rng.randrange(3)
+        monomials ^= {dp.reduce_monomial(tuple(mon))}
+    return dp.ParamPoly(frozenset(monomials))
+
+
+def test_pullback_matches_oracle_on_random_polynomials():
+    rng = random.Random(20171)
+    maps = FAMILY_MAPS + [dp.compose(dp.aut_d1(), dp.aut_d3_torus(MU)), dp.identity_map()]
+    for _ in range(60):
+        poly = _random_poly(rng)
+        for m in maps:
+            assert dp.pullback(poly, m) == _oracle_pullback(poly, m), (str(poly), m)
+
+
+def test_zero_map_and_zero_action_equal_nothing():
+    zero_map = dp.ProjMap((ZERO,) * 5)
+    for m in (dp.identity_map(), dp.aut_d1(), zero_map):
+        assert not dp.proj_equal(zero_map, m)
+        assert not dp.proj_equal(m, zero_map)
+    zero_action = ((ZERO, ZERO), (ZERO, ZERO))
+    for act in (dp.IDENTITY_ACTION, ((dp.ONE, ZERO), (BETA, dp.ONE)), zero_action):
+        assert not dp.action_equal(zero_action, act)
+        assert not dp.action_equal(act, zero_action)
+
+
+def test_negative_powers_are_rejected():
+    with pytest.raises(ValueError):
+        LAM ** -1
+    with pytest.raises(ValueError):
+        X0 ** -2
+    assert LAM ** 0 == dp.ONE
+    assert LAM.unit_inverse() == dp.var("ilam")

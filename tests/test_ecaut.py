@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -399,3 +400,82 @@ def test_unit_group_built_once_per_class(monkeypatch):
     finally:
         ecaut._unit_group.cache_clear()
     assert len(calls) == len(ALL_CLASSES)
+
+
+# the unit groups in rational coordinates with Fraction: an independent
+# route to the doubled integer coordinates
+def _fraction_mul(x, y, a, b):
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+        x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+        x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+    )
+
+
+def _fraction_norm(x, a, b):
+    x0, x1, x2, x3 = x
+    return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+
+
+FRACTION_ONE = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+
+
+def _fraction_group_data(c):
+    half = Fraction(1, 2)
+    i = (0, 1, 0, 0)
+    if c.char == 0:
+        if c.j == GENERIC:
+            return (-1, -1), [(-1, 0, 0, 0)]
+        if c.j == J1728:
+            return (-1, -1), [i]
+        return (-1, -3), [(half, 0, -half, 0)]
+    if c.char == 3:
+        if c.j == GENERIC:
+            return (-1, -3), [(-1, 0, 0, 0)]
+        return (-1, -3), [i, (-half, 0, half, 0)]
+    if c.j == GENERIC:
+        return (-1, -1), [(-1, 0, 0, 0)]
+    return (-1, -1), [i, (0, 0, 1, 0), (-half, half, half, half)]
+
+
+def _fraction_closure(generators, a, b):
+    elems = {FRACTION_ONE}
+    frontier = [FRACTION_ONE]
+    gens = [tuple(Fraction(c) for c in g) for g in generators]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = _fraction_mul(x, g, a, b)
+                if y not in elems:
+                    elems.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(elems)
+
+
+def _fraction_order(x, a, b):
+    n, y = 1, x
+    while y != FRACTION_ONE:
+        y = _fraction_mul(y, x, a, b)
+        n += 1
+        assert n <= 100
+    return n
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: f"char{c.char}-{c.j}")
+def test_doubled_units_match_fraction_oracle(cls):
+    (a, b), gens = _fraction_group_data(cls)
+    oracle = _fraction_closure(gens, a, b)
+    elems, a2, b2 = ecaut.unit_elements(cls)
+    assert (a2, b2) == (a, b)
+    halved = [tuple(Fraction(c, 2) for c in x) for x in elems]
+    assert halved == oracle
+    for x, h in zip(elems, halved):
+        assert ecaut._element_order(x, a, b) == _fraction_order(h, a, b)
+        one_minus = tuple(o - c for o, c in zip(ecaut.QUAT_ONE, x))
+        assert ecaut.quat_norm(one_minus, a, b) == _fraction_norm(
+            tuple(o - c for o, c in zip(FRACTION_ONE, h)), a, b)
