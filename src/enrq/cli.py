@@ -17,7 +17,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import configs, delpezzo, ecaut, fibers, lattice, tables
 from .report import Report
 
 
@@ -43,16 +42,19 @@ class RunConfig:
             raise ValueError("bound must be positive")
         if self.order and self.order < 2:
             raise ValueError(f"order {self.order}: use 0 (orders 2, 3, 5, 7) or an order >= 2")
-        if self.ext_degree and self.ext_degree not in ecaut.TABLE_EXT_DEGREES:
-            raise ValueError(f"ext degree {self.ext_degree}: use 0 (per-row degrees) "
-                             f"or one of {ecaut.TABLE_EXT_DEGREES}")
+        if self.ext_degree:
+            from . import ecaut
+
+            if self.ext_degree not in ecaut.TABLE_EXT_DEGREES:
+                raise ValueError(f"ext degree {self.ext_degree}: use 0 (per-row degrees) "
+                                 f"or one of {ecaut.TABLE_EXT_DEGREES}")
 
 
 def _random_vector(rng):
     return tuple(rng.randint(-5, 5) for _ in range(10))
 
 
-def _random_root(rng):
+def _random_root(lattice, rng):
     # random small root: reflect a basis root by a few random basis roots
     base = [lattice.BASIS[i] for i in range(2, 10)]
     r = base[rng.randrange(8)]
@@ -62,6 +64,8 @@ def _random_root(rng):
 
 
 def suite_lattice_selfcheck(report, cfg):
+    from . import lattice
+
     s = report.new_suite("lattice-selfcheck")
     det = lattice.gram_determinant()
     s.add("Gram determinant", det in (1, -1), f"det = {det}")
@@ -70,7 +74,7 @@ def suite_lattice_selfcheck(report, cfg):
     rng = random.Random(20260809)
     ok_inv = ok_iso = True
     for _ in range(1000):
-        r = _random_root(rng)
+        r = _random_root(lattice, rng)
         x, y = _random_vector(rng), _random_vector(rng)
         if lattice.reflect(r, lattice.reflect(r, x)) != x:
             ok_inv = False
@@ -85,6 +89,8 @@ def suite_lattice_selfcheck(report, cfg):
 
 
 def suite_fibers_euler(report, cfg):
+    from . import fibers
+
     s = report.new_suite("fibers-euler")
     oracle = {f"I{n}": n for n in range(1, 10)}
     oracle.update({f"I{n}*": n + 6 for n in range(0, 10)})
@@ -99,6 +105,8 @@ def suite_fibers_euler(report, cfg):
 
 
 def suite_fibers_2conn(report, cfg):
+    from . import fibers
+
     s = report.new_suite("fibers-2conn")
     for tag in fibers.standard_tags(9):
         ent = fibers.catalog(tag)
@@ -109,6 +117,8 @@ def suite_fibers_2conn(report, cfg):
 
 
 def suite_lefschetz(report, cfg):
+    from . import fibers
+
     s = report.new_suite("lefschetz")
     orders = [cfg.order] if cfg.order else [2, 3, 5, 7]
     for order in orders:
@@ -130,6 +140,8 @@ def suite_lefschetz(report, cfg):
 
 
 def suite_configs_enumerate(report, cfg):
+    from . import configs, fibers
+
     s = report.new_suite("configs-enumerate")
     pairs = configs.enumerate_pairs()
     s.add("numerically consistent additive pairs", len(pairs) == 7, f"{len(pairs)} pairs")
@@ -154,6 +166,8 @@ def suite_configs_enumerate(report, cfg):
 
 
 def suite_configs_shared8(report, cfg):
+    from . import configs
+
     s = report.new_suite("configs-shared8")
     expected = {("I4*", "I4*"): False, ("I4*", "II*"): True, ("II*", "II*"): True}
     for (t1, t2), want in expected.items():
@@ -175,6 +189,8 @@ def suite_configs_shared8(report, cfg):
 
 
 def suite_ecaut_tables(report, cfg):
+    from . import ecaut
+
     s = report.new_suite("ecaut-tables")
     rows = ecaut.classification_report(cfg.ext_degree or None)
     for r in rows:
@@ -186,6 +202,8 @@ def suite_ecaut_tables(report, cfg):
 
 
 def suite_delpezzo_verify(report, cfg):
+    from . import delpezzo
+
     s = report.new_suite("delpezzo-verify")
     families = [
         ("D1", delpezzo.aut_d1(), "torus (lam, mu)"),
@@ -222,6 +240,8 @@ def suite_delpezzo_verify(report, cfg):
 
 
 def suite_tables_consistency(report, cfg):
+    from . import tables
+
     s = report.new_suite("tables-consistency")
     for label, ok, detail in tables.consistency_check():
         s.add(label, ok, detail)
@@ -278,7 +298,8 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="write the report body to this path")
     parser.add_argument("--bound", type=int, default=6, help="coordinate bound for the lattice search")
     parser.add_argument("--ext-degree", type=int, default=0,
-                        help=f"override extension degree for point counting: 0 (per-row) or one of {ecaut.TABLE_EXT_DEGREES}")
+                        help="override extension degree for point counting: 0 (per-row) or a degree "
+                             "that serves every table row; a bad value is rejected with the list")
     parser.add_argument("--order", type=int, default=0, help="restrict the lefschetz suite to one order >= 2 (0: 2,3,5,7)")
     args = parser.parse_args(argv)
     try:

@@ -24,6 +24,7 @@ coefficient tuples (a0, ..., a_{k-1}) in lexicographic order, so searches
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import cache
 from itertools import product
@@ -242,12 +243,28 @@ class GF:
 
     def find_root(self, poly):
         """First root (in element order) of a polynomial with prime-field
-        coefficients, or None."""
+        coefficients, or None.
+
+        A root of a degree-d polynomial over GF(p) has a minimal polynomial
+        of degree e <= d with e | k, so every root lies in GF(p^m) for
+        m = lcm{e : e | k, e <= d}: the elements 0 and g^(i (q-1)/(p^m-1)).
+        Only that subfield is scanned (the zero polynomial gets d = 0: its
+        first root, 0, is in every subfield).
+        """
         coeffs = [self.from_int(c) for c in poly]
-        for x in self.elements():
+        d = max((i for i, c in enumerate(coeffs) if c), default=0)
+        m = math.lcm(*(e for e in range(1, d + 1) if self.k % e == 0))
+        step = (self.q - 1) // (self.p**m - 1)
+        roots = []
+        for x in (0, *self._exp[: self.q - 1 : step]):
             acc = self.zero
             for c in reversed(coeffs):
                 acc = self.add(self.mul(acc, x), c)
             if acc == self.zero:
-                return x
-        return None
+                roots.append(x)
+        return min(roots, key=self._digits, default=None)
+
+    def _digits(self, a):
+        """The coefficient tuple (a0, ..., a_{k-1}) of a, whose
+        lexicographic order is element order."""
+        return tuple(a // self.p**i % self.p for i in range(self.k))

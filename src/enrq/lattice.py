@@ -49,16 +49,17 @@ F = (0, 1, 0, 0, 0, 0, 0, 0, 0, 0)
 BASIS = tuple(tuple(1 if j == i else 0 for j in range(RANK)) for i in range(RANK))
 
 
-# the 24 nonzero entries (i, j, GRAM[i][j]) of the Gram matrix
-_GRAM_ENTRIES = tuple((i, j, g) for i, row in enumerate(GRAM) for j, g in enumerate(row) if g)
-
-
 def inner(u, v) -> int:
-    """Intersection product u.v in the fixed Gram basis."""
-    total = 0
-    for i, j, g in _GRAM_ENTRIES:
-        total += g * u[i] * v[j]
-    return total
+    """Intersection product u.v in the fixed Gram basis: the hyperbolic
+    pair, -2 on the E8 diagonal and the seven E8 edges of _E8_EDGES."""
+    ue, uf, u1, u2, u3, u4, u5, u6, u7, u8 = u
+    ve, vf, v1, v2, v3, v4, v5, v6, v7, v8 = v
+    return (
+        ue * vf + uf * ve
+        - 2 * (u1 * v1 + u2 * v2 + u3 * v3 + u4 * v4 + u5 * v5 + u6 * v6 + u7 * v7 + u8 * v8)
+        + u1 * v3 + u3 * v1 + u3 * v4 + u4 * v3 + u2 * v4 + u4 * v2 + u4 * v5 + u5 * v4
+        + u5 * v6 + u6 * v5 + u6 * v7 + u7 * v6 + u7 * v8 + u8 * v7
+    )
 
 
 def add(u, v):

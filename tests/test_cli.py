@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +142,8 @@ def test_cli_rejects_bad_order_and_ext_degree(flag):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines()[-1].startswith("enrq: error: ")
+    if flag[0] == "--ext-degree":
+        assert str(ecaut.TABLE_EXT_DEGREES) in proc.stderr
     assert proc.stdout == ""
 
 
@@ -147,3 +151,13 @@ def test_lefschetz_order_flag(tmp_path):
     status, report = run(RunConfig(suite="lefschetz", order=3, out=str(tmp_path / "r.md")))
     assert status == 0
     assert all("order 3" in r["label"] for r in report.suites[0].rows)
+
+
+def test_lazy_import_contract():
+    # a fresh interpreter: this process has imported every enrq module
+    script = Path(__file__).with_name("check_lazy_imports.py")
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "lazy imports ok\n"

@@ -150,6 +150,53 @@ def test_find_root_none_when_absent():
     assert GF(3, 1).find_root((1, 0, 1)) is None
 
 
+def full_scan_root(fld, poly):
+    """The first root in element order by evaluating at every element."""
+    coeffs = [c % fld.p for c in poly]
+    for x in fld.elements():
+        acc = 0
+        for c in reversed(coeffs):
+            acc = fld.add(fld.mul(acc, x), c)
+        if acc == 0:
+            return x
+    return None
+
+
+# coefficients low to high; reduced mod p, so (.., p) drops the lead term
+ROOT_POLYS = (
+    (1, 1, 1),  # w^2 + w + 1
+    (1, 0, 1),  # w^2 + 1
+    (1, 1, 2, 1, 1),  # (w^2 + 1)(w^2 + w + 1): reducible
+    (0, 6, 11, 6, 1),  # w(w + 1)(w + 2)(w + 3): reducible, roots in GF(p)
+    (1, 1, 0, 1),  # w^3 + w + 1
+    (2, 2, 0, 1),  # w^3 + 2w + 2: irreducible over GF(3), no root in GF(3^8)
+    (11, 0, 0, 1),  # w^3 - 2: 2 is no cube mod 13, no root in GF(13^4)
+    (1, 0, 1, 0, 0, 1),  # w^5 + w^2 + 1: irreducible over GF(2), no root in GF(2^12)
+    (1, 0, 1, 2, 3, 5, 7),  # degree 6
+    (1, 0, 1, 13),  # w^2 + 1 over GF(13^k)
+    (5,),
+    (0, 0),
+)
+
+
+@pytest.mark.parametrize("p,k", LARGE_FIELDS, ids=lambda v: str(v))
+def test_find_root_matches_the_full_scan_on_large_fields(p, k):
+    fld = GF(p, k)
+    found = {poly: fld.find_root(poly) for poly in ROOT_POLYS}
+    for poly, root in found.items():
+        assert root == full_scan_root(fld, poly), poly
+    assert None in found.values()  # some polynomial has no root here
+
+
+def test_find_root_matches_the_full_scan_on_small_fields():
+    for p, k in SMALL_FIELDS:
+        if p > 5:
+            continue
+        fld = GF(p, k)
+        for poly in product(range(p), repeat=4):
+            assert fld.find_root(poly) == full_scan_root(fld, poly), (p, k, poly)
+
+
 def test_zero_and_exponent_edge_cases():
     for p, k in ((2, 3), (3, 2), (13, 1)):
         fld = GF(p, k)
