@@ -33,12 +33,23 @@ the shared curves falling apart into two 4-star pieces, and forcing a
 primitive multiplicative cycle class, i.e. a forbidden multiplicative
 half-fiber in characteristic 2).  The branch summaries report every
 product-4 overlay together with which condition rejected it.
+
+Cost.  The diagrams are integer weight matrices indexed by catalog
+position.  Per connector C9 the shared curves, the 9 x 9 Gram block of
+the curves of F, the multiplicities f1 and the check F.C = 0 are fixed
+(f1 is 0 on C10, which lies outside F); per isomorphism only the
+column of C10 against the shared curves, f2, the check F'.C = 0, the
+u-solve and the parity test are computed.  Distinct isomorphisms often
+give the same Gram matrix, so each call keeps a memo of determinants
+keyed by the matrix, and computes each determinant once; the memo ends
+with the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import mul
 
 from . import ecaut, fibers
 from .lattice import exact_det
@@ -234,59 +245,67 @@ def bielliptic_pair_check(tags, shared_components: int, connector_mults):
 
 
 def _diagram(tag):
+    """(ids, mult, weight) of a fiber type: the component ids in catalog
+    order, and the multiplicities and the 0-diagonal matrix of pairwise
+    intersections, both indexed by catalog position."""
     ent = fibers.catalog(tag)
     ids = [c for c, _ in ent.model.components]
-    mult = dict(ent.model.components)
-    pair = ent.model.pairwise_intersections()
-    weight = {}
-    for a, b in combinations_with_replacement(ids, 2):
-        if a != b:
-            w = pair.get(frozenset((a, b)), 0)
-            if w:
-                weight[(a, b)] = weight[(b, a)] = w
+    mult = [m for _, m in ent.model.components]
+    pos = {c: i for i, c in enumerate(ids)}
+    weight = [[0] * len(ids) for _ in ids]
+    for pair, w in ent.model.pairwise_intersections().items():
+        a, b = (pos[c] for c in pair)
+        weight[a][b] = weight[b][a] = w
     return ids, mult, weight
 
 
 def _weight_profile(node, nodes, weight):
-    return tuple(sorted(weight.get((node, o), 0) for o in nodes if o != node))
+    """The sorted weights from node to the nodes (itself included, with
+    the 0 of the diagonal)."""
+    return tuple(sorted(map(weight[node].__getitem__, nodes)))
 
 
-def _profiles(nodes, weight):
-    return {n: _weight_profile(n, nodes, weight) for n in nodes}
-
-
-def _isomorphisms(nodes1, weight1, nodes2, weight2, prof1=None, prof2=None):
-    """All weighted-graph isomorphisms nodes2 -> nodes1 (deterministic
-    backtracking in sorted node order).  prof1 and prof2, when given, are
-    the _profiles of the two node sets."""
-    nodes1, nodes2 = sorted(nodes1), sorted(nodes2)
+def _isomorphisms(nodes1, weight1, nodes2, weight2):
+    """All weighted-graph isomorphisms nodes2 -> nodes1, as dicts from
+    nodes2 to nodes1 (positions in the weight matrices).  The backtrack
+    assigns nodes2 in list order and tries images in nodes1 order, so the
+    isomorphisms come in lexicographic order of their images."""
     if len(nodes1) != len(nodes2):
-        return
-    prof1 = prof1 or _profiles(nodes1, weight1)
-    prof2 = prof2 or _profiles(nodes2, weight2)
+        return []
+    prof1 = [_weight_profile(n, nodes1, weight1) for n in nodes1]
+    prof2 = [_weight_profile(n, nodes2, weight2) for n in nodes2]
     # an isomorphism maps each node to one of equal profile
-    if sorted(prof1.values()) != sorted(prof2.values()):
-        return
-    assign = {}
+    if sorted(prof1) != sorted(prof2):
+        return []
+    by_profile = {}
+    for n1, p in zip(nodes1, prof1):
+        by_profile.setdefault(p, []).append(n1)
+    candidates = [by_profile[p] for p in prof2]
+    size = len(nodes2)
+    images = [None] * size
     used = set()
+    found = []
 
     def rec(i):
-        if i == len(nodes2):
-            yield dict(assign)
+        if i == size:
+            found.append(dict(zip(nodes2, images)))
             return
-        n2 = nodes2[i]
-        for n1 in nodes1:
-            if n1 in used or prof1[n1] != prof2[n2]:
+        row2 = weight2[nodes2[i]]
+        for n1 in candidates[i]:
+            if n1 in used:
                 continue
-            if any(weight2.get((n2, m2), 0) != weight1.get((n1, assign[m2]), 0) for m2 in assign):
-                continue
-            assign[n2] = n1
-            used.add(n1)
-            yield from rec(i + 1)
-            del assign[n2]
-            used.discard(n1)
+            row1 = weight1[n1]
+            for j in range(i):
+                if row2[nodes2[j]] != row1[images[j]]:
+                    break
+            else:
+                images[i] = n1
+                used.add(n1)
+                rec(i + 1)
+                used.discard(n1)
 
-    yield from rec(0)
+    rec(0)
+    return found
 
 
 def _mod2_rank(v1, v2):
@@ -308,12 +327,22 @@ def _connected(nodes, weight):
     while frontier:
         nxt = []
         for a in frontier:
+            row = weight[a]
             for b in nodes:
-                if b not in seen and weight.get((a, b), 0):
+                if b not in seen and row[b]:
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
     return len(seen) == len(nodes)
+
+
+def _memo_det(memo, gram):
+    """exact_det(gram), taken from or stored in memo (keyed by the rows)."""
+    key = tuple(map(tuple, gram))
+    det = memo.get(key)
+    if det is None:
+        det = memo[key] = exact_det(gram)
+    return det
 
 
 OVERLAY_NORMALIZATION = "F.F' = 4, unimodular closure of <curves, F/2, F'/2>, connected shared configuration"
@@ -330,54 +359,56 @@ def shared_eight_search(t1: str, t2: str):
             raise ValueError(f"{t}: need an additive fiber with nine components")
     ids1, mult1, w1 = _diagram(t1)
     ids2, mult2, w2 = _diagram(t2)
+    order1 = sorted(range(len(ids1)), key=ids1.__getitem__)
+    order2 = sorted(range(len(ids2)), key=ids2.__getitem__)
     branches = []
     witness = None
-    # diagram 2 minus each connector, with its weight profiles
+    dets = {}  # Gram (tuple of rows) -> exact_det, for this call only
+    # diagram 2 minus each connector, with its profile multiset
     rests2 = []
-    for c2 in ids2:
-        r2 = sorted(n for n in ids2 if n != c2)
-        rests2.append((c2, r2, _profiles(r2, w2)))
-    for c1 in ids1:
-        shared = sorted(n for n in ids1 if n != c1)
-        prof1 = _profiles(shared, w1)
+    for c2 in range(len(ids2)):
+        r2 = [n for n in order2 if n != c2]
+        rests2.append((c2, r2, sorted(_weight_profile(n, r2, w2) for n in r2)))
+    for c1 in range(len(ids1)):
+        # everything that does not depend on the isomorphism: rows and
+        # columns 0..8 of the Gram matrix (the shared curves, then C9), f1,
+        # and F.C = 0 for the curves of F, since f1[9] = 0
+        shared = [n for n in order1 if n != c1]
+        block = [[w1[a][b] for b in shared] + [w1[a][c1]] for a in shared]
+        block.append([w1[c1][b] for b in shared] + [0])
+        for k in range(9):
+            block[k][k] = -2
+        f1 = [mult1[s] for s in shared] + [mult1[c1], 0]
+        assert all(sum(map(mul, row, f1)) == 0 for row in block), "fiber condition violated in F"
+        prof1 = sorted(_weight_profile(n, shared, w1) for n in shared)
         shared_conn = _connected(shared, w1)
         for c2, r2, prof2 in rests2:
-            isos = list(_isomorphisms(shared, w1, r2, w2, prof1, prof2))
-            branch = {"connector1": c1, "connector2": c2, "isomorphisms": len(isos), "hits": []}
+            # unequal profile multisets admit no isomorphism
+            isos = _isomorphisms(shared, w1, r2, w2) if prof1 == prof2 else []
+            branch = {"connector1": ids1[c1], "connector2": ids2[c2], "isomorphisms": len(isos), "hits": []}
+            m2 = mult2[c2]
             for iso in isos:
                 inv = {v: k for k, v in iso.items()}  # shared node -> diagram-2 node
-                n = 10
-                gram = [[0] * n for _ in range(n)]
-                for k in range(n):
-                    gram[k][k] = -2
-                for a in range(8):
-                    for b in range(a + 1, 8):
-                        v = w1.get((shared[a], shared[b]), 0)
-                        gram[a][b] = gram[b][a] = v
-                for a in range(8):
-                    gram[a][8] = gram[8][a] = w1.get((shared[a], c1), 0)
-                    gram[a][9] = gram[9][a] = w2.get((inv[shared[a]], c2), 0)
-                f1 = [mult1[s] for s in shared] + [mult1[c1], 0]
-                f2 = [mult2[inv[s]] for s in shared] + [0, mult2[c2]]
-                gf1 = [sum(gram[i][j] * f1[j] for j in range(n)) for i in range(n)]
-                gf2 = [sum(gram[i][j] * f2[j] for j in range(n)) for i in range(n)]
-                # u = C9.C10 enters only gf1[9] and gf2[8]
-                assert all(gf1[k] == 0 for k in range(9)), "fiber condition violated in F"
-                assert all(gf2[k] == 0 for k in range(8)) and gf2[9] == 0, "fiber condition violated in F'"
-                # F.F' = gf1[9] * f2[9] is affine in u with slope m(C9) * m(C10) >= 1
-                slope = f1[8] * f2[9]
-                u, rem = divmod(4 - gf1[9] * f2[9], slope)
+                images = [inv[s] for s in shared]
+                col9 = [w2[n][c2] for n in images]  # C10 against the shared curves
+                f2 = [mult2[n] for n in images] + [0, m2]
+                # F'.C = 0 for the curves of F': the shared ones and C10
+                gf2 = [sum(map(mul, row, f2)) + c * m2 for row, c in zip(block, col9)]
+                assert not any(gf2) and sum(map(mul, col9, f2)) == 2 * m2, "fiber condition violated in F'"
+                # F.F' = F.C10 * m(C10) is affine in u with slope m(C9) * m(C10) >= 1
+                gf1_9 = sum(map(mul, col9, f1))
+                u, rem = divmod(4 - gf1_9 * m2, f1[8] * m2)
                 if rem or not 0 <= u <= 4:
                     continue
-                gram[8][9] = gram[9][8] = u
-                gf1[9] += u * f1[8]
-                gf2[8] += u * f2[9]
-                product = sum(gf1[k] * f2[k] for k in range(n))
-                assert product == 4
-                # half-fiber classes F/2, F'/2 must pair integrally
-                if gf1[9] % 2 or gf2[8] % 2:
+                gf1_9 += u * f1[8]
+                product = gf1_9 * m2
+                # half-fiber classes F/2, F'/2 must pair integrally (F.C10, F'.C9)
+                if gf1_9 % 2 or (sum(map(mul, block[8], f2)) + u * m2) % 2:
                     continue
-                det = exact_det(gram)
+                gram = [row + [c] for row, c in zip(block, col9)]
+                gram.append(block[8] + [u])
+                gram.append(col9 + [u, -2])
+                det = _memo_det(dets, gram)
                 rank = _mod2_rank(f1, f2)
                 closure = det // 4**rank
                 if closure * 4**rank != det:
@@ -401,12 +432,12 @@ def shared_eight_search(t1: str, t2: str):
                 branch["hits"].append(hit)
                 if reason is None and witness is None:
                     witness = {
-                        "connector1": c1,
+                        "connector1": ids1[c1],
                         "connector1_mult": mult1[c1],
-                        "connector2": c2,
-                        "connector2_mult": mult2[c2],
-                        "shared": shared,
-                        "iso": {k: iso[k] for k in sorted(iso)},
+                        "connector2": ids2[c2],
+                        "connector2_mult": m2,
+                        "shared": [ids1[s] for s in shared],
+                        "iso": dict(sorted((ids2[k], ids1[v]) for k, v in iso.items())),
                         "u": u,
                         "gram": gram,
                         "fiber1_mult": f1,

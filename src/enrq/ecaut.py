@@ -321,18 +321,55 @@ def check_preserves(curve: Weierstrass, aut: AutMap) -> bool:
     return _substitution_preserves(curve, fld, *_constants(aut, fld))
 
 
+def _artin_schreier(fld):
+    """For a field of characteristic 2, the function v -> all z with
+    z^2 + z = v, in element order.
+
+    z -> z^2 + z is F_2-linear with kernel {0, 1}, so v has two solutions
+    z, z + 1 when it lies in the image (iff Tr(v) = 0) and none otherwise.
+    The images of the basis elements t^i (k squarings) are put in echelon
+    form once, each keyed by its highest bit and paired with its preimage;
+    a v is then reduced along the pivots, highest bit first, in k steps.
+    """
+    pivots = {}  # highest bit -> (image, preimage)
+    for i in range(fld.k):
+        pre = 1 << i
+        image = fld.add(fld.mul(pre, pre), pre)
+        while image:
+            top = image.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (image, pre)
+                break
+            image ^= pivots[top][0]
+            pre ^= pivots[top][1]
+    rows = sorted(pivots.items(), reverse=True)
+
+    def solve(v):
+        z = 0
+        for top, (image, pre) in rows:
+            if v >> top & 1:
+                v ^= image
+                z ^= pre
+        if v:
+            return []
+        # t^0 = 1 spans the kernel, so every preimage above, and z, has
+        # t^0 coefficient 0: z comes before z + 1 in element order
+        return [z, z | 1]
+
+    return solve
+
+
 def _y_solver(curve, fld):
     """The function x -> all y with (x, y) on the curve, over the given field.
 
     The curve's coefficients and 1/2 are set up once here, not per x.  For
     odd p the roots come from `GF.sqrt`.  For p = 2 and c = a1 x + a3 != 0,
-    y = c z with z^2 + z = rhs / c^2, looked up in a table of z^2 + z that
-    is built on the first x that needs it.
+    y = c z with z^2 + z = rhs / c^2, solved by `_artin_schreier`.
     """
     p = curve.p
     a1, a2, a3, a4, a6 = (fld.from_int(a) for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
     inv2 = fld.inv(fld.from_int(2)) if p != 2 else None
-    artin_schreier = {}  # z^2 + z -> [z], for p = 2
+    artin_schreier = _artin_schreier(fld) if p == 2 and (a1 or a3) else None
 
     def solutions(x):
         x2 = fld.mul(x, x)
@@ -349,11 +386,8 @@ def _y_solver(curve, fld):
             if c == fld.zero:
                 # y^2 = rhs: Frobenius is bijective
                 return [fld.sqrt(rhs)]
-            if not artin_schreier:
-                for z in fld.elements():
-                    artin_schreier.setdefault(fld.add(fld.mul(z, z), z), []).append(z)
             v = fld.mul(rhs, fld.inv(fld.mul(c, c)))
-            return [fld.mul(c, z) for z in artin_schreier.get(v, ())]
+            return [fld.mul(c, z) for z in artin_schreier(v)]
         # odd characteristic: y^2 + c y = rhs, complete the square
         half_c = fld.mul(c, inv2)
         root = fld.sqrt(fld.add(rhs, fld.mul(half_c, half_c)))

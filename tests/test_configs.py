@@ -185,15 +185,57 @@ def test_shared_eight_deterministic():
     a = configs.shared_eight_search("I4*", "II*")
     b = configs.shared_eight_search("I4*", "II*")
     assert a == b
+    assert shared_containers(a, b) == []  # nothing is reused from the first call
+
+
+def shared_containers(a, b, path="result"):
+    # paths at which a and b hold the same list or dict object
+    out = []
+    if isinstance(a, (list, dict)) and a is b:
+        out.append(path)
+    if isinstance(a, dict):
+        for k in a:
+            out += shared_containers(a[k], b[k], f"{path}[{k!r}]")
+    elif isinstance(a, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            out += shared_containers(x, y, f"{path}[{i}]")
+    return out
+
+
+def dict_diagram(tag):
+    # component ids, id -> multiplicity and (id, id) -> intersection weight
+    ent = fibers.catalog(tag)
+    ids = [c for c, _ in ent.model.components]
+    pair = ent.model.pairwise_intersections()
+    weight = {}
+    for a, b in combinations_with_replacement(ids, 2):
+        if a != b and pair.get(frozenset((a, b)), 0):
+            weight[(a, b)] = weight[(b, a)] = pair[frozenset((a, b))]
+    return ids, dict(ent.model.components), weight
+
+
+def dict_connected(nodes, weight):
+    seen, frontier = {nodes[0]}, [nodes[0]]
+    while frontier:
+        a = frontier.pop()
+        for b in nodes:
+            if b not in seen and weight.get((a, b), 0):
+                seen.add(b)
+                frontier.append(b)
+    return len(seen) == len(nodes)
 
 
 def unpruned_isomorphisms(nodes1, weight1, nodes2, weight2):
-    # the backtrack without the profile-multiset shortcut
+    # the sorted-order backtrack without the profile-multiset shortcut
     nodes1, nodes2 = sorted(nodes1), sorted(nodes2)
     if len(nodes1) != len(nodes2):
         return []
-    prof1 = {n: configs._weight_profile(n, nodes1, weight1) for n in nodes1}
-    prof2 = {n: configs._weight_profile(n, nodes2, weight2) for n in nodes2}
+
+    def profile(n, nodes, weight):
+        return tuple(sorted(weight.get((n, o), 0) for o in nodes if o != n))
+
+    prof1 = {n: profile(n, nodes1, weight1) for n in nodes1}
+    prof2 = {n: profile(n, nodes2, weight2) for n in nodes2}
     out, assign = [], {}
 
     def rec(i):
@@ -214,10 +256,11 @@ def unpruned_isomorphisms(nodes1, weight1, nodes2, weight2):
     return out
 
 
-def overlay_scan_oracle(t1, t2):
-    # the overlay search that builds the Gram matrix for each u in 0..4
-    ids1, mult1, w1 = configs._diagram(t1)
-    ids2, mult2, w2 = configs._diagram(t2)
+def overlay_scan_oracle(t1, t2, grams=None):
+    # the overlay search that builds the Gram matrix for each u in 0..4;
+    # `grams`, when given, collects every Gram whose determinant it takes
+    ids1, mult1, w1 = dict_diagram(t1)
+    ids2, mult2, w2 = dict_diagram(t2)
     branches, witness = [], None
     for c1 in ids1:
         r1 = [n for n in ids1 if n != c1]
@@ -225,7 +268,7 @@ def overlay_scan_oracle(t1, t2):
             r2 = [n for n in ids2 if n != c2]
             isos = unpruned_isomorphisms(r1, w1, r2, w2)
             branch = {"connector1": c1, "connector2": c2, "isomorphisms": len(isos), "hits": []}
-            shared_conn = configs._connected(sorted(r1), w1)
+            shared_conn = dict_connected(sorted(r1), w1)
             for iso in isos:
                 shared = sorted(r1)
                 inv = {v: k for k, v in iso.items()}
@@ -246,6 +289,8 @@ def overlay_scan_oracle(t1, t2):
                     if product != 4 or gf1[9] % 2 or gf2[8] % 2:
                         continue
                     det = exact_det(gram)
+                    if grams is not None:
+                        grams.add(tuple(map(tuple, gram)))
                     rank = configs._mod2_rank(f1, f2)
                     closure = det // 4**rank
                     if closure * 4**rank != det:
@@ -300,10 +345,65 @@ def test_shared_eight_search_output_pinned(pair):
 
 @pytest.mark.parametrize("t1,t2", OVERLAY_PAIRS)
 def test_isomorphism_pruning_keeps_every_isomorphism(t1, t2):
+    # _isomorphisms works on catalog positions in sorted id order; the
+    # oracle on the ids themselves
     ids1, _, w1 = configs._diagram(t1)
     ids2, _, w2 = configs._diagram(t2)
-    for c1 in ids1:
-        r1 = [n for n in ids1 if n != c1]
-        for c2 in ids2:
-            r2 = [n for n in ids2 if n != c2]
-            assert list(configs._isomorphisms(r1, w1, r2, w2)) == unpruned_isomorphisms(r1, w1, r2, w2), (c1, c2)
+    _, _, dw1 = dict_diagram(t1)
+    _, _, dw2 = dict_diagram(t2)
+    for c1 in range(len(ids1)):
+        r1 = sorted((n for n in range(len(ids1)) if n != c1), key=ids1.__getitem__)
+        for c2 in range(len(ids2)):
+            r2 = sorted((n for n in range(len(ids2)) if n != c2), key=ids2.__getitem__)
+            got = [{ids2[a]: ids1[b] for a, b in iso.items()} for iso in configs._isomorphisms(r1, w1, r2, w2)]
+            expected = unpruned_isomorphisms([ids1[n] for n in r1], dw1, [ids2[n] for n in r2], dw2)
+            assert got == expected, (ids1[c1], ids2[c2])
+
+
+def test_diagram_is_indexed_by_catalog_position():
+    ids, mult, weight = configs._diagram("II*")
+    ent = fibers.catalog("II*")
+    assert ids == [c for c, _ in ent.model.components]
+    assert mult == [m for _, m in ent.model.components]
+    _, _, dw = dict_diagram("II*")
+    assert weight == [[dw.get((a, b), 0) for b in ids] for a in ids]
+
+
+SUITE_PAIRS = [("I4*", "I4*"), ("I4*", "II*"), ("II*", "II*")]
+
+
+def test_one_determinant_per_distinct_gram_per_call(monkeypatch):
+    calls = []
+
+    def counting_det(gram):
+        calls.append(1)
+        return exact_det(gram)
+
+    monkeypatch.setattr(configs, "exact_det", counting_det)
+    total = 0
+    for pair in SUITE_PAIRS:
+        grams = set()
+        overlay_scan_oracle(*pair, grams)
+        for _ in range(2):  # a second call pays again: no cache outlives a call
+            calls.clear()
+            configs.shared_eight_search(*pair)
+            assert len(calls) == len(grams), pair
+        total += len(grams)
+    assert total == 11
+
+
+def test_determinant_memo_keys_on_every_entry(monkeypatch):
+    # two Grams that differ only in u = C9.C10 (entries [8][9] and [9][8])
+    calls = []
+    monkeypatch.setattr(configs, "exact_det", lambda gram: calls.append(1) or exact_det(gram))
+    memo = {}
+    grams = []
+    for u in (0, 1):
+        gram = [[-2 if i == j else 0 for j in range(10)] for i in range(10)]
+        gram[8][9] = gram[9][8] = u
+        grams.append(gram)
+    dets = [configs._memo_det(memo, g) for g in grams + grams]
+    assert dets == [exact_det(g) for g in grams + grams]
+    assert dets[0] != dets[1]
+    assert len(calls) == 2
+

@@ -222,13 +222,32 @@ def test_filtered_count_matches_every_point_oracle(row):
 def test_y_solver_matches_the_pair_scan(curve, degree):
     # the brute-force count runs the y-solver only over fixed x, so check
     # it here at every x: odd p through GF.sqrt, p = 2 through the z^2 + z
-    # table (and the c = 0 square root of the ordinary curve at x = 0)
+    # solver (and the c = 0 square root of the ordinary curve at x = 0)
     fld = GF(curve.p, degree)
     points = curve_points(curve, fld)
     solutions = ecaut._y_solver(curve, fld)
     for x in fld.elements():
         assert sorted(solutions(x)) == sorted(y for px, y in points if px == x), x
     assert 1 + sum(len(solutions(x)) for x in fld.elements()) == 1 + len(points)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_artin_schreier_matches_the_whole_field_table(k):
+    # the table of z^2 + z over every z, in element order, that the solver
+    # replaces; v has solutions iff its absolute trace is 0
+    fld = GF(2, k)
+    table = {}
+    for z in fld.elements():
+        table.setdefault(fld.add(fld.mul(z, z), z), []).append(z)
+    solve = ecaut._artin_schreier(fld)
+    for v in fld.elements():
+        trace, conj = v, v
+        for _ in range(k - 1):
+            conj = fld.mul(conj, conj)
+            trace = fld.add(trace, conj)
+        assert trace in (0, 1)
+        assert solve(v) == table.get(v, []), v
+        assert bool(solve(v)) == (trace == 0), v
 
 
 @pytest.mark.parametrize("row", ecaut.TABLE_ROWS, **ROW_IDS)
