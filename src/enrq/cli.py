@@ -50,17 +50,25 @@ class RunConfig:
                                  f"or one of {ecaut.TABLE_EXT_DEGREES}")
 
 
-def _random_vector(rng):
-    return tuple(rng.randint(-5, 5) for _ in range(10))
-
-
-def _random_root(lattice, rng):
-    # random small root: reflect a basis root by a few random basis roots
-    base = [lattice.BASIS[i] for i in range(2, 10)]
-    r = base[rng.randrange(8)]
-    for _ in range(rng.randrange(4)):
-        r = lattice.reflect(base[rng.randrange(8)], r)
-    return r
+def _selfcheck_samples(lattice):
+    """The 1000 samples (r, x, y) of the randomized reflection rows, from
+    the fixed seed: r is a uniform simple root of E8(-1) moved by 0 to 3
+    uniform simple reflections, x and y have coordinates uniform in
+    [-5, 5].  Everything is drawn in bulk; the floats inside choices only
+    pick indices, the lattice arithmetic is in integers."""
+    n = 1000
+    rng = random.Random(20260809)
+    simple = lattice.BASIS[2:]
+    reflections = [lattice.reflection(a) for a in simple]
+    roots = rng.choices(simple, k=n)
+    lengths = rng.choices(range(4), k=n)
+    steps = iter(rng.choices(reflections, k=sum(lengths)))
+    coords = rng.choices(range(-5, 6), k=20 * n)
+    for i, (r, length) in enumerate(zip(roots, lengths)):
+        for _ in range(length):
+            r = next(steps)(r)
+        j = 20 * i
+        yield r, tuple(coords[j:j + 10]), tuple(coords[j + 10:j + 20])
 
 
 def suite_lattice_selfcheck(report, cfg):
@@ -71,14 +79,15 @@ def suite_lattice_selfcheck(report, cfg):
     s.add("Gram determinant", det in (1, -1), f"det = {det}")
     sig = lattice.gram_signature()
     s.add("signature by congruence reduction", sig == (1, 9, 0), f"inertia = {sig}")
-    rng = random.Random(20260809)
+    inner = lattice.inner
     ok_inv = ok_iso = True
-    for _ in range(1000):
-        r = _random_root(lattice, rng)
-        x, y = _random_vector(rng), _random_vector(rng)
-        if lattice.reflect(r, lattice.reflect(r, x)) != x:
+    # each sampled root is checked once, when its reflection is built
+    for r, x, y in _selfcheck_samples(lattice):
+        refl = lattice.reflection(r)
+        rx = refl(x)
+        if refl(rx) != x:
             ok_inv = False
-        if lattice.inner(lattice.reflect(r, x), lattice.reflect(r, y)) != lattice.inner(x, y):
+        if inner(rx, refl(y)) != inner(x, y):
             ok_iso = False
     s.add("reflections are involutions (1000 randomized)", ok_inv)
     s.add("reflections are isometries (1000 randomized)", ok_iso)

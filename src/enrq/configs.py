@@ -265,22 +265,24 @@ def _weight_profile(node, nodes, weight):
     return tuple(sorted(map(weight[node].__getitem__, nodes)))
 
 
-def _isomorphisms(nodes1, weight1, nodes2, weight2):
+def _profiles(nodes, weight):
+    """The weight profile of each of the nodes, in list order."""
+    return [_weight_profile(n, nodes, weight) for n in nodes]
+
+
+def _isomorphisms(nodes1, weight1, prof1, nodes2, weight2, prof2):
     """All weighted-graph isomorphisms nodes2 -> nodes1, as dicts from
-    nodes2 to nodes1 (positions in the weight matrices).  The backtrack
-    assigns nodes2 in list order and tries images in nodes1 order, so the
-    isomorphisms come in lexicographic order of their images."""
+    nodes2 to nodes1 (positions in the weight matrices).  prof1 and prof2
+    are the nodes' profiles (see _profiles); a node maps only to one of
+    equal profile.  The backtrack assigns nodes2 in list order and tries
+    images in nodes1 order, so the isomorphisms come in lexicographic
+    order of their images."""
     if len(nodes1) != len(nodes2):
-        return []
-    prof1 = [_weight_profile(n, nodes1, weight1) for n in nodes1]
-    prof2 = [_weight_profile(n, nodes2, weight2) for n in nodes2]
-    # an isomorphism maps each node to one of equal profile
-    if sorted(prof1) != sorted(prof2):
         return []
     by_profile = {}
     for n1, p in zip(nodes1, prof1):
         by_profile.setdefault(p, []).append(n1)
-    candidates = [by_profile[p] for p in prof2]
+    candidates = [by_profile.get(p, ()) for p in prof2]
     size = len(nodes2)
     images = [None] * size
     used = set()
@@ -368,7 +370,8 @@ def shared_eight_search(t1: str, t2: str):
     rests2 = []
     for c2 in range(len(ids2)):
         r2 = [n for n in order2 if n != c2]
-        rests2.append((c2, r2, sorted(_weight_profile(n, r2, w2) for n in r2)))
+        prof2 = _profiles(r2, w2)
+        rests2.append((c2, r2, prof2, sorted(prof2)))
     for c1 in range(len(ids1)):
         # everything that does not depend on the isomorphism: rows and
         # columns 0..8 of the Gram matrix (the shared curves, then C9), f1,
@@ -380,11 +383,12 @@ def shared_eight_search(t1: str, t2: str):
             block[k][k] = -2
         f1 = [mult1[s] for s in shared] + [mult1[c1], 0]
         assert all(sum(map(mul, row, f1)) == 0 for row in block), "fiber condition violated in F"
-        prof1 = sorted(_weight_profile(n, shared, w1) for n in shared)
+        prof1 = _profiles(shared, w1)
+        multiset1 = sorted(prof1)
         shared_conn = _connected(shared, w1)
-        for c2, r2, prof2 in rests2:
+        for c2, r2, prof2, multiset2 in rests2:
             # unequal profile multisets admit no isomorphism
-            isos = _isomorphisms(shared, w1, r2, w2) if prof1 == prof2 else []
+            isos = _isomorphisms(shared, w1, prof1, r2, w2, prof2) if multiset1 == multiset2 else []
             branch = {"connector1": ids1[c1], "connector2": ids2[c2], "isomorphisms": len(isos), "hits": []}
             m2 = mult2[c2]
             for iso in isos:

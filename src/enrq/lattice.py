@@ -62,31 +62,29 @@ def inner(u, v) -> int:
     )
 
 
-def add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def neg(v):
     return tuple(-a for a in v)
 
 
-def scale(k, v):
-    return tuple(k * a for a in v)
+def reflection(r):
+    """The reflection in the hyperplane orthogonal to the root r, as a map.
 
-
-def reflect(r, x):
-    """Reflection of x in the hyperplane orthogonal to the root r.
-
-    Requires r.r = -2; the map x -> x + (x.r) r is then an isometry of
-    the lattice and an involution.
+    Checks r.r = -2 once, when the map is built; the map x -> x + (x.r) r
+    is then an isometry of the lattice and an involution.
     """
     if inner(r, r) != -2:
         raise ValueError("reflection vector must have self-intersection -2")
-    return add(x, scale(inner(x, r), r))
+
+    def apply(x):
+        k = inner(x, r)
+        return tuple(a + k * b for a, b in zip(x, r))
+
+    return apply
+
+
+def reflect(r, x):
+    """Reflection of x in the hyperplane orthogonal to the root r (r.r = -2)."""
+    return reflection(r)(x)
 
 
 def validate_sequence(seq) -> bool:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from enrq import cli, ecaut
+from enrq import cli, ecaut, lattice
 from enrq.cli import RunConfig, run
 
 
@@ -161,3 +161,61 @@ def test_lazy_import_contract():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "lazy imports ok\n"
+
+
+SIMPLE_ROOTS = lattice.BASIS[2:]
+
+
+def reachable_roots(steps=3):
+    # every root the self-check sampler can draw: a simple root moved by up to 3 simple reflections
+    level = set(SIMPLE_ROOTS)
+    roots = set(level)
+    for _ in range(steps):
+        level = {lattice.reflect(a, r) for r in level for a in SIMPLE_ROOTS}
+        roots |= level
+    return roots
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_selfcheck_samples():
+    samples = list(cli._selfcheck_samples(lattice))
+    assert len(samples) == 1000
+    assert samples == list(cli._selfcheck_samples(lattice))
+    roots = {r for r, _, _ in samples}
+    assert all(lattice.inner(r, r) == -2 for r in roots)
+    assert set(SIMPLE_ROOTS) <= roots
+    assert roots <= reachable_roots()
+    assert not roots <= reachable_roots(2)
+    values = {c for _, x, y in samples for c in x + y}
+    assert values == set(range(-5, 6))
+    assert all(len(x) == len(y) == 10 for _, x, y in samples)
+
+
+def test_reachable_reflections_are_exact_isometric_involutions():
+    # the exact statement behind the two "(1000 randomized)" rows: for every
+    # root the sampler can reach, S = I + r (G r)^T has S^2 = I and S^T G S = G
+    gram = [list(row) for row in lattice.GRAM]
+    identity = [list(v) for v in lattice.BASIS]
+    roots = reachable_roots()
+    assert len(roots) == 51
+    for r in roots:
+        gr = [sum(g * c for g, c in zip(row, r)) for row in gram]
+        s = [[(i == j) + r[i] * gr[j] for j in range(10)] for i in range(10)]
+        assert matmul(s, s) == identity, r
+        assert matmul(matmul([list(c) for c in zip(*s)], gram), s) == gram, r
+        refl = lattice.reflection(r)
+        assert [list(refl(e)) for e in lattice.BASIS] == [list(c) for c in zip(*s)], r
+
+
+def test_broken_reflection_fails_both_randomized_rows(monkeypatch, tmp_path):
+    # x -> x + r is neither an involution nor an isometry
+    monkeypatch.setattr(lattice, "reflection", lambda r: lambda x: tuple(a + b for a, b in zip(x, r)))
+    status, report = run(RunConfig(suite="lattice-selfcheck", out=str(tmp_path / "r.md")))
+    assert status == 1
+    rows = {row["label"]: row["status"] for row in report.suites[0].rows}
+    assert rows["reflections are involutions (1000 randomized)"] == "fail"
+    assert rows["reflections are isometries (1000 randomized)"] == "fail"
+    assert rows["Gram determinant"] == "pass"

@@ -355,7 +355,8 @@ def test_isomorphism_pruning_keeps_every_isomorphism(t1, t2):
         r1 = sorted((n for n in range(len(ids1)) if n != c1), key=ids1.__getitem__)
         for c2 in range(len(ids2)):
             r2 = sorted((n for n in range(len(ids2)) if n != c2), key=ids2.__getitem__)
-            got = [{ids2[a]: ids1[b] for a, b in iso.items()} for iso in configs._isomorphisms(r1, w1, r2, w2)]
+            got = [{ids2[a]: ids1[b] for a, b in iso.items()} for iso in configs._isomorphisms(
+                r1, w1, configs._profiles(r1, w1), r2, w2, configs._profiles(r2, w2))]
             expected = unpruned_isomorphisms([ids1[n] for n in r1], dw1, [ids2[n] for n in r2], dw2)
             assert got == expected, (ids1[c1], ids2[c2])
 

@@ -184,6 +184,27 @@ def test_reflection_is_isometric_involution(seed, u, v):
     assert lattice.inner(lattice.reflect(r, u), lattice.reflect(r, v)) == lattice.inner(u, v)
 
 
+def reflection_matrix(r):
+    # S = I + r (G r)^T, so that S x = x + (x.r) r
+    gr = [sum(g * c for g, c in zip(row, r)) for row in lattice.GRAM]
+    return [[(i == j) + r[i] * gr[j] for j in range(10)] for i in range(10)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(root_seeds, vectors)
+def test_reflection_map_agrees_with_reflect_and_the_matrix(seed, x):
+    r = seed_to_root(seed)
+    got = lattice.reflection(r)(x)
+    assert got == lattice.reflect(r, x)
+    assert got == tuple(sum(s * c for s, c in zip(row, x)) for row in reflection_matrix(r))
+
+
+def test_reflection_rejects_non_root_when_built():
+    for v in (lattice.E, (1, 1, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            lattice.reflection(v)
+
+
 def test_validate_sequence_basics():
     assert lattice.validate_sequence([])
     assert lattice.validate_sequence([lattice.E, lattice.F])
