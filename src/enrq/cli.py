@@ -15,7 +15,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from .report import Report
 
@@ -24,16 +23,18 @@ class OutputError(OSError):
     """The report or its sidecar could not be written."""
 
 
-@dataclass
 class RunConfig:
-    suite: str = "all"
-    fmt: str = "markdown"
-    out: str | None = None
-    bound: int = 6
-    ext_degree: int = 0  # 0: per-row sufficient degrees
-    order: int = 0  # 0: the tame orders 2, 3, 5, 7
+    """One run's settings, checked when built (ValueError on a bad one).
+    ext_degree 0 means the per-row sufficient degrees, order 0 the tame
+    orders 2, 3, 5, 7."""
 
-    def __post_init__(self):
+    def __init__(self, suite="all", fmt="markdown", out=None, bound=6, ext_degree=0, order=0):
+        self.suite = suite
+        self.fmt = fmt
+        self.out = out
+        self.bound = bound
+        self.ext_degree = ext_degree
+        self.order = order
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.fmt not in ("markdown", "csv", "json"):

@@ -123,12 +123,6 @@ class Configuration:
     def label(self):
         return " + ".join(fibers.dynkin_label(e.tag) + (f" (wild {e.wild})" if e.wild else "") for e in self.entries)
 
-    def to_json(self):
-        return {
-            "entries": [{"tag": e.tag, "double": e.double, "wild": e.wild} for e in self.entries],
-            "char_mode": self.char_mode,
-        }
-
 
 def enumerate_pairs():
     """All unordered pairs of additive types with m1 + m2 = 10 and tame

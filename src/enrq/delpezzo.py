@@ -9,6 +9,17 @@ parameters (lam, mu and their second-generation copies) are handled by
 adjoining formal inverses with the rewrite rule lam * ilam -> 1, applied
 monomial by monomial; this keeps all computation inside a polynomial ring.
 
+How the kernel computes:
+- Products.  Two reduced monomials multiply by adding exponents.  The
+  rewrite rule runs only when some invertible parameter and its inverse
+  both occur in the sum; otherwise the sum is already reduced.
+- Determinants.  A 5x5 map matrix is expanded by cofactors along its
+  rows (no signs in characteristic 2).  Each minor on the lower rows is
+  computed once per set of columns, and zero entries and zero minors are
+  skipped, so a sparse matrix costs a few products, not 120 terms.
+- Pullbacks.  Each power of a coordinate that a polynomial needs is
+  computed once per pullback and shared by its monomials.
+
 The three surfaces (D1 for classical, D2 for ordinary, D3 for
 supersingular covers) are intersections of two quadrics g1, g2.  A
 coordinate map preserves the surface iff the pullback of each g_i lands
@@ -26,7 +37,8 @@ this is again plain F2 linear algebra with polynomial right-hand sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cache, cached_property
+from operator import add
 
 NAMES = (
     "x0", "x1", "x2", "x3", "x4",
@@ -68,10 +80,14 @@ class ParamPoly:
         return ParamPoly(self.monomials ^ other.monomials)
 
     def __mul__(self, other):
+        (lam, ilam), (mu, imu), (lam2, ilam2), (mu2, imu2) = INV_PAIRS
         acc = set()
         for m1 in self.monomials:
             for m2 in other.monomials:
-                m = reduce_monomial(tuple(e1 + e2 for e1, e2 in zip(m1, m2)))
+                m = tuple(map(add, m1, m2))
+                # reduce_monomial is the identity unless a parameter and its inverse both occur
+                if (m[lam] and m[ilam]) or (m[mu] and m[imu]) or (m[lam2] and m[ilam2]) or (m[mu2] and m[imu2]):
+                    m = reduce_monomial(m)
                 if m in acc:
                     acc.discard(m)
                 else:
@@ -81,8 +97,8 @@ class ParamPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power: use unit_inverse")
-        out = ONE
-        for _ in range(n):
+        out = self if n else ONE
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -116,13 +132,8 @@ class ParamPoly:
     def coefficient_of(self, var_index):
         """Coefficient of the degree-1 part in one variable (the monomials
         with exponent exactly 1 there, with that variable removed)."""
-        out = set()
-        for m in self.monomials:
-            if m[var_index] == 1:
-                mm = list(m)
-                mm[var_index] = 0
-                out.add(tuple(mm))
-        return ParamPoly(frozenset(out))
+        return ParamPoly(frozenset(
+            m[:var_index] + (0,) + m[var_index + 1:] for m in self.monomials if m[var_index] == 1))
 
     def __str__(self):
         if not self.monomials:
@@ -181,19 +192,29 @@ class ProjMap:
                 raise ValueError("coordinates must be homogeneous linear in x")
 
     def matrix(self):
-        return [[self.coords[i].coefficient_of(j) for j in X_VARS] for i in range(5)]
+        return [_x_linear_parts(c) for c in self.coords]
 
     def det(self):
+        """Cofactor expansion along the rows (char 2: no signs).  The minor
+        on the last rows is fixed by its set of columns, so each one is
+        computed once; zero entries and zero minors are skipped."""
         m = self.matrix()
-        total = ZERO
-        for perm in permutations(range(5)):  # char 2: no signs
-            term = ONE
-            for i in range(5):
-                term = term * m[i][perm[i]]
-                if term.is_zero():
-                    break
-            total = total + term
-        return total
+        minors = {(): ONE}
+
+        def minor(cols):
+            if cols not in minors:
+                row = m[5 - len(cols)]
+                total = ZERO
+                for k, c in enumerate(cols):
+                    if row[c].is_zero():
+                        continue
+                    rest = minor(cols[:k] + cols[k + 1:])
+                    if not rest.is_zero():
+                        total = total + row[c] * rest
+                minors[cols] = total
+            return minors[cols]
+
+        return minor(X_VARS)
 
     def is_invertible(self):
         return self.det().is_unit()
@@ -236,7 +257,14 @@ class Pencil:
         a_part, b_part = self.forms[i]
         return A * a_part + B * b_part
 
+    @cached_property
+    def columns(self):
+        """The x-coefficient vectors of A1, B1, A2, B2, as 0/1 integers
+        (the forms are parameter-free, so each coefficient is 0 or 1)."""
+        return tuple(tuple(int(not c.is_zero()) for c in _x_linear_parts(f)) for pair in self.forms for f in pair)
 
+
+@cache
 def surface(kind: str) -> QuadricPair:
     """Defining quadric pair: D1 (classical cover image), D2 (ordinary,
     e = 1), D3 (supersingular, e = 0)."""
@@ -250,6 +278,7 @@ def surface(kind: str) -> QuadricPair:
     raise ValueError(f"unknown surface {kind!r}")
 
 
+@cache
 def pencils(kind: str):
     """The two pencils of conics on the surface."""
     if kind == "D1":
@@ -313,14 +342,29 @@ def aut_d3_torus(lam=LAM):
 def pullback(poly, m: ProjMap):
     """Substitute the map's coordinates for x0..x4.  Each monomial's
     parameter part is already reduced and is kept as it is."""
+    powers = {}
     out = ZERO
     for mon in poly.monomials:
         term = ParamPoly(frozenset({(0,) * 5 + mon[5:]}))
         for i in X_VARS:
-            if mon[i]:
-                term = term * m.coords[i] ** mon[i]
+            e = mon[i]
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = m.coords[i] ** e
+                term = term * powers[i, e]
         out = out + term
     return out
+
+
+def _x_linear_parts(poly):
+    """[poly.coefficient_of(j) for j in X_VARS], in one pass over the
+    monomials."""
+    parts = [set() for _ in X_VARS]
+    for mon in poly.monomials:
+        for j in X_VARS:
+            if mon[j] == 1:
+                parts[j].add(mon[:j] + (0,) + mon[j + 1:])
+    return [ParamPoly(frozenset(p)) for p in parts]
 
 
 def _x_coefficients(poly):
@@ -372,12 +416,10 @@ def pencil_action(m: ProjMap, pencil: Pencil):
     the 2x2 parameter matrix sending (a, b) to (a', b'), normalized, or
     NOT_PRESERVED when no consistent solution exists.
     """
-    (a1, b1), (a2, b2) = pencil.forms
-    cols = [[f.coefficient_of(j) for j in X_VARS] for f in (a1, b1, a2, b2)]
     rows = []
     for i in range(2):
         pulled = pullback(pencil.member(i), m)
-        sol = _solve_f2(cols, [pulled.coefficient_of(j) for j in X_VARS])
+        sol = _solve_f2(pencil.columns, _x_linear_parts(pulled))
         if sol is None:
             return NOT_PRESERVED
         w1, w2, w3, w4 = sol
@@ -389,41 +431,35 @@ def pencil_action(m: ProjMap, pencil: Pencil):
                 rows.append(pair)
     if not rows or not all(_proportional(rows[0], row) for row in rows[1:]):
         return NOT_PRESERVED
-    aprime, bprime = rows[0]
-    mat = (
-        (aprime.coefficient_of(_IDX["a"]), aprime.coefficient_of(_IDX["b"])),
-        (bprime.coefficient_of(_IDX["a"]), bprime.coefficient_of(_IDX["b"])),
-    )
+    mat = tuple((p.coefficient_of(_IDX["a"]), p.coefficient_of(_IDX["b"])) for p in rows[0])
     # the solution must be linear in (a, b): anything else is inconsistent
-    rebuilt_a = A * mat[0][0] + B * mat[0][1]
-    rebuilt_b = A * mat[1][0] + B * mat[1][1]
-    if rebuilt_a != aprime or rebuilt_b != bprime:
+    if any(A * ca + B * cb != p for (ca, cb), p in zip(mat, rows[0])):
         return NOT_PRESERVED
     return normalize_action(mat)
 
 
 def _solve_f2(cols, target):
     """Solve sum_j w_j * cols[j] = target where the columns are
-    constant (0/1) vectors, as Pencil guarantees, and the target has
+    constant 0/1 integer vectors (Pencil.columns) and the target has
     ParamPoly entries.
     Returns the unique solution or None (inconsistent or underdetermined
     columns are rejected)."""
     nrows = len(target)
     ncols = len(cols)
-    mat = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
+    mat = [list(row) for row in zip(*cols)]
     rhs = list(target)
     piv_rows = []
     used = [False] * nrows
     for j in range(ncols):
-        piv = next((i for i in range(nrows) if not used[i] and mat[i][j] == ONE), None)
+        piv = next((i for i in range(nrows) if not used[i] and mat[i][j]), None)
         if piv is None:
             return None  # underdetermined column
         used[piv] = True
         piv_rows.append((piv, j))
         for i in range(nrows):
-            if i != piv and mat[i][j] == ONE:
+            if i != piv and mat[i][j]:
                 for jj in range(ncols):
-                    mat[i][jj] = mat[i][jj] + mat[piv][jj]
+                    mat[i][jj] ^= mat[piv][jj]
                 rhs[i] = rhs[i] + rhs[piv]
     for i in range(nrows):
         if not used[i] and not rhs[i].is_zero():

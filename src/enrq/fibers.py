@@ -126,19 +126,6 @@ class FiberModel:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data):
-        comps = tuple((d["id"], int(d["mult"])) for d in data["components"])
-        pts = tuple(
-            Point(
-                d["id"],
-                tuple((b["component"], int(b["count"])) for b in d["branches"]),
-                int(d.get("local_mult", 1)),
-            )
-            for d in data["points"]
-        )
-        return cls(comps, pts)
-
 
 def euler(model: FiberModel) -> int:
     """Euler characteristic from the incidence model (see module docstring)."""

@@ -125,10 +125,6 @@ class IsotropicSequence:
     def to_json(self):
         return [list(v) for v in self.vectors]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(tuple(int(c) for c in v) for v in data))
-
 
 # ---------------------------------------------------------------------------
 # exact determinant, signature and search bound
@@ -391,14 +387,3 @@ def search_sequences(n: int, bound: int, cap: int | None = 100):
 
     extend()
     return results
-
-
-def vector_to_json(v):
-    return list(v)
-
-
-def vector_from_json(data):
-    v = tuple(int(c) for c in data)
-    if len(v) != RANK:
-        raise ValueError("expected 10 coordinates")
-    return v

@@ -11,17 +11,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
 INFO = "info"
 
 
-@dataclass
 class Suite:
-    name: str
-    rows: list = field(default_factory=list)
+    def __init__(self, name, rows=None):
+        self.name = name
+        self.rows = [] if rows is None else rows
 
     def add(self, label, ok=None, detail=""):
         status = INFO if ok is None else (PASS if ok else FAIL)
@@ -31,9 +30,9 @@ class Suite:
         return all(r["status"] != FAIL for r in self.rows)
 
 
-@dataclass
 class Report:
-    suites: list = field(default_factory=list)
+    def __init__(self, suites=None):
+        self.suites = [] if suites is None else suites
 
     def new_suite(self, name):
         suite = Suite(name)

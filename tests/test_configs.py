@@ -85,7 +85,6 @@ def test_configuration_validation():
         configs.Configuration((configs.FiberEntry("II", wild=1),), configs.GENERIC)
     cfg = configs.Configuration((configs.FiberEntry("I0*", double=True), configs.FiberEntry("I0*")))
     assert cfg.is_extremal()
-    assert cfg.to_json()["entries"][0]["double"] is True
 
 
 def test_bielliptic_pair_check():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -280,3 +281,162 @@ def test_negative_powers_are_rejected():
         X0 ** -2
     assert LAM ** 0 == dp.ONE
     assert LAM.unit_inverse() == dp.var("ilam")
+
+
+# Oracles for the product and determinant kernels: the zip-and-reduce
+# product and the 120-permutation expansion they replaced.
+
+
+def mul_oracle(p, q):
+    acc = set()
+    for m1 in p.monomials:
+        for m2 in q.monomials:
+            acc ^= {dp.reduce_monomial(tuple(e1 + e2 for e1, e2 in zip(m1, m2)))}
+    return dp.ParamPoly(frozenset(acc))
+
+
+def det_oracle(m):
+    mat = [[c.coefficient_of(j) for j in dp.X_VARS] for c in m.coords]
+    total = ZERO
+    for perm in itertools.permutations(range(5)):  # char 2: no signs
+        term = dp.ONE
+        for i in range(5):
+            term = mul_oracle(term, mat[i][perm[i]])
+        total = total + term
+    return total
+
+
+ALL_PARAMS = [dp._IDX[n] for n in dp.NAMES[7:]]
+
+
+def _random_param_poly(rng, reduced=True, x_degree=2):
+    # x-degree up to x_degree, exponents 0..2 in up to four group
+    # parameters, so that each of the four inverse pairs meets its partner
+    monomials = set()
+    for _ in range(rng.randrange(1, 6)):
+        mon = [0] * dp.NVARS
+        for _ in range(rng.randrange(x_degree + 1)):
+            mon[rng.randrange(5)] += 1
+        for i in rng.sample(ALL_PARAMS, rng.randrange(1, 5)):
+            mon[i] = rng.randrange(3)
+        mon = tuple(mon)
+        monomials ^= {dp.reduce_monomial(mon) if reduced else mon}
+    return dp.ParamPoly(frozenset(monomials))
+
+
+def _random_linear_map(rng):
+    # sparse random coordinates, some of them zero, so singular maps occur
+    coords = []
+    for _ in range(5):
+        c = ZERO
+        for j in rng.sample(range(5), rng.randrange(4)):
+            c = c + _random_param_poly(rng, x_degree=0) * dp.var(f"x{j}")
+        coords.append(c)
+    return dp.ProjMap(tuple(coords))
+
+
+COMPOSED_MAPS = [dp.compose(m1, m2) for m1 in FAMILY_MAPS for m2 in SECOND_GENERATION]
+
+
+def test_det_matches_permutation_oracle_on_family_maps():
+    for m in FAMILY_MAPS + COMPOSED_MAPS + [dp.identity_map(), dp.ProjMap((X0, X0, X2, X3, X4))]:
+        assert m.det() == det_oracle(m), m
+
+
+def test_det_matches_permutation_oracle_on_random_maps():
+    rng = random.Random(20260814)
+    dets = []
+    for _ in range(40):
+        m = _random_linear_map(rng)
+        dets.append(m.det())
+        assert dets[-1] == det_oracle(m), m
+    assert any(d.is_zero() for d in dets) and not all(d.is_zero() for d in dets)
+
+
+def test_mul_matches_oracle_on_map_entries():
+    entries = {e for m in FAMILY_MAPS + COMPOSED_MAPS for row in m.matrix() for e in row}
+    entries |= {c for m in FAMILY_MAPS + COMPOSED_MAPS for c in m.coords}
+    for p in entries:
+        for q in entries:
+            assert p * q == mul_oracle(p, q), (str(p), str(q))
+
+
+def test_mul_matches_oracle_on_random_polynomials():
+    rng = random.Random(20260815)
+    for _ in range(300):
+        p, q = _random_param_poly(rng), _random_param_poly(rng)
+        assert p * q == mul_oracle(p, q), (str(p), str(q))
+
+
+def test_mul_matches_oracle_on_unreduced_monomials():
+    # monomials that break the rewrite rule, built by hand: the product
+    # must still come out reduced, as the oracle reduces every product
+    for lam, ilam in dp.INV_PAIRS:
+        mon = [0] * dp.NVARS
+        mon[lam] = mon[ilam] = 1
+        p = dp.ParamPoly(frozenset({tuple(mon)}))  # lam * ilam in one monomial
+        assert p * dp.ONE == dp.ONE == mul_oracle(p, dp.ONE)
+        assert dp.ONE * p == dp.ONE
+        mon[lam] = 3
+        mon[0] = 1
+        q = dp.ParamPoly(frozenset({tuple(mon)}))  # x0 * lam^3 * ilam
+        assert q * p == mul_oracle(q, p) == X0 * dp.ParamPoly(frozenset({dp.reduce_monomial(tuple(
+            2 if i == lam else 0 for i in range(dp.NVARS)))}))
+    rng = random.Random(20260816)
+    for _ in range(300):
+        p, q = _random_param_poly(rng, reduced=False), _random_param_poly(rng, reduced=False)
+        assert p * q == mul_oracle(p, q), (str(p), str(q))
+
+
+def test_x_linear_parts_match_coefficient_of():
+    rng = random.Random(20260817)
+    polys = [_random_param_poly(rng) for _ in range(100)]
+    polys += [c for m in FAMILY_MAPS + COMPOSED_MAPS for c in m.coords]
+    for poly in polys:
+        assert dp._x_linear_parts(poly) == [poly.coefficient_of(j) for j in dp.X_VARS], str(poly)
+
+
+def test_pencil_columns_are_the_basis_coefficients():
+    for kind in ("D1", "D2", "D3"):
+        for pencil in dp.pencils(kind):
+            (a1, b1), (a2, b2) = pencil.forms
+            want = [[f.coefficient_of(j) for j in dp.X_VARS] for f in (a1, b1, a2, b2)]
+            assert [[dp.ONE if e else ZERO for e in col] for col in pencil.columns] == want
+            assert pencil.columns is pencil.columns  # built once per pencil
+
+
+def test_powers_match_repeated_oracle_products():
+    rng = random.Random(20260818)
+    for _ in range(40):
+        p = _random_param_poly(rng)
+        want = dp.ONE
+        for n in range(5):
+            assert p ** n == want, (str(p), n)
+            want = mul_oracle(want, p)
+
+
+def test_solve_f2_matches_brute_force():
+    # four 0/1 columns of length five and a constant target: the unique
+    # solution over F2 when the columns are independent, else None
+    rng = random.Random(20260819)
+    for _ in range(300):
+        cols = [tuple(rng.randrange(2) for _ in range(5)) for _ in range(4)]
+        target = [rng.randrange(2) for _ in range(5)]
+        sols = [w for w in itertools.product((0, 1), repeat=4)
+                if all(sum(w[j] * cols[j][i] for j in range(4)) % 2 == target[i] for i in range(5))]
+        independent = all(any(sum(w[j] * cols[j][i] for j in range(4)) % 2 for i in range(5))
+                          for w in itertools.product((0, 1), repeat=4) if any(w))
+        got = dp._solve_f2(cols, [dp.ONE if t else ZERO for t in target])
+        if independent and sols:
+            assert got == [dp.ONE if e else ZERO for e in sols[0]], (cols, target)
+        else:
+            assert got is None, (cols, target)
+
+
+def test_pencil_action_rejects_a_solution_nonlinear_in_a_b():
+    # coordinates scaled by 1 + a: the pulled-back members are (1 + a)
+    # times the originals, so the solved (a' : b') = (a + a^2 : b + a*b)
+    # is consistent but not linear in (a, b)
+    scaled = dp.ProjMap(tuple((dp.ONE + dp.A) * x for x in (X0, X1, X2, X3, X4)))
+    for pencil in dp.pencils("D1"):
+        assert dp.pencil_action(scaled, pencil) == dp.NOT_PRESERVED
