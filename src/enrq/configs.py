@@ -54,17 +54,6 @@ from operator import mul
 from . import ecaut, fibers
 from .lattice import exact_det
 
-GENERIC = "generic"
-CHAR2_CLASSICAL = "char2_classical"
-CHAR2_ORDINARY = "char2_ordinary"
-CHAR2_SUPERSINGULAR = "char2_supersingular"
-MODES = (GENERIC, CHAR2_CLASSICAL, CHAR2_ORDINARY, CHAR2_SUPERSINGULAR)
-
-# half-fibers are multiplicative (or smooth) in these modes, additive
-# (or a supersingular elliptic curve) in the char-2 classical and
-# supersingular ones
-_DOUBLE_MULTIPLICATIVE = (GENERIC, CHAR2_ORDINARY)
-
 
 @dataclass(frozen=True)
 class FiberEntry:
@@ -78,30 +67,23 @@ class FiberEntry:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Multiset of singular fibers of one genus-one pencil."""
+    """Multiset of singular fibers of one genus-one pencil on a
+    supersingular Enriques surface in characteristic 2: half-fibers are
+    additive, and only additive fibers carry a wild term."""
 
     entries: tuple
-    char_mode: str = CHAR2_SUPERSINGULAR
 
     def __post_init__(self):
-        if self.char_mode not in MODES:
-            raise ValueError(f"unknown char mode {self.char_mode!r}")
         entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
         for e in entries:
             ent = fibers.catalog(e.tag)
             if e.wild < 0:
                 raise ValueError("wild term must be >= 0")
-            if e.wild > 0:
-                if self.char_mode == GENERIC:
-                    raise ValueError("wild ramification needs characteristic 2")
-                if ent.kind != fibers.ADDITIVE:
-                    raise ValueError("only additive fibers carry a wild term")
-            if e.double:
-                if self.char_mode in _DOUBLE_MULTIPLICATIVE and ent.kind != fibers.MULTIPLICATIVE:
-                    raise ValueError("half-fibers must be multiplicative in this mode")
-                if self.char_mode not in _DOUBLE_MULTIPLICATIVE and ent.kind != fibers.ADDITIVE:
-                    raise ValueError("half-fibers must be additive in this mode")
+            if e.wild > 0 and ent.kind != fibers.ADDITIVE:
+                raise ValueError("only additive fibers carry a wild term")
+            if e.double and ent.kind != fibers.ADDITIVE:
+                raise ValueError("half-fibers must be additive")
         if self.shioda_tate_sum() > 8:
             raise ValueError("sum(m_D - 1) exceeds the Shioda-Tate room 8")
 
@@ -110,9 +92,6 @@ class Configuration:
 
     def euler_total(self):
         return sum(fibers.catalog(e.tag).euler_tame + e.wild for e in self.entries)
-
-    def is_extremal(self):
-        return self.shioda_tate_sum() == 8
 
     def tags(self):
         return tuple(e.tag for e in self.entries)

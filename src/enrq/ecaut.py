@@ -1,5 +1,9 @@
 """Automorphism groups of elliptic curves and their fixed-point counts.
 
+The seven curve classes are written out once, in the table `_CLASSES`:
+each class's quaternion algebra, unit-group generators and structure
+tag.  A `CurveClass` is valid iff it is a key of that table.
+
 Fixed points are counted two independent ways:
 
 * norm arithmetic: an automorphism g of order coprime to the
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 
-from .gf import GF
+from .gf import FIELD_CAP, GF
 
 # ---------------------------------------------------------------------------
 # quaternion algebra (a, b | Q): i^2 = a, j^2 = b, ij = k = -ji, with
@@ -101,68 +105,40 @@ J0 = "0"
 SPECIAL = "special"
 
 
+# The curve classes: (char, j) -> ((a, b), unit-group generators in
+# doubled coordinates, structure tag of Aut(E)).  char 0 stands for any
+# characteristic > 3.  In characteristics 2 and 3 the special class
+# (j = 0) is exactly the supersingular one and the generic class is
+# ordinary.
+_CLASSES = {
+    (0, GENERIC): ((-1, -1), ((-2, 0, 0, 0),), "Z/2"),
+    (0, J1728): ((-1, -1), ((0, 2, 0, 0),), "Z/4"),
+    # Eisenstein: w = (-1 + j)/2 of order 3; -w has order 6
+    (0, J0): ((-1, -3), ((1, 0, -1, 0),), "Z/6"),
+    (3, GENERIC): ((-1, -3), ((-2, 0, 0, 0),), "Z/2"),
+    (3, SPECIAL): ((-1, -3), ((0, 2, 0, 0), (-1, 0, 1, 0)), "Z/3:Z/4"),
+    (2, GENERIC): ((-1, -1), ((-2, 0, 0, 0),), "Z/2"),
+    # Hurwitz units: Q8 extended by w = (-1 + i + j + k)/2
+    (2, SPECIAL): ((-1, -1), ((0, 2, 0, 0), (0, 0, 2, 0), (-1, 1, 1, 1)), "Q8:Z/3"),
+}
+
+
 @dataclass(frozen=True)
 class CurveClass:
-    """Coarse class of an elliptic curve: characteristic and j-class.
-
-    char 0 stands for any characteristic > 3 (j in {generic, 1728, 0});
-    char 2 and 3 use j in {generic, special}.  In characteristic 2 the
-    special class (j = 0) is exactly the supersingular one and the
-    generic class is ordinary; same in characteristic 3.
-    """
+    """Coarse class of an elliptic curve: (characteristic, j-class), one
+    of the keys of `_CLASSES`."""
 
     char: int
     j: str
 
     def __post_init__(self):
-        if self.char == 0:
-            if self.j not in (GENERIC, J1728, J0):
-                raise ValueError("char > 3 classes are generic, 1728 or 0")
-        elif self.char in (2, 3):
-            if self.j not in (GENERIC, SPECIAL):
-                raise ValueError("char 2/3 classes are generic or special")
-        else:
-            raise ValueError("char must be 0 (meaning > 3), 2 or 3")
-
-    @property
-    def supersingular(self):
-        return self.char in (2, 3) and self.j == SPECIAL
-
-    @property
-    def ordinary(self):
-        return self.char in (2, 3) and self.j == GENERIC
+        if (self.char, self.j) not in _CLASSES:
+            raise ValueError(f"unknown curve class (char {self.char}, j {self.j!r})")
 
 
-# quaternion algebra parameters and unit-group generators per class, in
-# doubled coordinates
 def _group_data(c: CurveClass):
-    i = (0, 2, 0, 0)
-    if c.char == 0:
-        if c.j == GENERIC:
-            return (-1, -1), [(-2, 0, 0, 0)]
-        if c.j == J1728:
-            return (-1, -1), [i]
-        # Eisenstein: w = (-1 + j)/2 of order 3; -w has order 6
-        return (-1, -3), [(1, 0, -1, 0)]
-    if c.char == 3:
-        if c.j == GENERIC:
-            return (-1, -3), [(-2, 0, 0, 0)]
-        return (-1, -3), [i, (-1, 0, 1, 0)]
-    if c.j == GENERIC:
-        return (-1, -1), [(-2, 0, 0, 0)]
-    # Hurwitz units: Q8 extended by w = (-1 + i + j + k)/2
-    return (-1, -1), [i, (0, 0, 2, 0), (-1, 1, 1, 1)]
-
-
-_STRUCTURE = {
-    (0, GENERIC): "Z/2",
-    (0, J1728): "Z/4",
-    (0, J0): "Z/6",
-    (3, GENERIC): "Z/2",
-    (3, SPECIAL): "Z/3:Z/4",
-    (2, GENERIC): "Z/2",
-    (2, SPECIAL): "Q8:Z/3",
-}
+    """((a, b), unit-group generators) of the class, from `_CLASSES`."""
+    return _CLASSES[(c.char, c.j)][:2]
 
 
 @cache
@@ -175,13 +151,7 @@ def _unit_group(c: CurveClass):
 
 def aut_group(c: CurveClass):
     """(order, structure tag) of Aut(E) for a curve of the given class."""
-    return len(_unit_group(c)[0]), _STRUCTURE[(c.char, c.j)]
-
-
-def unit_elements(c: CurveClass):
-    """The unit group of the endomorphism order, as quaternions."""
-    elems, a, b, _ = _unit_group(c)
-    return list(elems), a, b
+    return len(_unit_group(c)[0]), _CLASSES[(c.char, c.j)][2]
 
 
 def element_orders(c: CurveClass):
@@ -274,14 +244,7 @@ def _constants(aut: AutMap, fld: GF):
     w = fld.find_root(aut.sym_poly) if aut.sym_poly else fld.zero
     if w is None:
         raise ValueError("extension field does not contain the map's coefficients")
-
-    def value(coeffs):
-        acc = fld.zero
-        for c in reversed(coeffs):
-            acc = fld.add(fld.mul(acc, w), fld.from_int(c))
-        return acc
-
-    return tuple(value(c) for c in (aut.u, aut.r, aut.s, aut.t))
+    return tuple(fld._evaluate([fld.from_int(c) for c in coeffs], w) for coeffs in (aut.u, aut.r, aut.s, aut.t))
 
 
 def _substitution_preserves(curve: Weierstrass, fld: GF, u, r, s, t) -> bool:
@@ -400,9 +363,6 @@ def _y_solver(curve, fld):
     return solutions
 
 
-_FIELD_CAP = 1 << 20
-
-
 def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int = 12) -> int:
     """Count points fixed by the map over the degree-ext_degree extension
     (including the point at infinity).
@@ -411,10 +371,8 @@ def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int = 12) -> 
     is enumerated; X = u^2 x + r depends on x alone, so y is solved for
     only where X = x, and there (x, y) is fixed iff u^3 y + s u^2 x + t = y.
     When ext_degree makes ker(1 - g) rational this is the geometric
-    fixed-point count.
+    fixed-point count.  `GF` rejects an extension field above FIELD_CAP.
     """
-    if ext_degree < 1 or curve.p**ext_degree > _FIELD_CAP:
-        raise ValueError("extension field too large for enumeration")
     if not check_preserves(curve, aut):
         raise ValueError("map does not preserve the curve")
     fld = GF(curve.p, ext_degree)
@@ -488,11 +446,11 @@ def _rows():
 
 TABLE_ROWS = tuple(_rows())
 # extension degrees that serve every row: a multiple of each row's
-# sufficient degree, with every row's field p^d within _FIELD_CAP
+# sufficient degree, with every row's field p^d within FIELD_CAP
 TABLE_EXT_DEGREES = tuple(
     d
-    for d in range(1, _FIELD_CAP.bit_length())
-    if all(d % row.ext_degree == 0 and row.curve.p**d <= _FIELD_CAP for row in TABLE_ROWS)
+    for d in range(1, FIELD_CAP.bit_length())
+    if all(d % row.ext_degree == 0 and row.curve.p**d <= FIELD_CAP for row in TABLE_ROWS)
 )
 
 

@@ -94,9 +94,6 @@ class FiberModel:
     def reducible(self):
         return len(self.components) > 1
 
-    def multiplicity(self, cid):
-        return dict(self.components)[cid]
-
     def pairwise_intersections(self):
         """C_i.C_j for i != j, from shared points: local_mult * b_i * b_j."""
         pair = {}
@@ -112,19 +109,6 @@ class FiberModel:
         ids = [c for c, _ in self.components]
         pair = self.pairwise_intersections()
         return [[-2 if a == b else pair.get(frozenset((a, b)), 0) for b in ids] for a in ids]
-
-    def to_json(self):
-        return {
-            "components": [{"id": c, "mult": m} for c, m in self.components],
-            "points": [
-                {
-                    "id": p.id,
-                    "branches": [{"component": c, "count": k} for c, k in p.branches],
-                    "local_mult": p.local_mult,
-                }
-                for p in self.points
-            ],
-        }
 
 
 def euler(model: FiberModel) -> int:
@@ -212,7 +196,7 @@ def parse_tag(tag: str):
     m = _INSTAR_RE.match(tag)
     if m:
         return ("In*", int(m.group(1)))
-    if tag in ("II", "III", "IV", "IV*", "III*", "II*", "SMOOTH"):
+    if tag in ("II", "III", "IV", "IV*", "III*", "II*"):
         return (tag, None)
     raise ValueError(f"unknown fiber tag {tag!r}")
 
@@ -224,32 +208,13 @@ def dynkin_label(tag: str) -> str:
         return "A~0*" if n == 1 else f"A~{n - 1}"
     if family == "In*":
         return f"D~{n + 4}"
-    return {"II": "A~0**", "III": "A~1*", "IV": "A~2*", "IV*": "E~6", "III*": "E~7", "II*": "E~8", "SMOOTH": "smooth"}[family]
-
-
-def from_dynkin(label: str) -> str:
-    """Kodaira symbol for an affine Dynkin name such as 'D~8' or 'A~2*'."""
-    fixed = {"A~0*": "I1", "A~0**": "II", "A~1*": "III", "A~2*": "IV", "E~6": "IV*", "E~7": "III*", "E~8": "II*"}
-    if label in fixed:
-        return fixed[label]
-    m = re.match(r"^A~(\d+)$", label)
-    if m:
-        return f"I{int(m.group(1)) + 1}"
-    m = re.match(r"^D~(\d+)$", label)
-    if m:
-        n = int(m.group(1)) - 4
-        if n < 0:
-            raise ValueError(f"no fiber type {label}")
-        return f"I{n}*"
-    raise ValueError(f"unknown Dynkin label {label!r}")
+    return {"II": "A~0**", "III": "A~1*", "IV": "A~2*", "IV*": "E~6", "III*": "E~7", "II*": "E~8"}[family]
 
 
 @cache  # entries are frozen, so one instance per tag can be shared
 def catalog(tag: str) -> CatalogEntry:
     """Canonical incidence model and invariants for a singular fiber type."""
     family, n = parse_tag(tag)
-    if family == "SMOOTH":
-        raise ValueError("smooth fibers have no incidence model")
     if family == "In":
         if n < 1:
             raise ValueError("I_n needs n >= 1")

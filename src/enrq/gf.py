@@ -17,6 +17,9 @@ Arithmetic is by lookup in tables built once per (p, k), on the first
   1 + g^d = 0, so a + b = g^(log a) (1 + g^(log b - log a)) is two
   lookups.  For p = 2 addition is XOR and -a = a.
 
+The tables hold a few ints per element, so `GF` rejects a field of more
+than FIELD_CAP = 2^20 elements before it factors p or builds anything.
+
 All arithmetic is exact.  Iteration order over the field is that of the
 coefficient tuples (a0, ..., a_{k-1}) in lexicographic order, so searches
 (e.g. for a root of a defining polynomial) are reproducible.
@@ -28,6 +31,8 @@ import math
 import operator
 from functools import cache
 from itertools import product
+
+FIELD_CAP = 1 << 20  # the largest p^k that GF accepts
 
 
 def _poly_trim(a):
@@ -166,10 +171,14 @@ class GF:
     """The field with p^k elements; elements are ints (see the module docstring)."""
 
     def __init__(self, p, k):
-        if _prime_factors(p) != {p}:
-            raise ValueError("p must be prime")
         if k < 1:
             raise ValueError("k must be >= 1")
+        # before p is factored or a table is built; p^21 already exceeds
+        # the cap for p >= 2, so a larger k need not be raised to
+        if p ** min(k, FIELD_CAP.bit_length()) > FIELD_CAP:
+            raise ValueError(f"GF({p}^{k}) is larger than FIELD_CAP = {FIELD_CAP} elements")
+        if _prime_factors(p) != {p}:
+            raise ValueError("p must be prime")
         self.p = p
         self.k = k
         self.q = p**k

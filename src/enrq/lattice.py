@@ -358,8 +358,8 @@ def search_sequences(n: int, bound: int, cap: int | None = 100):
 
     Returns a list of IsotropicSequence (ordered, so permutations of the
     same vector set count as distinct sequences).  At most `cap` results
-    are returned (pass cap=None for the full enumeration).  The search
-    order is fixed, so results are deterministic.
+    are returned, cap >= 1 (pass cap=None for the full enumeration).  The
+    search order is fixed, so results are deterministic.
     """
     if not 1 <= n <= 10:
         # Eleven isotropic vectors with pairwise product 1 would have a
@@ -367,6 +367,8 @@ def search_sequences(n: int, bound: int, cap: int | None = 100):
         raise ValueError("sequence length must be between 1 and 10")
     if bound < 1:
         raise ValueError("coordinate bound must be >= 1")
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be >= 1, or None for the full enumeration")
     results = []
     chosen = []
     duals = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from . import configs, ecaut
@@ -66,13 +67,11 @@ class SurfaceRow:
     aut_nt: tuple  # paired by position with aut_ct
 
 
+@cache
 def _load():
+    """The parsed data/tables.json, read once per process (do not mutate)."""
     with resources.files("enrq.data").joinpath("tables.json").open("r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def raw_data():
-    return _load()
 
 
 def table_rows():

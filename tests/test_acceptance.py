@@ -126,7 +126,7 @@ def test_criterion_8_lattice_selfcheck():
 def test_criterion_9_tables_consistency():
     entries = tables.consistency_check()
     ok = bool(entries) and all(okk for _, okk, _ in entries)
-    data = tables.raw_data()
+    data = tables._load()
     ok = ok and set(data["supersingular_ct_candidates"]) == {"1", "Z/2", "Z/3", "Z/5", "Z/7", "Z/11", "Q8"}
     ok = ok and data["char_not_2"]["max_nt_order"] <= 4 and data["char_not_2"]["nt_cyclic"]
     _report(9, ok, "2-elementary quotients, admissible supersingular groups, char != 2 cyclic bound")

@@ -75,16 +75,12 @@ def test_odd_order_smooth_case_rejects_bad_orders():
 def test_configuration_validation():
     with pytest.raises(ValueError):  # Shioda-Tate room exceeded
         configs.Configuration((configs.FiberEntry("II*"), configs.FiberEntry("I0*")))
-    with pytest.raises(ValueError):  # multiplicative half-fiber, supersingular mode
-        configs.Configuration((configs.FiberEntry("I2", double=True),), configs.CHAR2_SUPERSINGULAR)
-    with pytest.raises(ValueError):  # additive half-fiber in ordinary mode
-        configs.Configuration((configs.FiberEntry("II", double=True),), configs.CHAR2_ORDINARY)
+    with pytest.raises(ValueError):  # multiplicative half-fiber
+        configs.Configuration((configs.FiberEntry("I2", double=True),))
     with pytest.raises(ValueError):  # wild term on a multiplicative fiber
         configs.Configuration((configs.FiberEntry("I2", wild=1),))
-    with pytest.raises(ValueError):  # wild term outside characteristic 2
-        configs.Configuration((configs.FiberEntry("II", wild=1),), configs.GENERIC)
     cfg = configs.Configuration((configs.FiberEntry("I0*", double=True), configs.FiberEntry("I0*")))
-    assert cfg.is_extremal()
+    assert cfg.shioda_tate_sum() == 8
 
 
 def test_bielliptic_pair_check():

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from enrq import ecaut
+from enrq import ecaut, gf
 from enrq.ecaut import AutMap, CurveClass, Weierstrass
 from enrq.gf import GF
 
@@ -28,8 +28,6 @@ def test_curve_class_validation():
         CurveClass(2, J1728)
     with pytest.raises(ValueError):
         CurveClass(5, GENERIC)
-    assert CurveClass(2, SPECIAL).supersingular
-    assert CurveClass(2, GENERIC).ordinary
 
 
 def test_element_orders():
@@ -75,7 +73,7 @@ def test_fixed_count_rejects_unrealized_orders():
 
 def test_norm_independent_of_primitive_element():
     for cls in (CurveClass(0, J0), CurveClass(2, SPECIAL), CurveClass(3, SPECIAL)):
-        elems, a, b = ecaut.unit_elements(cls)
+        elems, a, b, _ = ecaut._unit_group(cls)
         by_order = {}
         for g in elems:
             o = ecaut._element_order(g, a, b)
@@ -90,6 +88,23 @@ def test_accepted_orders_divide_group_order():
         group_order = ecaut.aut_group(cls)[0]
         for o in ecaut.element_orders(cls):
             assert group_order % o == 0
+
+
+def test_fields_above_the_cap_are_rejected_before_any_table(monkeypatch):
+    # a degree-21 sym_poly asks for GF(2^21), and so does ext_degree 21;
+    # both are refused before any table is built
+    tables = gf._tables
+
+    def checked(p, k):
+        assert p**k <= gf.FIELD_CAP, f"built tables for GF({p}^{k})"
+        return tables(p, k)
+
+    monkeypatch.setattr(gf, "_tables", checked)
+    curve = Weierstrass(2, a3=1)
+    with pytest.raises(ValueError, match="FIELD_CAP"):
+        ecaut.check_preserves(curve, AutMap(sym_poly=(1,) + (0,) * 20 + (1,)))
+    with pytest.raises(ValueError, match="FIELD_CAP"):
+        ecaut.brute_force_count(curve, AutMap(t=(1,)), 21)
 
 
 def test_brute_force_cube_root_twist():
@@ -392,15 +407,6 @@ def test_fixed_count_equals_uncached_recomputation(cls):
         assert ecaut.fixed_count(cls, order) == uncached_fixed_count(cls, order), order
 
 
-def test_unit_elements_returns_a_fresh_list():
-    cls = CurveClass(2, SPECIAL)
-    elems, a, b = ecaut.unit_elements(cls)
-    before = list(elems)
-    elems.clear()
-    assert ecaut.unit_elements(cls) == (before, a, b)
-    assert ecaut.aut_group(cls) == (24, "Q8:Z/3")
-
-
 def test_unit_group_built_once_per_class(monkeypatch):
     from enrq import configs
 
@@ -489,7 +495,7 @@ def _fraction_order(x, a, b):
 def test_doubled_units_match_fraction_oracle(cls):
     (a, b), gens = _fraction_group_data(cls)
     oracle = _fraction_closure(gens, a, b)
-    elems, a2, b2 = ecaut.unit_elements(cls)
+    elems, a2, b2, _ = ecaut._unit_group(cls)
     assert (a2, b2) == (a, b)
     halved = [tuple(Fraction(c, 2) for c in x) for x in elems]
     assert halved == oracle

@@ -222,6 +222,19 @@ def test_modulus_and_construction():
             GF(p, k)
 
 
+def test_fields_above_the_cap_are_rejected_before_any_work(monkeypatch):
+    # neither factoring p nor building a table may start
+    def refuse(*args):
+        raise AssertionError("work started on a field above the cap")
+
+    monkeypatch.setattr(gf, "_prime_factors", refuse)
+    monkeypatch.setattr(gf, "_tables", refuse)
+    assert gf.FIELD_CAP == 1 << 20
+    for p, k in ((2, 21), (2**61 - 1, 1), (3, 13), (2, 10**9)):
+        with pytest.raises(ValueError, match="FIELD_CAP"):
+            GF(p, k)
+
+
 def test_tables_are_built_on_first_use_and_shared():
     assert GF(5, 3)._exp is GF(5, 3)._exp
     code = "import enrq.cli; from enrq import gf; print(gf._tables.cache_info().currsize)"

@@ -261,6 +261,15 @@ def test_search_finds_full_ten_sequence_within_bound_six():
     assert all(abs(c) <= 6 for v in seq for c in v)
 
 
+def test_search_rejects_a_cap_below_one():
+    # a cap of 0 or less is an error, not a silent full enumeration
+    with time_limit(1):
+        for n, bound, cap in ((2, 1, 0), (2, 1, -1), (10, 4, 0)):
+            with pytest.raises(ValueError):
+                lattice.search_sequences(n, bound, cap=cap)
+    assert len(lattice.search_sequences(2, 1, cap=None)) == 4452
+
+
 def test_search_is_deterministic():
     a = lattice.search_sequences(3, 2, cap=20)
     b = lattice.search_sequences(3, 2, cap=20)

@@ -50,8 +50,22 @@ def test_quotient_checks_present():
     assert any("char != 2" in l for l in labels)
 
 
+def test_tables_json_is_parsed_once_per_process(monkeypatch):
+    loads = []
+    load = tables.json.load
+    monkeypatch.setattr(tables.json, "load", lambda fh: loads.append(fh) or load(fh))
+    tables._load.cache_clear()
+    try:
+        tables.consistency_check()
+        tables.figures_unavailable()
+        tables.table_rows()
+    finally:
+        tables._load.cache_clear()
+    assert len(loads) == 1
+
+
 def test_schema_and_figure_placeholders():
-    data = tables.raw_data()
+    data = tables._load()
     assert data["schema"] == "enrq-tables-v1"
     placeholders = tables.figures_unavailable()
     assert placeholders
