@@ -82,9 +82,12 @@ def suite_lattice_selfcheck(report, cfg):
     s.add("signature by congruence reduction", sig == (1, 9, 0), f"inertia = {sig}")
     inner = lattice.inner
     ok_inv = ok_iso = True
-    # each sampled root is checked once, when its reflection is built
+    # one reflection per distinct sampled root: r.r = -2 is checked once per root
+    reflections = {}
     for r, x, y in _selfcheck_samples(lattice):
-        refl = lattice.reflection(r)
+        refl = reflections.get(r)
+        if refl is None:
+            refl = reflections[r] = lattice.reflection(r)
         rx = refl(x)
         if refl(rx) != x:
             ok_inv = False

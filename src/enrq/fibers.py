@@ -31,8 +31,11 @@ points,
 with w_c = 2 - deg(c) for an identity component (deg(c) its branches at
 singular points) and w_c = free slots for a tame one.  So
 `lefschetz_check` aggregates per point permutation, counting the actions
-as a product and the values as a Minkowski sum of per-component sets,
-and checks each permutation's value against the Lefschetz number
+as a product and the values as a Minkowski sum of per-component sets.
+A component's count and set depend only on its shape (the branch counts
+at its fixed points, whether all its points are fixed, the order), so
+each shape is tallied once.  Each permutation's value is checked against
+the Lefschetz number
 L(g) = 2 * #components - sum over fixed points p of (branches(p) - 1).
 `admissible_actions` and `fixed_euler` materialize the actions one by
 one and are the oracle for the aggregate.
@@ -441,23 +444,41 @@ def _lefschetz_number(model, perm):
     return 2 * len(model.components) - sum(p.total_branches() - 1 for p in model.points if perm[p.id] == p.id)
 
 
+@cache
+def _component_tally(fixed_branches, all_fixed, order):
+    """(number, weight set) of the options `_component_options` gives a
+    component whose fixed points carry `fixed_branches` (sorted branch
+    counts), with every point fixed or not.  A tame option fixes k of the
+    b slots at each fixed point and lets the other b - k cycle, the k
+    summing to at most 2, and weighs 2 - sum k; the identity, possible
+    when every point is fixed, weighs 2 - deg."""
+    ways = [1, 0, 0]  # tame choices by number of fixed branch slots
+    for b in fixed_branches:
+        ks = [k for k in range(min(b, 2) + 1) if _can_split_into_cycles(b - k, order)]
+        ways = [sum(ways[t - k] for k in ks if k <= t) for t in range(3)]
+    weights = {2 - t for t in range(3) if ways[t]}
+    if all_fixed:
+        weights.add(2 - sum(fixed_branches))
+    return sum(ways) + all_fixed, frozenset(weights)
+
+
 def _perm_tallies(model: FiberModel, order: int):
     """For each point permutation that admits actions: (perm, number of
     admissible actions, their fixed-locus Euler numbers), from the
     per-component split of the module docstring, without building the
     actions.  A fixed point p adds 1 - (identity branches at p) to
-    _fixed_euler and a moved point adds nothing, hence the split.
+    _fixed_euler and a moved point adds nothing, hence the split.  Each
+    component shape is tallied once, by `_component_tally`.
     """
-    incidence = _incidence(model)
+    incidence = list(_incidence(model).values())
     for perm in _point_perms(model, order):
         count, values = 1, {sum(perm[p.id] == p.id for p in model.points)}
-        for inc in incidence.values():
-            options = _component_options(inc, perm, order)
-            if not options:
+        for inc in incidence:
+            fixed = sorted(b for pid, b in inc if perm[pid] == pid)
+            n, weights = _component_tally(tuple(fixed), len(fixed) == len(inc), order)
+            if not n:
                 break
-            deg = sum(b for _, b in inc)
-            weights = {2 - deg if ca.kind == "identity" else ca.free_slots for ca in options}
-            count *= len(options)
+            count *= n
             values = {v + w for v in values for w in weights}
         else:
             yield perm, count, values

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 RANK = 10
 
@@ -74,10 +75,16 @@ def reflection(r):
     """
     if inner(r, r) != -2:
         raise ValueError("reflection vector must have self-intersection -2")
+    support = [(i, c) for i, c in enumerate(r) if c]
 
     def apply(x):
         k = inner(x, r)
-        return tuple(a + k * b for a, b in zip(x, r))
+        if not k:
+            return x
+        y = list(x)
+        for i, c in support:
+            y[i] += k * c
+        return tuple(y)
 
     return apply
 
@@ -90,19 +97,12 @@ def reflect(r, x):
 def validate_sequence(seq) -> bool:
     """True iff all vectors are isotropic and distinct pairs have product 1.
 
-    The empty sequence is vacuously valid.  Note that a sequence of
-    length >= 2 can never repeat a vector (a repeated vector would pair
-    to 0 with itself).
+    The empty sequence is vacuously valid.  A sequence of length >= 2
+    can never repeat a vector (a repeated vector would pair to 0 with
+    itself).
     """
     vecs = list(seq)
-    for v in vecs:
-        if inner(v, v) != 0:
-            return False
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if inner(vecs[i], vecs[j]) != 1:
-                return False
-    return True
+    return all(inner(v, v) == 0 for v in vecs) and all(inner(u, v) == 1 for u, v in combinations(vecs, 2))
 
 
 @dataclass(frozen=True)
@@ -235,10 +235,7 @@ _ORDER = (0, 1, 9, 8, 7, 6, 5, 4, 3, 2)  # search positions: a, b, x8, ..., x1
 
 
 def _value_order(bound):
-    vals = [0]
-    for v in range(1, bound + 1):
-        vals.extend((v, -v))
-    return vals
+    return [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)]
 
 
 def _echelon(prefix_duals):

@@ -105,7 +105,7 @@ def test_criterion_7_surface_symbolics():
     _report(7, ok, f"generator verification, group laws, nontrivial pencil action ({elapsed:.2f}s < 5s)")
 
 
-def test_criterion_8_lattice_selfcheck():
+def test_criterion_8_lattice_selfcheck(time_limit):
     ok = lattice.gram_determinant() in (1, -1)
     ok = ok and lattice.gram_signature() == (1, 9, 0)
     rng = random.Random(8)
@@ -118,7 +118,8 @@ def test_criterion_8_lattice_selfcheck():
         v = tuple(rng.randint(-5, 5) for _ in range(10))
         ok = ok and lattice.reflect(r, lattice.reflect(r, u)) == u
         ok = ok and lattice.inner(lattice.reflect(r, u), lattice.reflect(r, v)) == lattice.inner(u, v)
-    found = lattice.search_sequences(10, 6, cap=1)
+    with time_limit():
+        found = lattice.search_sequences(10, 6, cap=1)
     ok = ok and bool(found) and lattice.validate_sequence(found[0].vectors)
     _report(8, ok, "unimodular (1,9) Gram, isometric involutions x1000, isotropic 10-sequence at bound 6")
 
@@ -132,9 +133,10 @@ def test_criterion_9_tables_consistency():
     _report(9, ok, "2-elementary quotients, admissible supersingular groups, char != 2 cyclic bound")
 
 
-def test_criterion_10_deterministic_reports(tmp_path):
+def test_criterion_10_deterministic_reports(tmp_path, time_limit):
     out1, out2 = tmp_path / "r1.md", tmp_path / "r2.md"
-    status1, _ = run(RunConfig(suite="all", out=str(out1)))
-    status2, _ = run(RunConfig(suite="all", out=str(out2)))
+    with time_limit():
+        status1, _ = run(RunConfig(suite="all", out=str(out1)))
+        status2, _ = run(RunConfig(suite="all", out=str(out2)))
     ok = status1 == 0 and status2 == 0 and out1.read_bytes() == out2.read_bytes()
     _report(10, ok, "run(all) twice yields byte-identical report bodies")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,9 @@ from enrq.cli import RunConfig, run
 
 
 @pytest.mark.parametrize("suite", [s for s in cli.SUITES if s != "all"])
-def test_each_suite_passes(suite, tmp_path, capsys):
-    status, report = run(RunConfig(suite=suite, out=str(tmp_path / "r.md")))
+def test_each_suite_passes(suite, tmp_path, capsys, time_limit):
+    with time_limit():
+        status, report = run(RunConfig(suite=suite, out=str(tmp_path / "r.md")))
     assert status == 0
     assert report.passed()
 
@@ -26,9 +28,10 @@ ALL_BODY_SHA256 = {
 }
 
 
-def test_run_all_reports_every_suite(tmp_path):
+def test_run_all_reports_every_suite(tmp_path, time_limit):
     out = tmp_path / "all.md"
-    status, report = run(RunConfig(suite="all", out=str(out)))
+    with time_limit():
+        status, report = run(RunConfig(suite="all", out=str(out)))
     assert status == 0
     assert [s.name for s in report.suites] == [s for s in cli.SUITES if s != "all"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_BODY_SHA256["markdown"]
@@ -36,24 +39,26 @@ def test_run_all_reports_every_suite(tmp_path):
         assert hashlib.sha256(report.render(fmt).encode("utf-8")).hexdigest() == digest, fmt
 
 
-def test_formats_render(tmp_path):
+def test_formats_render(tmp_path, time_limit):
     for fmt, probe in (("markdown", "## lattice-selfcheck"), ("csv", "suite,label,status,detail"), ("json", '"schema"')):
         out = tmp_path / f"r.{fmt}"
-        status, _ = run(RunConfig(suite="lattice-selfcheck", fmt=fmt, out=str(out)))
+        with time_limit():
+            status, _ = run(RunConfig(suite="lattice-selfcheck", fmt=fmt, out=str(out)))
         assert status == 0
         assert probe in out.read_text()
     parsed = json.loads((tmp_path / "r.json").read_text())
     assert parsed["passed"] is True
 
 
-def test_metadata_sidecar_written(tmp_path):
+def test_metadata_sidecar_written(tmp_path, time_limit):
     out = tmp_path / "report.md"
     run(RunConfig(suite="fibers-euler", out=str(out)))
     meta = json.loads((out.parent / "report.md.meta.json").read_text())
     assert meta["argv"]["suite"] == "fibers-euler"
     assert "generated_at" in meta
     assert list(meta["suite_s"]) == ["fibers-euler"]
-    run(RunConfig(suite="all", out=str(out)))
+    with time_limit():
+        run(RunConfig(suite="all", out=str(out)))
     suite_s = json.loads((out.parent / "report.md.meta.json").read_text())["suite_s"]
     assert list(suite_s) == [s for s in cli.SUITES if s != "all"]
     assert all(isinstance(t, float) and t >= 0 for t in suite_s.values())
@@ -210,10 +215,32 @@ def test_reachable_reflections_are_exact_isometric_involutions():
         assert [list(refl(e)) for e in lattice.BASIS] == [list(c) for c in zip(*s)], r
 
 
-def test_broken_reflection_fails_both_randomized_rows(monkeypatch, tmp_path):
+def test_reflection_kernel_matches_the_formula_on_reachable_roots():
+    # the map against x + (x.r) r, on random x, the basis and an x orthogonal to r
+    rng = random.Random(16)
+    for r in sorted(reachable_roots()):
+        refl = lattice.reflection(r)
+        xs = [tuple(rng.randint(-5, 5) for _ in range(10)) for _ in range(20)] + list(lattice.BASIS)
+        y, z = xs[0], xs[1]
+        perp = tuple(lattice.inner(y, r) * a - lattice.inner(z, r) * b for a, b in zip(z, y))
+        assert lattice.inner(perp, r) == 0 and any(perp), r
+        for x in xs + [perp]:
+            k = lattice.inner(x, r)
+            assert refl(x) == tuple(a + k * b for a, b in zip(x, r)), (r, x)
+        assert refl(perp) == perp
+
+
+def test_selfcheck_samples_are_pinned():
+    # a faster sampler must not change which samples the randomized rows check
+    samples = json.dumps(list(cli._selfcheck_samples(lattice))).encode()
+    assert hashlib.sha256(samples).hexdigest() == "5ed7bfa572a6fb1e94e6f088295dc5ebc9224aaa8654e1f525e7ecf6b5c483d4"
+
+
+def test_broken_reflection_fails_both_randomized_rows(monkeypatch, tmp_path, time_limit):
     # x -> x + r is neither an involution nor an isometry
     monkeypatch.setattr(lattice, "reflection", lambda r: lambda x: tuple(a + b for a, b in zip(x, r)))
-    status, report = run(RunConfig(suite="lattice-selfcheck", out=str(tmp_path / "r.md")))
+    with time_limit():
+        status, report = run(RunConfig(suite="lattice-selfcheck", out=str(tmp_path / "r.md")))
     assert status == 1
     rows = {row["label"]: row["status"] for row in report.suites[0].rows}
     assert rows["reflections are involutions (1000 randomized)"] == "fail"

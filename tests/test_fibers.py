@@ -471,6 +471,21 @@ def test_lefschetz_check_large_prime_order_matches_small():
         assert large == small, tag
 
 
+def test_component_tally_matches_the_options_oracle():
+    # every incidence list of 1-3 points with 1-4 branches each, each point fixed or moved
+    for n in range(1, 4):
+        for branches in product(range(1, 5), repeat=n):
+            incidence = [(f"p{i}", b) for i, b in enumerate(branches)]
+            for moved in product((False, True), repeat=n):
+                perm = {pid: pid + "'" if m else pid for (pid, _), m in zip(incidence, moved)}
+                fixed = tuple(sorted(b for b, m in zip(branches, moved) if not m))
+                for order in (*range(2, 13), 101):
+                    options = fibers._component_options(incidence, perm, order)
+                    weights = {2 - sum(branches) if ca.kind == "identity" else ca.free_slots for ca in options}
+                    got = fibers._component_tally(fixed, not any(moved), order)
+                    assert got == (len(options), weights), (branches, moved, order)
+
+
 def _can_split_into_cycles_oracle(count, order):
     # the definition with every divisor of the order up to the order itself
     divs = [d for d in range(2, order + 1) if order % d == 0]

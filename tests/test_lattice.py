@@ -1,8 +1,6 @@
 import hashlib
 import json
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice, product
 
@@ -205,54 +203,47 @@ def test_reflection_rejects_non_root_when_built():
             lattice.reflection(v)
 
 
+def test_reflection_rejects_vectors_of_the_wrong_length():
+    root = lattice.BASIS[2]
+    for bad in (root[:9], root + (0,)):
+        with pytest.raises(ValueError):
+            lattice.reflection(bad)
+        with pytest.raises(ValueError):
+            lattice.reflection(root)(bad)
+
+
 def test_validate_sequence_basics():
     assert lattice.validate_sequence([])
     assert lattice.validate_sequence([lattice.E, lattice.F])
     assert not lattice.validate_sequence([lattice.E, lattice.E])
     assert not lattice.validate_sequence([lattice.BASIS[2]])
+    # isotropic, but the pair products are 2 and -1
+    assert not lattice.validate_sequence([lattice.E, tuple(2 * a for a in lattice.F)])
+    assert not lattice.validate_sequence([lattice.E, lattice.F, lattice.neg(lattice.F)])
 
 
-def test_search_small_bounds():
-    found = lattice.search_sequences(1, 1, cap=None)
+def test_search_small_bounds(time_limit):
+    with time_limit():
+        found = lattice.search_sequences(1, 1, cap=None)
+        found2 = lattice.search_sequences(2, 1, cap=None)
     assert any(s.vectors == (lattice.E,) for s in found)
-    found2 = lattice.search_sequences(2, 1, cap=None)
     assert any(s.vectors == (lattice.E, lattice.F) for s in found2)
     for s in found2:
         assert lattice.validate_sequence(s.vectors)
 
 
-def test_search_sequences_rejects_bad_lengths():
-    with pytest.raises(ValueError):
-        lattice.search_sequences(11, 2)
-    with pytest.raises(ValueError):
-        lattice.search_sequences(0, 2)
-    with pytest.raises(ValueError):
-        lattice.search_sequences(2, 0)
+def test_search_sequences_rejects_bad_lengths(time_limit):
+    with time_limit():
+        with pytest.raises(ValueError):
+            lattice.search_sequences(11, 2)
+        with pytest.raises(ValueError):
+            lattice.search_sequences(0, 2)
+        with pytest.raises(ValueError):
+            lattice.search_sequences(2, 0)
 
 
-SEARCH_LIMIT_S = 30
-
-
-@contextmanager
-def time_limit(seconds):
-    # a search that runs away (say, on a broken bound) fails instead of hanging
-    def expire(signum, frame):
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    except TimeoutError:
-        # raised afresh: the interrupted frame may lack the line number pytest reports
-        raise TimeoutError(f"search ran past {seconds} s") from None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_search_finds_full_ten_sequence_within_bound_six():
-    with time_limit(SEARCH_LIMIT_S):
+def test_search_finds_full_ten_sequence_within_bound_six(time_limit):
+    with time_limit():
         found = lattice.search_sequences(10, 6, cap=1)
     assert len(found) == 1
     seq = found[0]
@@ -261,18 +252,21 @@ def test_search_finds_full_ten_sequence_within_bound_six():
     assert all(abs(c) <= 6 for v in seq for c in v)
 
 
-def test_search_rejects_a_cap_below_one():
+def test_search_rejects_a_cap_below_one(time_limit):
     # a cap of 0 or less is an error, not a silent full enumeration
     with time_limit(1):
         for n, bound, cap in ((2, 1, 0), (2, 1, -1), (10, 4, 0)):
             with pytest.raises(ValueError):
                 lattice.search_sequences(n, bound, cap=cap)
-    assert len(lattice.search_sequences(2, 1, cap=None)) == 4452
+    with time_limit():
+        found = lattice.search_sequences(2, 1, cap=None)
+    assert len(found) == 4452
 
 
-def test_search_is_deterministic():
-    a = lattice.search_sequences(3, 2, cap=20)
-    b = lattice.search_sequences(3, 2, cap=20)
+def test_search_is_deterministic(time_limit):
+    with time_limit():
+        a = lattice.search_sequences(3, 2, cap=20)
+        b = lattice.search_sequences(3, 2, cap=20)
     assert [s.vectors for s in a] == [s.vectors for s in b]
 
 
@@ -316,8 +310,8 @@ def test_candidates_match_the_full_box_at_bound_one():
     assert sizes == [180, 89, 88, 24]
 
 
-def test_search_output_pinned_and_fano_polarized():
-    with time_limit(SEARCH_LIMIT_S):
+def test_search_output_pinned_and_fano_polarized(time_limit):
+    with time_limit():
         found = lattice.search_sequences(10, 4, cap=10)
     digest = hashlib.sha256(json.dumps([s.to_json() for s in found]).encode()).hexdigest()
     assert digest == "eef29dd028866adc49307d89f1e85c762c8c483d472880909d89b413c9fda603"
@@ -398,8 +392,8 @@ def assert_candidates_match_oracle(prefix, bound):
     return len(got)
 
 
-def test_candidates_match_the_dfs_oracle_on_ten_sequence_prefixes():
-    with time_limit(SEARCH_LIMIT_S):
+def test_candidates_match_the_dfs_oracle_on_ten_sequence_prefixes(time_limit):
+    with time_limit():
         found = lattice.search_sequences(10, 4, cap=10)
     prefixes = sorted({s.vectors[:k] for s in found for k in range(10)})
     assert len(prefixes) == 23
@@ -408,8 +402,9 @@ def test_candidates_match_the_dfs_oracle_on_ten_sequence_prefixes():
             assert assert_candidates_match_oracle(prefix, bound) >= 1
 
 
-def test_candidates_match_the_dfs_oracle_on_short_prefixes():
-    found = lattice.search_sequences(4, 2, cap=2000)
+def test_candidates_match_the_dfs_oracle_on_short_prefixes(time_limit):
+    with time_limit():
+        found = lattice.search_sequences(4, 2, cap=2000)
     prefixes = sorted({s.vectors[:k] for s in found for k in range(4)})
     assert len(prefixes) == 58
     for prefix in prefixes:
