@@ -23,6 +23,10 @@ class OutputError(OSError):
     """The report or its sidecar could not be written."""
 
 
+# the search cost grows with the bound; 6 already finds the sequence that 1000 finds
+BOUND_CAP = 1000
+
+
 class RunConfig:
     """One run's settings, checked when built (ValueError on a bad one).
     ext_degree 0 means the per-row sufficient degrees, order 0 the tame
@@ -39,8 +43,8 @@ class RunConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.fmt not in ("markdown", "csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.bound < 1:
-            raise ValueError("bound must be positive")
+        if not 1 <= self.bound <= BOUND_CAP:
+            raise ValueError(f"bound {self.bound}: use 1 to {BOUND_CAP}")
         if self.order and self.order < 2:
             raise ValueError(f"order {self.order}: use 0 (orders 2, 3, 5, 7) or an order >= 2")
         if self.ext_degree:
@@ -136,20 +140,12 @@ def suite_lefschetz(report, cfg):
     orders = [cfg.order] if cfg.order else [2, 3, 5, 7]
     for order in orders:
         for tag in fibers.standard_tags(9):
-            ent = fibers.catalog(tag)
             res = fibers.lefschetz_check(tag, order)
-            if ent.model.reducible():
-                s.add(
-                    f"{tag} order {order}: fixed-locus values {res['values']}",
-                    res["ok"],
-                    f"e(F) = {res['euler']}, {res['actions']} admissible actions",
-                )
+            if fibers.catalog(tag).model.reducible():
+                ok, detail = res["ok"], f"e(F) = {res['euler']}, {res['actions']} admissible actions"
             else:
-                s.add(
-                    f"{tag} order {order}: fixed-locus values {res['values']}",
-                    None,
-                    f"irreducible singular fiber, e(F) = {res['euler']}",
-                )
+                ok, detail = None, f"irreducible singular fiber, e(F) = {res['euler']}"
+            s.add(f"{tag} order {order}: fixed-locus values {res['values']}", ok, detail)
 
 
 def suite_configs_enumerate(report, cfg):

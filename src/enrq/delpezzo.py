@@ -4,15 +4,17 @@ automorphism families, and of the induced actions on the two pencils of
 conics.
 
 Everything is polynomial arithmetic over F2 in the projective coordinates
-x0..x4, the pencil parameters a, b, and the group parameters.  Invertible
-parameters (lam, mu and their second-generation copies) are handled by
-adjoining formal inverses with the rewrite rule lam * ilam -> 1, applied
-monomial by monomial; this keeps all computation inside a polynomial ring.
+x0..x4, the pencil parameters a, b, and the group parameters.  The
+invertible parameters lam, mu and their second-generation copies lam2,
+mu2 are Laurent variables: the coefficient ring is
+F2[lam^±1, mu^±1, lam2^±1, mu2^±1][alpha, beta, alpha2, beta2], and a
+monomial stores one signed exponent per variable, negative only at these
+four units.  So lam^-1 is exponent -1 at lam, and every monomial has
+exactly one spelling.
 
 How the kernel computes:
-- Products.  Two reduced monomials multiply by adding exponents.  The
-  rewrite rule runs only when some invertible parameter and its inverse
-  both occur in the sum; otherwise the sum is already reduced.
+- Products.  Two monomials multiply by adding exponents; the sum is
+  already canonical.
 - Determinants.  A 5x5 map matrix is expanded by cofactors along its
   rows (no signs in characteristic 2).  Each minor on the lower rows is
   computed once per set of columns, and zero entries and zero minors are
@@ -43,35 +45,23 @@ from operator import add
 NAMES = (
     "x0", "x1", "x2", "x3", "x4",
     "a", "b",
-    "lam", "ilam", "mu", "imu", "alpha", "beta",
-    "lam2", "ilam2", "mu2", "imu2", "alpha2", "beta2",
+    "lam", "mu", "alpha", "beta",
+    "lam2", "mu2", "alpha2", "beta2",
 )
 NVARS = len(NAMES)
 _IDX = {n: i for i, n in enumerate(NAMES)}
 X_VARS = tuple(range(5))
-INV_PAIRS = ((_IDX["lam"], _IDX["ilam"]), (_IDX["mu"], _IDX["imu"]),
-             (_IDX["lam2"], _IDX["ilam2"]), (_IDX["mu2"], _IDX["imu2"]))
+UNIT_VARS = tuple(_IDX[n] for n in ("lam", "mu", "lam2", "mu2"))
 
 NOT_PRESERVED = "NOT_PRESERVED"
 
 
-def reduce_monomial(mon):
-    """Canonical form of one monomial: cancel each formal-inverse pair."""
-    mon = list(mon)
-    for i, j in INV_PAIRS:
-        m = min(mon[i], mon[j])
-        if m:
-            mon[i] -= m
-            mon[j] -= m
-    return tuple(mon)
-
-
 @dataclass(frozen=True)
 class ParamPoly:
-    """Polynomial over F2 in the fixed variable list, canonically reduced.
+    """Laurent polynomial over F2 in the fixed variable list.
 
-    Monomials are exponent tuples; a monomial is present iff its
-    coefficient is 1.
+    Monomials are exponent tuples, negative only at UNIT_VARS; a monomial
+    is present iff its coefficient is 1.
     """
 
     monomials: frozenset
@@ -80,14 +70,10 @@ class ParamPoly:
         return ParamPoly(self.monomials ^ other.monomials)
 
     def __mul__(self, other):
-        (lam, ilam), (mu, imu), (lam2, ilam2), (mu2, imu2) = INV_PAIRS
         acc = set()
         for m1 in self.monomials:
             for m2 in other.monomials:
                 m = tuple(map(add, m1, m2))
-                # reduce_monomial is the identity unless a parameter and its inverse both occur
-                if (m[lam] and m[ilam]) or (m[mu] and m[imu]) or (m[lam2] and m[ilam2]) or (m[mu2] and m[imu2]):
-                    m = reduce_monomial(m)
                 if m in acc:
                     acc.discard(m)
                 else:
@@ -117,17 +103,13 @@ class ParamPoly:
         if len(self.monomials) != 1:
             return False
         (m,) = self.monomials
-        allowed = {i for pair in INV_PAIRS for i in pair}
-        return all(e == 0 or i in allowed for i, e in enumerate(m))
+        return all(e == 0 or i in UNIT_VARS for i, e in enumerate(m))
 
     def unit_inverse(self):
         if not self.is_unit():
             raise ValueError("not a unit")
         (m,) = self.monomials
-        inv = list(m)
-        for i, j in INV_PAIRS:
-            inv[i], inv[j] = m[j], m[i]
-        return ParamPoly(frozenset({tuple(inv)}))
+        return ParamPoly(frozenset({tuple(-e for e in m)}))
 
     def coefficient_of(self, var_index):
         """Coefficient of the degree-1 part in one variable (the monomials
@@ -140,7 +122,7 @@ class ParamPoly:
             return "0"
         parts = []
         for m in sorted(self.monomials, key=lambda t: (sum(t), t), reverse=True):
-            factors = [f"{NAMES[i]}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e]
+            factors = [f"{NAMES[i]}" + (f"^{e}" if e != 1 else "") for i, e in enumerate(m) if e]
             parts.append("*".join(factors) if factors else "1")
         return " + ".join(parts)
 
@@ -157,9 +139,9 @@ def var(name):
 
 X0, X1, X2, X3, X4 = (var(f"x{i}") for i in range(5))
 A, B = var("a"), var("b")
-LAM, ILAM, MU, IMU = var("lam"), var("ilam"), var("mu"), var("imu")
+LAM, MU = var("lam"), var("mu")
 ALPHA, BETA = var("alpha"), var("beta")
-LAM2, ILAM2, MU2, IMU2 = var("lam2"), var("ilam2"), var("mu2"), var("imu2")
+LAM2, MU2 = var("lam2"), var("mu2")
 ALPHA2, BETA2 = var("alpha2"), var("beta2")
 
 
@@ -341,7 +323,7 @@ def aut_d3_torus(lam=LAM):
 
 def pullback(poly, m: ProjMap):
     """Substitute the map's coordinates for x0..x4.  Each monomial's
-    parameter part is already reduced and is kept as it is."""
+    parameter part is kept as it is."""
     powers = {}
     out = ZERO
     for mon in poly.monomials:
@@ -472,17 +454,13 @@ def _solve_f2(cols, target):
 
 def normalize_action(mat):
     """Scale a projective 2x2 parameter matrix by a unit so that each
-    invertible-parameter pair occurs with nonnegative minimal degree."""
+    invertible parameter occurs with minimal exponent 0."""
     monos = [m for row in mat for entry in row for m in entry.monomials]
     if not monos:
         return mat
     scale = [0] * NVARS
-    for i, j in INV_PAIRS:
-        d = min(m[i] - m[j] for m in monos)
-        if d < 0:
-            scale[i] = -d
-        elif d > 0:
-            scale[j] = d
+    for u in UNIT_VARS:
+        scale[u] = -min(m[u] for m in monos)
     if not any(scale):
         return mat
     unit = ParamPoly(frozenset({tuple(scale)}))
@@ -505,42 +483,29 @@ def compose(m1: ProjMap, m2: ProjMap) -> ProjMap:
     return ProjMap(coords)
 
 
+# kind: (family, (row, col) of the normalizing coefficient,
+#        {parameter: (row, col) of its coefficient})
+_FAMILIES = {
+    "D1": (aut_d1, (0, 0), {"lam": (1, 1), "mu": (3, 3)}),
+    "D2": (aut_d2, (1, 1), {"alpha": (0, 1), "beta": (4, 1)}),
+    "D3-additive": (aut_d3_additive, (1, 1), {"alpha": (0, 1), "beta": (4, 1)}),
+    "D3-torus": (aut_d3_torus, (0, 0), {"lam": (2, 2)}),
+}
+
+
 def recover_params(m: ProjMap, kind: str):
     """Match a map against the printed family of the given kind and
     return its parameters, or None if it is not in the family."""
-    if kind == "D1":
-        c = m.coords
-        scale = c[0].coefficient_of(0)
-        if not scale.is_unit():
-            return None
-        inv = scale.unit_inverse()
-        lam, mu = inv * c[1].coefficient_of(1), inv * c[3].coefficient_of(3)
-        if not (lam.is_unit() and mu.is_unit()):
-            return None
-        if proj_equal(m, aut_d1(lam, mu)):
-            return {"lam": lam, "mu": mu}
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown family {kind!r}")
+    family, (row, col), where = _FAMILIES[kind]
+    scale = m.coords[row].coefficient_of(col)
+    if not scale.is_unit():
         return None
-    if kind in ("D2", "D3-additive"):
-        c = m.coords
-        unit = c[1].coefficient_of(1)
-        if not unit.is_unit():
-            return None
-        inv = unit.unit_inverse()
-        alpha = inv * c[0].coefficient_of(1)
-        beta = inv * c[4].coefficient_of(1)
-        family = aut_d2 if kind == "D2" else aut_d3_additive
-        if proj_equal(m, family(alpha, beta)):
-            return {"alpha": alpha, "beta": beta}
+    inv = scale.unit_inverse()
+    params = {name: inv * m.coords[r].coefficient_of(c) for name, (r, c) in where.items()}
+    try:
+        candidate = family(**params)
+    except ValueError:  # a torus parameter that is not a unit
         return None
-    if kind == "D3-torus":
-        c = m.coords
-        scale = c[0].coefficient_of(0)
-        if not scale.is_unit():
-            return None
-        lam = scale.unit_inverse() * c[2].coefficient_of(2)
-        if not lam.is_unit():
-            return None
-        if proj_equal(m, aut_d3_torus(lam)):
-            return {"lam": lam}
-        return None
-    raise ValueError(f"unknown family {kind!r}")
+    return params if proj_equal(m, candidate) else None

@@ -152,6 +152,24 @@ def test_cli_rejects_bad_order_and_ext_degree(flag):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("bound", ["0", "1001", "10000000"])
+def test_main_rejects_a_bound_out_of_range(bound, capsys):
+    # checked before any search: a huge bound must not run out of memory
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--suite", "lattice-selfcheck", "--bound", bound])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1] == f"enrq: error: bound {bound}: use 1 to {cli.BOUND_CAP}"
+
+
+def test_bound_cap_is_accepted(capsys, time_limit):
+    assert cli.BOUND_CAP == 1000
+    with time_limit():
+        assert cli.main(["--suite", "lattice-selfcheck", "--bound", str(cli.BOUND_CAP)]) == 0
+    assert "isotropic 10-sequence within bound 1000" in capsys.readouterr().out
+
+
 def test_lefschetz_order_flag(tmp_path):
     status, report = run(RunConfig(suite="lefschetz", order=3, out=str(tmp_path / "r.md")))
     assert status == 0

@@ -2,7 +2,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from enrq import delpezzo as dp
 from enrq.delpezzo import (
@@ -158,31 +157,9 @@ def test_pencil_action_functorial():
         assert dp.action_equal(a12, _matmul(a2, a1))
 
 
-exponents = st.lists(st.integers(min_value=0, max_value=3), min_size=dp.NVARS, max_size=dp.NVARS)
-
-
-def _reduce_by_random_single_steps(mon, rng):
-    mon = list(mon)
-    while True:
-        applicable = [(i, j) for i, j in dp.INV_PAIRS if mon[i] > 0 and mon[j] > 0]
-        if not applicable:
-            return tuple(mon)
-        i, j = applicable[rng.randrange(len(applicable))]
-        mon[i] -= 1
-        mon[j] -= 1
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(exponents, st.integers(min_value=0, max_value=2**31))
-def test_rewriting_is_confluent(mon, seed):
-    mon = tuple(mon)
-    rng = random.Random(seed)
-    assert _reduce_by_random_single_steps(mon, rng) == dp.reduce_monomial(mon)
-
-
 def test_units_and_inverses():
-    assert (LAM * dp.var("ilam")) == dp.ONE
-    assert (MU * dp.var("imu")) == dp.ONE
+    assert LAM * LAM.unit_inverse() == dp.ONE
+    assert MU * MU.unit_inverse() == dp.ONE
     u = LAM * LAM * MU
     assert u.is_unit()
     assert u * u.unit_inverse() == dp.ONE
@@ -197,26 +174,59 @@ def test_poly_string_is_deterministic():
     assert str(ZERO) == "0"
 
 
+# The oracles work in their own representation: a monomial is a
+# frozenset of (name, exponent) pairs with nonzero exponents, negative
+# only at the units lam, mu, lam2, mu2, and a polynomial is a set of
+# monomials.  The kernel's exponent tuples are read and written only by
+# to_monomials and from_monomials.
+
+UNIT_NAMES = ("lam", "mu", "lam2", "mu2")
+GROUP_PARAMS = ("lam", "mu", "alpha", "beta", "lam2", "mu2", "alpha2", "beta2")
+
+
+def monomial(exponents):
+    return frozenset((n, e) for n, e in exponents.items() if e)
+
+
+def to_monomials(poly):
+    return {monomial(dict(zip(dp.NAMES, m))) for m in poly.monomials}
+
+
+def from_monomials(monomials):
+    return dp.ParamPoly(frozenset(tuple(dict(m).get(n, 0) for n in dp.NAMES) for m in monomials))
+
+
+def _monomials_product(ps, qs):
+    acc = set()
+    for m1 in ps:
+        for m2 in qs:
+            exponents = dict(m1)
+            for n, e in m2:
+                exponents[n] = exponents.get(n, 0) + e
+            acc ^= {monomial(exponents)}
+    return acc
+
+
+def mul_oracle(p, q):
+    return from_monomials(_monomials_product(to_monomials(p), to_monomials(q)))
+
+
 def substitute_oracle(poly, mapping):
     # substitution by variable name, one variable factor at a time: an
     # independent route to `pullback`
-    idx_map = {dp._IDX[k]: v for k, v in mapping.items()}
-    out = ZERO
-    for m in poly.monomials:
-        term = dp.ONE
-        for i, e in enumerate(m):
-            if not e:
-                continue
-            base = idx_map.get(i)
-            if base is None:
-                mon = [0] * dp.NVARS
-                mon[i] = e
-                base_p = dp.ParamPoly(frozenset({dp.reduce_monomial(tuple(mon))}))
-                term = term * base_p
+    images = {n: to_monomials(v) for n, v in mapping.items()}
+    out = set()
+    for mon in to_monomials(poly):
+        term = {monomial({})}
+        for n, e in mon:
+            if n in images:
+                assert e > 0
+                for _ in range(e):
+                    term = _monomials_product(term, images[n])
             else:
-                term = term * base**e
-        out = out + term
-    return out
+                term = _monomials_product(term, {monomial({n: e})})
+        out ^= term
+    return from_monomials(out)
 
 
 def _oracle_pullback(poly, m):
@@ -240,18 +250,26 @@ def test_pullback_matches_substitution_oracle():
             assert dp.pullback(poly, m) == _oracle_pullback(poly, m), (str(poly), m)
 
 
+def _random_exponent(rng, name):
+    return rng.randrange(-2, 3) if name in UNIT_NAMES else rng.randrange(3)
+
+
+def _random_x_part(rng, x_degree):
+    exponents = {}
+    for _ in range(rng.randrange(x_degree + 1)):
+        x = f"x{rng.randrange(5)}"
+        exponents[x] = exponents.get(x, 0) + 1
+    return exponents
+
+
 def _random_poly(rng):
-    # x-degree up to 3, parameter parts drawn from lam/ilam, mu/imu and alpha
-    params = [dp._IDX[n] for n in ("lam", "ilam", "mu", "imu", "alpha")]
+    # x-degree up to 3, parameter parts in lam^±1, mu^±1 and alpha
     monomials = set()
     for _ in range(rng.randrange(1, 7)):
-        mon = [0] * dp.NVARS
-        for _ in range(rng.randrange(4)):
-            mon[rng.randrange(5)] += 1
-        for i in params:
-            mon[i] = rng.randrange(3)
-        monomials ^= {dp.reduce_monomial(tuple(mon))}
-    return dp.ParamPoly(frozenset(monomials))
+        exponents = _random_x_part(rng, 3)
+        exponents.update((n, _random_exponent(rng, n)) for n in ("lam", "mu", "alpha"))
+        monomials ^= {monomial(exponents)}
+    return from_monomials(monomials)
 
 
 def test_pullback_matches_oracle_on_random_polynomials():
@@ -280,19 +298,64 @@ def test_negative_powers_are_rejected():
     with pytest.raises(ValueError):
         X0 ** -2
     assert LAM ** 0 == dp.ONE
-    assert LAM.unit_inverse() == dp.var("ilam")
+    assert LAM.unit_inverse() == from_monomials({monomial({"lam": -1})})
 
 
-# Oracles for the product and determinant kernels: the zip-and-reduce
-# product and the 120-permutation expansion they replaced.
+def _random_unit(rng):
+    # a Laurent monomial in the four units, at least one exponent negative
+    exponents = {n: rng.randrange(-3, 4) for n in UNIT_NAMES}
+    exponents[rng.choice(UNIT_NAMES)] = -rng.randrange(1, 4)
+    return from_monomials({monomial(exponents)})
 
 
-def mul_oracle(p, q):
-    acc = set()
-    for m1 in p.monomials:
-        for m2 in q.monomials:
-            acc ^= {dp.reduce_monomial(tuple(e1 + e2 for e1, e2 in zip(m1, m2)))}
-    return dp.ParamPoly(frozenset(acc))
+def test_unit_times_its_inverse_is_one():
+    rng = random.Random(20260901)
+    for _ in range(100):
+        u = _random_unit(rng)
+        assert u.is_unit(), str(u)
+        inv = u.unit_inverse()
+        assert inv == from_monomials({monomial({n: -e for n, e in mon}) for mon in to_monomials(u)})
+        assert u * inv == inv * u == dp.ONE
+        assert mul_oracle(u, inv) == dp.ONE
+
+
+def test_inverse_prints_a_negative_exponent():
+    assert str(LAM.unit_inverse()) == "lam^-1"
+    assert str(LAM.unit_inverse() ** 2 * MU) == "lam^-2*mu"
+    assert str(MU2.unit_inverse() * X0) == "x0*mu2^-1"
+
+
+def test_is_unit_fails_on_any_non_unit_variable():
+    rng = random.Random(20260902)
+    others = [n for n in dp.NAMES if n not in UNIT_NAMES]
+    assert others == ["x0", "x1", "x2", "x3", "x4", "a", "b", "alpha", "beta", "alpha2", "beta2"]
+    for _ in range(20):
+        u = _random_unit(rng)
+        for n in others:
+            p = u * dp.var(n)
+            assert not p.is_unit(), str(p)
+            with pytest.raises(ValueError):
+                p.unit_inverse()
+        assert not (u + dp.ONE).is_unit()
+        assert not ZERO.is_unit()
+
+
+def test_normalize_action_shifts_each_unit_to_minimal_exponent_zero():
+    rng = random.Random(20260903)
+    for _ in range(60):
+        mat = tuple(tuple(_random_param_poly(rng, x_degree=0) for _ in range(2)) for _ in range(2))
+        monomials = [dict(m) for row in mat for e in row for m in to_monomials(e)]
+        if not monomials:
+            continue
+        shift = {n: -min(m.get(n, 0) for m in monomials) for n in UNIT_NAMES}
+        want = tuple(tuple(from_monomials(_monomials_product(to_monomials(e), {monomial(shift)})) for e in row)
+                     for row in mat)
+        assert dp.normalize_action(mat) == want, [[str(e) for e in row] for row in mat]
+    assert dp.normalize_action(((ZERO, ZERO), (ZERO, ZERO))) == ((ZERO, ZERO), (ZERO, ZERO))
+
+
+# Oracles for the determinant kernel: the 120-permutation expansion it
+# replaced, on the oracle product.
 
 
 def det_oracle(m):
@@ -306,22 +369,15 @@ def det_oracle(m):
     return total
 
 
-ALL_PARAMS = [dp._IDX[n] for n in dp.NAMES[7:]]
-
-
-def _random_param_poly(rng, reduced=True, x_degree=2):
-    # x-degree up to x_degree, exponents 0..2 in up to four group
-    # parameters, so that each of the four inverse pairs meets its partner
+def _random_param_poly(rng, x_degree=2):
+    # x-degree up to x_degree, exponents in up to four group parameters:
+    # -2..2 at the units, so that products cancel them, 0..2 elsewhere
     monomials = set()
     for _ in range(rng.randrange(1, 6)):
-        mon = [0] * dp.NVARS
-        for _ in range(rng.randrange(x_degree + 1)):
-            mon[rng.randrange(5)] += 1
-        for i in rng.sample(ALL_PARAMS, rng.randrange(1, 5)):
-            mon[i] = rng.randrange(3)
-        mon = tuple(mon)
-        monomials ^= {dp.reduce_monomial(mon) if reduced else mon}
-    return dp.ParamPoly(frozenset(monomials))
+        exponents = _random_x_part(rng, x_degree)
+        exponents.update((n, _random_exponent(rng, n)) for n in rng.sample(GROUP_PARAMS, rng.randrange(1, 5)))
+        monomials ^= {monomial(exponents)}
+    return from_monomials(monomials)
 
 
 def _random_linear_map(rng):
@@ -365,26 +421,6 @@ def test_mul_matches_oracle_on_random_polynomials():
     rng = random.Random(20260815)
     for _ in range(300):
         p, q = _random_param_poly(rng), _random_param_poly(rng)
-        assert p * q == mul_oracle(p, q), (str(p), str(q))
-
-
-def test_mul_matches_oracle_on_unreduced_monomials():
-    # monomials that break the rewrite rule, built by hand: the product
-    # must still come out reduced, as the oracle reduces every product
-    for lam, ilam in dp.INV_PAIRS:
-        mon = [0] * dp.NVARS
-        mon[lam] = mon[ilam] = 1
-        p = dp.ParamPoly(frozenset({tuple(mon)}))  # lam * ilam in one monomial
-        assert p * dp.ONE == dp.ONE == mul_oracle(p, dp.ONE)
-        assert dp.ONE * p == dp.ONE
-        mon[lam] = 3
-        mon[0] = 1
-        q = dp.ParamPoly(frozenset({tuple(mon)}))  # x0 * lam^3 * ilam
-        assert q * p == mul_oracle(q, p) == X0 * dp.ParamPoly(frozenset({dp.reduce_monomial(tuple(
-            2 if i == lam else 0 for i in range(dp.NVARS)))}))
-    rng = random.Random(20260816)
-    for _ in range(300):
-        p, q = _random_param_poly(rng, reduced=False), _random_param_poly(rng, reduced=False)
         assert p * q == mul_oracle(p, q), (str(p), str(q))
 
 
@@ -440,3 +476,19 @@ def test_pencil_action_rejects_a_solution_nonlinear_in_a_b():
     scaled = dp.ProjMap(tuple((dp.ONE + dp.A) * x for x in (X0, X1, X2, X3, X4)))
     for pencil in dp.pencils("D1"):
         assert dp.pencil_action(scaled, pencil) == dp.NOT_PRESERVED
+
+
+def test_recover_params_rejects_maps_outside_the_families():
+    # a non-unit torus parameter: the family builder's unit_inverse refuses it
+    d1_like = dp.ProjMap((X0, (dp.ONE + ALPHA) * X1, X2, MU * X3, MU.unit_inverse() * X4))
+    assert dp.recover_params(d1_like, "D1") is None
+    d3_like = dp.ProjMap((X0, X1, BETA * X2, X3, X4))
+    assert dp.recover_params(d3_like, "D3-torus") is None
+    # a non-unit normalizing coefficient
+    assert dp.recover_params(dp.ProjMap((ALPHA * X0, X1, X2, X3, X4)), "D1") is None
+    assert dp.recover_params(dp.ProjMap((X0, ALPHA * X1, X2, X3, X4)), "D2") is None
+    # in the wrong family
+    assert dp.recover_params(dp.aut_d2(), "D3-additive") is None
+    assert dp.recover_params(dp.aut_d1(LAM.unit_inverse(), MU), "D1") == {"lam": LAM.unit_inverse(), "mu": MU}
+    with pytest.raises(ValueError):
+        dp.recover_params(dp.identity_map(), "D4")
