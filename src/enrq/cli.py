@@ -23,8 +23,10 @@ class OutputError(OSError):
     """The report or its sidecar could not be written."""
 
 
-# the search cost grows with the bound; 6 already finds the sequence that 1000 finds
-BOUND_CAP = 1000
+# below 4 the sequence search does not finish (every ordering of a dead prefix
+# is explored again); its cost grows with the bound, and 6 already finds the
+# sequence that 1000 finds
+BOUND_MIN, BOUND_CAP = 4, 1000
 
 
 class RunConfig:
@@ -43,8 +45,9 @@ class RunConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.fmt not in ("markdown", "csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if not 1 <= self.bound <= BOUND_CAP:
-            raise ValueError(f"bound {self.bound}: use 1 to {BOUND_CAP}")
+        if not BOUND_MIN <= self.bound <= BOUND_CAP:
+            raise ValueError(f"bound {self.bound}: use {BOUND_MIN} to {BOUND_CAP} "
+                             f"(the sequence search does not finish below {BOUND_MIN})")
         if self.order and self.order < 2:
             raise ValueError(f"order {self.order}: use 0 (orders 2, 3, 5, 7) or an order >= 2")
         if self.ext_degree:
@@ -115,7 +118,7 @@ def suite_fibers_euler(report, cfg):
     for tag in fibers.standard_tags(9):
         ent = fibers.catalog(tag)
         s.add(
-            f"e({tag}) [{fibers.dynkin_label(tag)}]",
+            f"e({tag}) [{ent.dynkin}]",
             ent.euler_tame == oracle[tag],
             f"derived {ent.euler_tame}, table {oracle[tag]}, m = {ent.m}, {ent.kind}",
         )

@@ -34,7 +34,7 @@ primitive multiplicative cycle class, i.e. a forbidden multiplicative
 half-fiber in characteristic 2).  The branch summaries report every
 product-4 overlay together with which condition rejected it.
 
-Cost.  The diagrams are integer weight matrices indexed by catalog
+Cost.  The diagrams are the catalog Gram matrices, indexed by catalog
 position.  Per connector C9 the shared curves, the 9 x 9 Gram block of
 the curves of F, the multiplicities f1 and the check F.C = 0 are fixed
 (f1 is 0 on C10, which lies outside F); per isomorphism only the
@@ -218,23 +218,16 @@ def bielliptic_pair_check(tags, shared_components: int, connector_mults):
 
 
 def _diagram(tag):
-    """(ids, mult, weight) of a fiber type: the component ids in catalog
-    order, and the multiplicities and the 0-diagonal matrix of pairwise
-    intersections, both indexed by catalog position."""
+    """(ids, mult, gram) of a fiber type: the component ids in catalog
+    order, and the multiplicities and the component Gram matrix, both
+    indexed by catalog position."""
     ent = fibers.catalog(tag)
-    ids = [c for c, _ in ent.model.components]
-    mult = [m for _, m in ent.model.components]
-    pos = {c: i for i, c in enumerate(ids)}
-    weight = [[0] * len(ids) for _ in ids]
-    for pair, w in ent.model.pairwise_intersections().items():
-        a, b = (pos[c] for c in pair)
-        weight[a][b] = weight[b][a] = w
-    return ids, mult, weight
+    return [c for c, _ in ent.model.components], [m for _, m in ent.model.components], ent.model.component_gram()
 
 
 def _weight_profile(node, nodes, weight):
     """The sorted weights from node to the nodes (itself included, with
-    the 0 of the diagonal)."""
+    the -2 of the diagonal)."""
     return tuple(sorted(map(weight[node].__getitem__, nodes)))
 
 
@@ -350,10 +343,7 @@ def shared_eight_search(t1: str, t2: str):
         # columns 0..8 of the Gram matrix (the shared curves, then C9), f1,
         # and F.C = 0 for the curves of F, since f1[9] = 0
         shared = [n for n in order1 if n != c1]
-        block = [[w1[a][b] for b in shared] + [w1[a][c1]] for a in shared]
-        block.append([w1[c1][b] for b in shared] + [0])
-        for k in range(9):
-            block[k][k] = -2
+        block = [[w1[a][b] for b in shared + [c1]] for a in shared + [c1]]
         f1 = [mult1[s] for s in shared] + [mult1[c1], 0]
         assert all(sum(map(mul, row, f1)) == 0 for row in block), "fiber condition violated in F"
         prof1 = _profiles(shared, w1)

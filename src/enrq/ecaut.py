@@ -363,7 +363,7 @@ def _y_solver(curve, fld):
     return solutions
 
 
-def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int = 12) -> int:
+def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int) -> int:
     """Count points fixed by the map over the degree-ext_degree extension
     (including the point at infinity).
 

@@ -6,7 +6,13 @@ Fiber types are named by Kodaira symbols ("I1", "I5", "II", "III", "IV",
 Dynkin names (A~0*, A~4, D~4, E~8, ...).  A fiber is modeled by its
 rational components with multiplicities plus its singular points, each
 point carrying the incident branches per component and a local
-intersection multiplicity (2 for the tangency of type III).
+intersection multiplicity (2 for the tangency of type III).  `catalog`
+is the one parser: the table `_FIXED` gives the Dynkin label and model
+of I1, II, III, IV, IV*, III* and II*, and one full-match pattern reads
+I_n (n >= 1) and I_n* (n >= 0), written without leading zeros.  Apart
+from I1, II, III and IV, every type meets only in transversal points,
+so `_transversal` builds it from its components and paths of component
+ids.  `FiberModel.component_gram` is the one intersection matrix.
 
 The Euler characteristic of such a configuration is
 
@@ -54,9 +60,6 @@ from . import lattice
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 
-_IN_RE = re.compile(r"^I(\d+)$")
-_INSTAR_RE = re.compile(r"^I(\d+)\*$")
-
 
 @dataclass(frozen=True)
 class Point:
@@ -97,21 +100,16 @@ class FiberModel:
     def reducible(self):
         return len(self.components) > 1
 
-    def pairwise_intersections(self):
-        """C_i.C_j for i != j, from shared points: local_mult * b_i * b_j."""
-        pair = {}
+    def component_gram(self):
+        """Component intersection matrix: C_i^2 = -2 on the diagonal, and
+        C_i.C_j (i != j) sums local_mult * b_i * b_j over shared points."""
+        pos = {c: i for i, (c, _) in enumerate(self.components)}
+        gram = [[-2 if i == j else 0 for j in pos.values()] for i in pos.values()]
         for p in self.points:
             for (c1, b1), (c2, b2) in permutations(p.branches, 2):
-                if c1 < c2:
-                    key = frozenset((c1, c2))
-                    pair[key] = pair.get(key, 0) + p.local_mult * b1 * b2
-        return pair
-
-    def component_gram(self):
-        """Component intersection matrix with C_i^2 = -2 on the diagonal."""
-        ids = [c for c, _ in self.components]
-        pair = self.pairwise_intersections()
-        return [[-2 if a == b else pair.get(frozenset((a, b)), 0) for b in ids] for a in ids]
+                if c1 != c2:
+                    gram[pos[c1]][pos[c2]] += p.local_mult * b1 * b2
+        return gram
 
 
 def euler(model: FiberModel) -> int:
@@ -123,111 +121,71 @@ def euler(model: FiberModel) -> int:
 # catalog
 
 
-def _chain_points(ids):
-    return [Point(f"p_{a}_{b}", ((a, 1), (b, 1))) for a, b in zip(ids, ids[1:])]
+def _transversal(components, paths):
+    """The model whose singular points are transversal crossings: along
+    each path (a, b, c, ...) of component ids, a meets b, b meets c, ...,
+    and the i-th crossing is the point p<i>."""
+    edges = [e for path in paths for e in zip(path, path[1:])]
+    return FiberModel(tuple(components), tuple(Point(f"p{i}", ((a, 1), (b, 1))) for i, (a, b) in enumerate(edges)))
 
 
-def _model_In(n):
-    if n == 1:
-        return FiberModel((("c0", 1),), (Point("node", (("c0", 2),)),))
-    comps = tuple((f"c{i}", 1) for i in range(n))
-    pts = tuple(Point(f"p{i}", ((f"c{i}", 1), (f"c{(i + 1) % n}", 1))) for i in range(n))
-    return FiberModel(comps, pts)
+# Dynkin label and model of each type outside the I_n (n >= 2) and I_n* families
+_FIXED = {
+    "I1": ("A~0*", FiberModel((("c0", 1),), (Point("node", (("c0", 2),)),))),
+    "II": ("A~0**", FiberModel((("c0", 1),), (Point("cusp", (("c0", 1),)),))),
+    "III": ("A~1*", FiberModel((("c0", 1), ("c1", 1)), (Point("tac", (("c0", 1), ("c1", 1)), local_mult=2),))),
+    "IV": ("A~2*", FiberModel((("c0", 1), ("c1", 1), ("c2", 1)), (Point("triple", (("c0", 1), ("c1", 1), ("c2", 1))),))),
+    "IV*": ("E~6", _transversal(
+        (("z", 3), ("m0", 2), ("o0", 1), ("m1", 2), ("o1", 1), ("m2", 2), ("o2", 1)),
+        (("z", "m0", "o0"), ("z", "m1", "o1"), ("z", "m2", "o2")))),
+    "III*": ("E~7", _transversal(
+        (("o0", 1), ("m0", 2), ("n0", 3), ("c", 4), ("n1", 3), ("m1", 2), ("o1", 1), ("b", 2)),
+        (("o0", "m0", "n0", "c", "n1", "m1", "o1"), ("c", "b")))),
+    "II*": ("E~8", _transversal(
+        (("a0", 1), ("a1", 2), ("a2", 3), ("a3", 4), ("a4", 5), ("c", 6), ("d", 4), ("e", 2), ("b", 3)),
+        (("a0", "a1", "a2", "a3", "a4", "c", "d", "e"), ("c", "b")))),
+}
 
-
-def _model_II():
-    return FiberModel((("c0", 1),), (Point("cusp", (("c0", 1),)),))
-
-
-def _model_III():
-    return FiberModel((("c0", 1), ("c1", 1)), (Point("tac", (("c0", 1), ("c1", 1)), local_mult=2),))
-
-
-def _model_IV():
-    comps = (("c0", 1), ("c1", 1), ("c2", 1))
-    return FiberModel(comps, (Point("triple", (("c0", 1), ("c1", 1), ("c2", 1))),))
-
-
-def _model_Instar(n):
-    chain = [f"z{i}" for i in range(n + 1)]
-    comps = [(c, 2) for c in chain] + [(f"t{i}", 1) for i in range(4)]
-    pts = _chain_points(chain)
-    pts += [Point(f"q{i}", ((f"t{i}", 1), (chain[0], 1))) for i in (0, 1)]
-    pts += [Point(f"q{i}", ((f"t{i}", 1), (chain[-1], 1))) for i in (2, 3)]
-    return FiberModel(tuple(comps), tuple(pts))
-
-
-def _model_IVstar():
-    comps = [("z", 3)]
-    pts = []
-    for i in range(3):
-        comps += [(f"m{i}", 2), (f"o{i}", 1)]
-        pts += [Point(f"zm{i}", (("z", 1), (f"m{i}", 1))), Point(f"mo{i}", ((f"m{i}", 1), (f"o{i}", 1)))]
-    return FiberModel(tuple(comps), tuple(pts))
-
-
-def _model_IIIstar():
-    # chain o0(1)-m0(2)-n0(3)-c(4)-n1(3)-m1(2)-o1(1), branch b(2) at c
-    comps = (("o0", 1), ("m0", 2), ("n0", 3), ("c", 4), ("n1", 3), ("m1", 2), ("o1", 1), ("b", 2))
-    chain = ["o0", "m0", "n0", "c", "n1", "m1", "o1"]
-    pts = _chain_points(chain) + [Point("cb", (("c", 1), ("b", 1)))]
-    return FiberModel(comps, tuple(pts))
-
-
-def _model_IIstar():
-    # chain a0(1)-a1(2)-a2(3)-a3(4)-a4(5)-c(6)-d(4)-e(2), branch b(3) at c
-    comps = (("a0", 1), ("a1", 2), ("a2", 3), ("a3", 4), ("a4", 5), ("c", 6), ("d", 4), ("e", 2), ("b", 3))
-    chain = ["a0", "a1", "a2", "a3", "a4", "c", "d", "e"]
-    pts = _chain_points(chain) + [Point("cb", (("c", 1), ("b", 1)))]
-    return FiberModel(comps, tuple(pts))
+# I_n (group 2 empty) and I_n* (group 2 "*"): n >= 1 resp. n >= 0, no leading zero
+_FAMILY = re.compile(r"I([1-9][0-9]*|0(?=\*))(\*?)")
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     tag: str
+    dynkin: str  # affine Dynkin label
     model: FiberModel
     m: int  # number of components
     euler_tame: int
     kind: str  # multiplicative | additive
 
 
-def parse_tag(tag: str):
-    """Split a Kodaira symbol into (family, n); n is None for fixed types."""
-    m = _IN_RE.match(tag)
-    if m:
-        return ("In", int(m.group(1)))
-    m = _INSTAR_RE.match(tag)
-    if m:
-        return ("In*", int(m.group(1)))
-    if tag in ("II", "III", "IV", "IV*", "III*", "II*"):
-        return (tag, None)
-    raise ValueError(f"unknown fiber tag {tag!r}")
-
-
 def dynkin_label(tag: str) -> str:
     """Affine Dynkin name of a Kodaira fiber type (A~0* for I1, etc.)."""
-    family, n = parse_tag(tag)
-    if family == "In":
-        return "A~0*" if n == 1 else f"A~{n - 1}"
-    if family == "In*":
-        return f"D~{n + 4}"
-    return {"II": "A~0**", "III": "A~1*", "IV": "A~2*", "IV*": "E~6", "III*": "E~7", "II*": "E~8"}[family]
+    return catalog(tag).dynkin
 
 
 @cache  # entries are frozen, so one instance per tag can be shared
 def catalog(tag: str) -> CatalogEntry:
-    """Canonical incidence model and invariants for a singular fiber type."""
-    family, n = parse_tag(tag)
-    if family == "In":
-        if n < 1:
-            raise ValueError("I_n needs n >= 1")
-        model, kind = _model_In(n), MULTIPLICATIVE
-    elif family == "In*":
-        model, kind = _model_Instar(n), ADDITIVE
+    """Canonical incidence model and invariants for a singular fiber type:
+    one of `_FIXED`, an I_n cycle or an I_n* chain with two tails per end."""
+    family = _FAMILY.fullmatch(tag)
+    if tag in _FIXED:
+        dynkin, model = _FIXED[tag]
+    elif family and family[2]:
+        n = int(family[1])
+        chain = [f"z{i}" for i in range(n + 1)]
+        comps = [(c, 2) for c in chain] + [(f"t{i}", 1) for i in range(4)]
+        ends = [("t0", "z0"), ("t1", "z0"), ("t2", chain[-1]), ("t3", chain[-1])]
+        dynkin, model = f"D~{n + 4}", _transversal(comps, [chain, *ends])
+    elif family:
+        n = int(family[1])
+        cycle = [f"c{i % n}" for i in range(n + 1)]
+        dynkin, model = f"A~{n - 1}", _transversal([(c, 1) for c in cycle[:n]], [cycle])
     else:
-        model = {"II": _model_II, "III": _model_III, "IV": _model_IV, "IV*": _model_IVstar, "III*": _model_IIIstar, "II*": _model_IIstar}[family]()
-        kind = ADDITIVE
-    return CatalogEntry(tag, model, len(model.components), euler(model), kind)
+        raise ValueError(f"unknown fiber tag {tag!r}")
+    kind = MULTIPLICATIVE if family and not family[2] else ADDITIVE
+    return CatalogEntry(tag, dynkin, model, len(model.components), euler(model), kind)
 
 
 def standard_tags(max_n: int = 9):
@@ -511,7 +469,7 @@ def lefschetz_check(tag: str, order: int):
         expected = [entry.euler_tame]
     return {
         "tag": tag,
-        "dynkin": dynkin_label(tag),
+        "dynkin": entry.dynkin,
         "order": order,
         "euler": entry.euler_tame,
         "values": values,

@@ -258,14 +258,12 @@ class GF:
         of degree e <= d with e | k, so every root lies in GF(p^m) for
         m = lcm{e : e | k, e <= d}: the elements 0 and g^(i (q-1)/(p^m-1)).
         Only that subfield is scanned (the zero polynomial gets d = 0: its
-        first root, 0, is in every subfield).  When it is the whole field
-        (m = k), the scan goes in element order and stops at the first root.
+        first root, 0, is in every subfield); for m = k it is the whole
+        field, with step 1.
         """
         coeffs = [self.from_int(c) for c in poly]
         d = max((i for i, c in enumerate(coeffs) if c), default=0)
         m = math.lcm(*(e for e in range(1, d + 1) if self.k % e == 0))
-        if m == self.k:
-            return next((x for x in self.elements() if self._evaluate(coeffs, x) == self.zero), None)
         step = (self.q - 1) // (self.p**m - 1)
         roots = [x for x in (0, *self._exp[: self.q - 1 : step]) if self._evaluate(coeffs, x) == self.zero]
         return min(roots, key=self._digits, default=None)

@@ -19,31 +19,18 @@ from importlib import resources
 
 from . import configs, ecaut
 
-GROUP_ORDER = {
-    "1": 1,
-    "Z/2": 2,
-    "Z/3": 3,
-    "Z/4": 4,
-    "Z/5": 5,
-    "Z/7": 7,
-    "Z/11": 11,
-    "Q8": 8,
-    "Z/2xZ/2": 4,
+# structure: (order, element orders)
+GROUPS = {
+    "1": (1, (1,)),
+    "Z/2": (2, (1, 2)),
+    "Z/3": (3, (1, 3)),
+    "Z/4": (4, (1, 2, 4)),
+    "Z/5": (5, (1, 5)),
+    "Z/7": (7, (1, 7)),
+    "Z/11": (11, (1, 11)),
+    "Q8": (8, (1, 2, 4)),
+    "Z/2xZ/2": (4, (1, 2)),
 }
-
-ELEMENT_ORDERS = {
-    "1": (1,),
-    "Z/2": (1, 2),
-    "Z/3": (1, 3),
-    "Z/4": (1, 2, 4),
-    "Z/5": (1, 5),
-    "Z/7": (1, 7),
-    "Z/11": (1, 11),
-    "Q8": (1, 2, 4),
-    "Z/2xZ/2": (1, 2),
-}
-
-TWO_ELEMENTARY = {"1": 0, "Z/2": 1, "Z/2xZ/2": 2}
 
 
 @dataclass(frozen=True)
@@ -51,12 +38,12 @@ class GroupTag:
     structure: str
 
     def __post_init__(self):
-        if self.structure not in GROUP_ORDER:
+        if self.structure not in GROUPS:
             raise ValueError(f"unknown group tag {self.structure!r}")
 
     @property
     def order(self):
-        return GROUP_ORDER[self.structure]
+        return GROUPS[self.structure][0]
 
 
 @dataclass(frozen=True)
@@ -129,7 +116,8 @@ def consistency_check():
                 )
         if row.kind == "classical":
             for nt in row.aut_nt:
-                ok = nt.structure in TWO_ELEMENTARY and TWO_ELEMENTARY[nt.structure] <= 2
+                # 2-elementary: every element has order 1 or 2; its rank is log2 of the order
+                ok = set(GROUPS[nt.structure][1]) <= {1, 2} and nt.order.bit_length() - 1 <= 2
                 out.append(
                     (
                         f"classical {row.type_tag}: nt {nt.structure} 2-elementary of rank <= 2",
@@ -162,7 +150,7 @@ def consistency_check():
                     )
                 )
             else:
-                orders = set(ELEMENT_ORDERS[ct.structure])
+                orders = set(GROUPS[ct.structure][1])
                 ok = orders <= realizable
                 detail = f"element orders {sorted(orders)} within realizable {sorted(realizable)}"
                 if 3 in orders:

@@ -152,15 +152,18 @@ def test_cli_rejects_bad_order_and_ext_degree(flag):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("bound", ["0", "1001", "10000000"])
-def test_main_rejects_a_bound_out_of_range(bound, capsys):
-    # checked before any search: a huge bound must not run out of memory
-    with pytest.raises(SystemExit) as exc:
+@pytest.mark.parametrize("bound", ["0", "1", "2", "3", "1001", "10000000"])
+def test_main_rejects_a_bound_out_of_range(bound, capsys, time_limit):
+    # checked before any search: a huge bound must not run out of memory,
+    # and a bound below 4 must not start a search that does not finish
+    assert cli.BOUND_MIN == 4
+    with time_limit(1), pytest.raises(SystemExit) as exc:
         cli.main(["--suite", "lattice-selfcheck", "--bound", bound])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.strip().splitlines()[-1] == f"enrq: error: bound {bound}: use 1 to {cli.BOUND_CAP}"
+    assert captured.err.strip().splitlines()[-1] == (
+        f"enrq: error: bound {bound}: use 4 to {cli.BOUND_CAP} (the sequence search does not finish below 4)")
 
 
 def test_bound_cap_is_accepted(capsys, time_limit):

@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -201,11 +201,11 @@ def dict_diagram(tag):
     # component ids, id -> multiplicity and (id, id) -> intersection weight
     ent = fibers.catalog(tag)
     ids = [c for c, _ in ent.model.components]
-    pair = ent.model.pairwise_intersections()
     weight = {}
-    for a, b in combinations_with_replacement(ids, 2):
-        if a != b and pair.get(frozenset((a, b)), 0):
-            weight[(a, b)] = weight[(b, a)] = pair[frozenset((a, b))]
+    for p in ent.model.points:
+        for (a, ba), (b, bb) in permutations(p.branches, 2):
+            if a != b:
+                weight[a, b] = weight.get((a, b), 0) + p.local_mult * ba * bb
     return ids, dict(ent.model.components), weight
 
 
@@ -357,12 +357,12 @@ def test_isomorphism_pruning_keeps_every_isomorphism(t1, t2):
 
 
 def test_diagram_is_indexed_by_catalog_position():
-    ids, mult, weight = configs._diagram("II*")
+    ids, mult, gram = configs._diagram("II*")
     ent = fibers.catalog("II*")
     assert ids == [c for c, _ in ent.model.components]
     assert mult == [m for _, m in ent.model.components]
     _, _, dw = dict_diagram("II*")
-    assert weight == [[dw.get((a, b), 0) for b in ids] for a in ids]
+    assert gram == [[-2 if a == b else dw.get((a, b), 0) for b in ids] for a in ids]
 
 
 SUITE_PAIRS = [("I4*", "I4*"), ("I4*", "II*"), ("II*", "II*")]

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -45,12 +45,32 @@ def test_dynkin_labels_round_trip():
 
 
 def test_catalog_rejects_bad_tags():
-    with pytest.raises(ValueError):
-        fibers.catalog("SMOOTH")
-    with pytest.raises(ValueError):
-        fibers.catalog("I0")
-    with pytest.raises(ValueError):
-        fibers.catalog("V")
+    # leading zeros and a trailing newline would name a second entry for one type
+    for tag in ("SMOOTH", "I0", "V", "I01", "I007", "I00*", "I1\n", "I", "I*", "II**"):
+        with pytest.raises(ValueError):
+            fibers.catalog(tag)
+        with pytest.raises(ValueError):
+            fibers.dynkin_label(tag)
+
+
+# every standard_tags(9) model as "id:multiplicity" in catalog order
+COMPONENTS = {
+    **{f"I{n}": " ".join(f"c{i}:1" for i in range(n)) for n in range(1, 10)},
+    **{f"I{n}*": " ".join([f"z{i}:2" for i in range(n + 1)] + [f"t{i}:1" for i in range(4)]) for n in range(10)},
+    "II": "c0:1",
+    "III": "c0:1 c1:1",
+    "IV": "c0:1 c1:1 c2:1",
+    "IV*": "z:3 m0:2 o0:1 m1:2 o1:1 m2:2 o2:1",
+    "III*": "o0:1 m0:2 n0:3 c:4 n1:3 m1:2 o1:1 b:2",
+    "II*": "a0:1 a1:2 a2:3 a3:4 a4:5 c:6 d:4 e:2 b:3",
+}
+
+
+def test_catalog_component_ids_multiplicities_and_order():
+    assert sorted(fibers.standard_tags(9)) == sorted(COMPONENTS)
+    for tag in fibers.standard_tags(9):
+        got = " ".join(f"{c}:{m}" for c, m in fibers.catalog(tag).model.components)
+        assert got == COMPONENTS[tag], tag
 
 
 def test_fiber_condition_enforced_at_construction():
@@ -71,12 +91,23 @@ def test_fiber_condition_enforced_at_construction():
         )
 
 
+def pair_counts(model):
+    """{(a, b): C_a.C_b} for components a != b that meet, from the points:
+    local_mult * b_a * b_b summed over the points they share."""
+    pair = {}
+    for p in model.points:
+        for (c1, b1), (c2, b2) in permutations(p.branches, 2):
+            if c1 != c2:
+                pair[c1, c2] = pair.get((c1, c2), 0) + p.local_mult * b1 * b2
+    return pair
+
+
 def two_connected_oracle(model):
     # independent route: enumerate sub-divisors and compute D1.D2 from
     # the incidence data directly
     mults = [m for _, m in model.components]
     ids = [c for c, _ in model.components]
-    pair = model.pairwise_intersections()
+    pair = pair_counts(model)
 
     def dot(a, b):
         total = 0
@@ -85,7 +116,7 @@ def two_connected_oracle(model):
                 if i == j:
                     total += -2 * a[i] * b[i]
                 else:
-                    total += a[i] * b[j] * pair.get(frozenset((ids[i], ids[j])), 0)
+                    total += a[i] * b[j] * pair.get((ids[i], ids[j]), 0)
         return total
 
     best = None
@@ -134,9 +165,9 @@ def test_two_connected_d4_central_split():
     central = next(c for c, m in model.components if m == 2)
     a = [1 if c == central else 0 for c in ids]
     b = [m - x for (_, m), x in zip(model.components, a)]
-    pair = model.pairwise_intersections()
+    pair = pair_counts(model)
     val = sum(
-        (-2 if i == j else pair.get(frozenset((ids[i], ids[j])), 0)) * a[i] * b[j]
+        (-2 if i == j else pair.get((ids[i], ids[j]), 0)) * a[i] * b[j]
         for i in range(5)
         for j in range(5)
     )
@@ -207,8 +238,8 @@ def _tame(*fixed, free=0):
 I2_FIXED = (("p0", "p0"), ("p1", "p1"))
 I2_SWAP = (("p0", "p1"), ("p1", "p0"))
 I2_BOTH = _tame(("p0", 1), ("p1", 1))  # the only tame option at fixed nodes
-I0STAR_FIXED = tuple((f"q{i}", f"q{i}") for i in range(4))
-I0STAR_TAILS = tuple((f"t{i}", _tame((f"q{i}", 1), free=1)) for i in range(4))
+I0STAR_FIXED = tuple((f"p{i}", f"p{i}") for i in range(4))  # p<i> joins tail t<i> to z0
+I0STAR_TAILS = tuple((f"t{i}", _tame((f"p{i}", 1), free=1)) for i in range(4))
 
 
 # one kind of inadmissible input per case; the other components are admissible
@@ -216,7 +247,7 @@ INADMISSIBLE = {
     "a 2-cycle of points at order 3": ("I2", 3, I2_SWAP, (("c0", _tame(free=2)), ("c1", _tame(free=2)))),
     "a fixed slot at a moved point": ("I2", 2, I2_SWAP, (("c0", _tame(("p0", 1), free=1)), ("c1", _tame(free=2)))),
     "negative free slots": ("I0*", 3, I0STAR_FIXED,
-                            (("z0", _tame(*((f"q{i}", 1) for i in range(4)), free=-2)), *I0STAR_TAILS)),
+                            (("z0", _tame(*((f"p{i}", 1) for i in range(4)), free=-2)), *I0STAR_TAILS)),
     "an unknown kind": ("I2", 2, I2_FIXED, (("c0", fibers.ComponentAction("wild", I2_BOTH.fixed_branches)),
                                             ("c1", I2_BOTH))),
     "a missing component": ("I2", 2, I2_FIXED, (("c0", I2_BOTH),)),

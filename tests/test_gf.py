@@ -242,17 +242,3 @@ def test_tables_are_built_on_first_use_and_shared():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "0"  # importing builds no field
-
-
-@pytest.mark.parametrize("p,k,poly", [(2, 2, (1, 1, 1)), (3, 2, (1, 0, 1)), (5, 2, (2, 0, 1)), (2, 4, (1, 1, 0, 0, 1))])
-def test_find_root_stops_at_the_first_root_of_a_whole_field_scan(monkeypatch, p, k, poly):
-    # every root needs the whole field (m = k): evaluate in element order
-    # up to the first root and no further
-    fld = GF(p, k)
-    seen = []
-    evaluate = fld._evaluate
-    monkeypatch.setattr(fld, "_evaluate", lambda coeffs, x: seen.append(x) or evaluate(coeffs, x))
-    root = fld.find_root(poly)
-    order = list(fld.elements())
-    assert root is not None and root == full_scan_root(fld, poly)
-    assert seen == order[: order.index(root) + 1]

@@ -36,6 +36,16 @@ def test_group_tags():
         tables.GroupTag("Z/13")
 
 
+def test_classical_nt_check_accepts_exactly_the_2_elementary_groups_of_rank_at_most_2(monkeypatch):
+    # one classical row per group, with trivial Aut_ct; of the table's groups
+    # only 1, Z/2 and Z/2xZ/2 are 2-elementary, of ranks 0, 1 and 2
+    data = dict(tables._load())
+    data["surface_rows"] = [{"kind": "classical", "type": s, "aut_ct": ["1"], "aut_nt": [s]} for s in tables.GROUPS]
+    monkeypatch.setattr(tables, "_load", lambda: data)
+    got = {label.split()[3]: ok for label, ok, _ in tables.consistency_check() if "2-elementary" in label}
+    assert got == {s: s in ("1", "Z/2", "Z/2xZ/2") for s in tables.GROUPS}
+
+
 def test_consistency_check_passes_on_shipped_data():
     entries = tables.consistency_check()
     assert entries
