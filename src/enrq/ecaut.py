@@ -19,10 +19,11 @@ Fixed points are counted two independent ways:
 
 * brute force: explicit Weierstrass curves over small prime fields, with
   each automorphism given as a Weierstrass substitution (u, r, s, t).
-  Every x of an extension field is enumerated; y is solved for only over
-  the x that the map fixes, and the fixed points there are counted.  With
-  the extension chosen large enough that ker(1 - g) is rational, this is
-  the geometric count.
+  Every x of an extension field is enumerated; over each x that the map
+  fixes, the fixed y are the solutions of one linear equation, and those
+  on the curve are counted without solving the curve for y.  With the
+  extension chosen large enough that ker(1 - g) is rational, this is the
+  geometric count.
 
 When the characteristic divides the order of g the map 1 - g can be
 inseparable and the fixed-point count is the separable degree; those
@@ -279,88 +280,50 @@ def _substitution_preserves(curve: Weierstrass, fld: GF, u, r, s, t) -> bool:
 
 def check_preserves(curve: Weierstrass, aut: AutMap) -> bool:
     """Whether the map carries the curve to itself, by Table 3.1 over the
-    smallest field that contains w (see `_substitution_preserves`)."""
-    fld = GF(curve.p, max(1, len(aut.sym_poly) - 1))
+    smallest field that contains w (see `_substitution_preserves`): its
+    degree is that of sym_poly mod p, trailing zeros aside."""
+    degree = max((i for i, c in enumerate(aut.sym_poly) if c % curve.p), default=0)
+    fld = GF(curve.p, max(1, degree))
     return _substitution_preserves(curve, fld, *_constants(aut, fld))
 
 
-def _artin_schreier(fld):
-    """For a field of characteristic 2, the function v -> all z with
-    z^2 + z = v, in element order.
+def _fixed_over(curve: Weierstrass, fld: GF, u3):
+    """The function (x, shift) -> the number of points (x, y) on the curve
+    with u^3 y + shift = y, over the given field.
 
-    z -> z^2 + z is F_2-linear with kernel {0, 1}, so v has two solutions
-    z, z + 1 when it lies in the image (iff Tr(v) = 0) and none otherwise.
-    The images of the basis elements t^i (k squarings) are put in echelon
-    form once, each keyed by its highest bit and paired with its preimage;
-    a v is then reduced along the pivots, highest bit first, in k steps.
+    If u^3 != 1 only y = shift / (1 - u^3) can be fixed.  If u^3 = 1 no y
+    is fixed unless shift = 0, and then every y over x is: the roots of
+    y^2 + c y = rhs with c = a1 x + a3.  For odd p they are counted from
+    the discriminant c^2 + 4 rhs by `GF.sqrt`.  For p = 2 and c != 0,
+    y = c z with z^2 + z = rhs / c^2, which has two solutions if the
+    absolute trace of rhs / c^2 is 0 and none if it is 1.
     """
-    pivots = {}  # highest bit -> (image, preimage)
-    for i in range(fld.k):
-        pre = 1 << i
-        image = fld.add(fld.mul(pre, pre), pre)
-        while image:
-            top = image.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (image, pre)
-                break
-            image ^= pivots[top][0]
-            pre ^= pivots[top][1]
-    rows = sorted(pivots.items(), reverse=True)
-
-    def solve(v):
-        z = 0
-        for top, (image, pre) in rows:
-            if v >> top & 1:
-                v ^= image
-                z ^= pre
-        if v:
-            return []
-        # t^0 = 1 spans the kernel, so every preimage above, and z, has
-        # t^0 coefficient 0: z comes before z + 1 in element order
-        return [z, z | 1]
-
-    return solve
-
-
-def _y_solver(curve, fld):
-    """The function x -> all y with (x, y) on the curve, over the given field.
-
-    The curve's coefficients and 1/2 are set up once here, not per x.  For
-    odd p the roots come from `GF.sqrt`.  For p = 2 and c = a1 x + a3 != 0,
-    y = c z with z^2 + z = rhs / c^2, solved by `_artin_schreier`.
-    """
-    p = curve.p
+    p, mul, add = curve.p, fld.mul, fld.add
     a1, a2, a3, a4, a6 = (fld.from_int(a) for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
-    inv2 = fld.inv(fld.from_int(2)) if p != 2 else None
-    artin_schreier = _artin_schreier(fld) if p == 2 and (a1 or a3) else None
+    one_minus_u3 = fld.sub(fld.one, u3)
+    inv = fld.inv(one_minus_u3) if one_minus_u3 else None
+    four = fld.from_int(4)
 
-    def solutions(x):
-        x2 = fld.mul(x, x)
-        x3 = fld.mul(x2, x)
-        rhs = x3
-        if a2:
-            rhs = fld.add(rhs, fld.mul(a2, x2))
-        if a4:
-            rhs = fld.add(rhs, fld.mul(a4, x))
-        if a6:
-            rhs = fld.add(rhs, a6)
-        c = fld.add(fld.mul(a1, x), a3)
-        if p == 2:
-            if c == fld.zero:
-                # y^2 = rhs: Frobenius is bijective
-                return [fld.sqrt(rhs)]
-            v = fld.mul(rhs, fld.inv(fld.mul(c, c)))
-            return [fld.mul(c, z) for z in artin_schreier(v)]
-        # odd characteristic: y^2 + c y = rhs, complete the square
-        half_c = fld.mul(c, inv2)
-        root = fld.sqrt(fld.add(rhs, fld.mul(half_c, half_c)))
-        if root is None:
-            return []
-        if root == fld.zero:
-            return [fld.neg(half_c)]
-        return [fld.sub(root, half_c), fld.sub(fld.neg(root), half_c)]
+    def count(x, shift):
+        rhs = add(mul(add(mul(add(x, a2), x), a4), x), a6)
+        c = add(mul(a1, x), a3)
+        if inv is not None:
+            y = mul(shift, inv)
+            return int(mul(add(y, c), y) == rhs)
+        if shift:
+            return 0
+        if p != 2:
+            disc = add(mul(c, c), mul(four, rhs))
+            return 1 if not disc else 0 if fld.sqrt(disc) is None else 2
+        if not c:
+            return 1  # y^2 = rhs: Frobenius is bijective
+        v = trace = mul(rhs, fld.inv(mul(c, c)))
+        for _ in range(fld.k - 1):
+            v = mul(v, v)
+            trace = add(trace, v)
+        return 2 - 2 * trace
 
-    return solutions
+    return count
 
 
 def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int) -> int:
@@ -368,27 +331,24 @@ def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int) -> int:
     (including the point at infinity).
 
     The map is first checked to preserve the curve.  Every x of the field
-    is enumerated; X = u^2 x + r depends on x alone, so y is solved for
-    only where X = x, and there (x, y) is fixed iff u^3 y + s u^2 x + t = y.
-    When ext_degree makes ker(1 - g) rational this is the geometric
-    fixed-point count.  `GF` rejects an extension field above FIELD_CAP.
+    is enumerated; X = u^2 x + r depends on x alone, so only the x with
+    X = x can carry fixed points, and over such an x the fixed y are the
+    solutions of one linear equation, (1 - u^3) y = s u^2 x + t, on the
+    curve (see `_fixed_over`).  When ext_degree makes ker(1 - g) rational
+    this is the geometric fixed-point count.  `GF` rejects an extension
+    field above FIELD_CAP.
     """
     if not check_preserves(curve, aut):
         raise ValueError("map does not preserve the curve")
     fld = GF(curve.p, ext_degree)
     u, r, s, t = _constants(aut, fld)
     u2 = fld.mul(u, u)
-    u3 = fld.mul(u2, u)
-    y_solutions = _y_solver(curve, fld)
+    fixed_over = _fixed_over(curve, fld, fld.mul(u2, u))
     count = 1  # point at infinity
     for x in fld.elements():
         u2x = fld.mul(u2, x)
-        if fld.add(u2x, r) != x:
-            continue
-        shift = fld.add(fld.mul(s, u2x), t)
-        for y in y_solutions(x):
-            if fld.add(fld.mul(u3, y), shift) == y:
-                count += 1
+        if fld.add(u2x, r) == x:
+            count += fixed_over(x, fld.add(fld.mul(s, u2x), t))
     return count
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -234,35 +235,38 @@ def test_filtered_count_matches_every_point_oracle(row):
 
 @pytest.mark.parametrize("degree", (1, 2))
 @pytest.mark.parametrize("curve", TABLE_CURVES, ids=repr)
-def test_y_solver_matches_the_pair_scan(curve, degree):
-    # the brute-force count runs the y-solver only over fixed x, so check
-    # it here at every x: odd p through GF.sqrt, p = 2 through the z^2 + z
-    # solver (and the c = 0 square root of the ordinary curve at x = 0)
+def test_fixed_over_matches_the_pair_scan(curve, degree):
+    # the brute-force count runs the helper only over fixed x, so check it
+    # here at every x and every shift: u^3 = 1 (shift = 0 through GF.sqrt
+    # or the p = 2 trace, shift != 0 with no fixed y) and u^3 = 0, q - 1
+    # (one linear solution, where q - 1 != 1)
     fld = GF(curve.p, degree)
-    points = curve_points(curve, fld)
-    solutions = ecaut._y_solver(curve, fld)
-    for x in fld.elements():
-        assert sorted(solutions(x)) == sorted(y for px, y in points if px == x), x
-    assert 1 + sum(len(solutions(x)) for x in fld.elements()) == 1 + len(points)
+    ys = {x: [] for x in fld.elements()}
+    for x, y in curve_points(curve, fld):
+        ys[x].append(y)
+    for u3 in {fld.one, fld.zero, fld.q - 1}:
+        count = ecaut._fixed_over(curve, fld, u3)
+        for x, shift in product(fld.elements(), repeat=2):
+            assert count(x, shift) == sum(fld.add(fld.mul(u3, y), shift) == y for y in ys[x]), (u3, x, shift)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
-def test_artin_schreier_matches_the_whole_field_table(k):
-    # the table of z^2 + z over every z, in element order, that the solver
-    # replaces; v has solutions iff its absolute trace is 0
+def test_fixed_over_trace_matches_the_whole_field_table(k):
+    # on y^2 + xy = x^3 + a2 x^2 with x != 0, c = x and rhs / c^2 = x + a2,
+    # so a2 = 0 and a2 = 1 together reach every v; with u^3 = 1 and
+    # shift = 0 the count is the number of z with z^2 + z = v, which the
+    # table of z^2 + z over every z gives
     fld = GF(2, k)
-    table = {}
-    for z in fld.elements():
-        table.setdefault(fld.add(fld.mul(z, z), z), []).append(z)
-    solve = ecaut._artin_schreier(fld)
-    for v in fld.elements():
-        trace, conj = v, v
-        for _ in range(k - 1):
-            conj = fld.mul(conj, conj)
-            trace = fld.add(trace, conj)
-        assert trace in (0, 1)
-        assert solve(v) == table.get(v, []), v
-        assert bool(solve(v)) == (trace == 0), v
+    table = Counter(fld.add(fld.mul(z, z), z) for z in fld.elements())
+    reached = set()
+    for a2 in (0, 1):
+        count = ecaut._fixed_over(Weierstrass(2, a1=1, a2=a2), fld, fld.one)
+        for x in fld.elements():
+            if x:
+                v = fld.add(x, a2)
+                assert count(x, 0) == table[v], (a2, x)
+                reached.add(v)
+    assert len(reached) == fld.q
 
 
 @pytest.mark.parametrize("row", ecaut.TABLE_ROWS, **ROW_IDS)
@@ -272,22 +276,61 @@ def test_check_preserves_matches_evaluation_on_table_rows(row):
     assert preserves_by_evaluation(row.curve, row.aut, fld)
 
 
-@pytest.mark.parametrize("p,k,n_curves", [(2, 2, 32), (3, 2, 80), (5, 1, 30)])
+# (p, evaluation degree, number of sampled curves over F_p)
+PRIME_FIELD_SAMPLES = [(2, 2, 32), (3, 2, 80), (5, 1, 30)]
+
+
+def sampled_curves(p, n_curves):
+    """A fixed-seed sample of all curves over F_p (all of them for p = 2)."""
+    return random.Random(p).sample([Weierstrass(p, *a) for a in product(range(p), repeat=5)], n_curves)
+
+
+def prime_field_maps(p):
+    return [AutMap((u,), (r,), (s,), (t,)) for u in range(1, p) for r, s, t in product(range(p), repeat=3)]
+
+
+@pytest.mark.parametrize("p,k,n_curves", PRIME_FIELD_SAMPLES)
 def test_check_preserves_matches_evaluation_on_prime_field_maps(p, k, n_curves):
-    # every prime-field map on a fixed-seed sample of all curves over F_p
-    # (all of them for p = 2): unlike the table curves, these have a1 and
-    # a3 != 0, and automorphisms with r, s and t != 0, so every term of
-    # Table 3.1 takes part
+    # every prime-field map on the sampled curves: unlike the table
+    # curves, these have a1 and a3 != 0, and automorphisms with r, s and
+    # t != 0, so every term of Table 3.1 takes part
     fld = GF(p, k)
-    curves = random.Random(p).sample([Weierstrass(p, *a) for a in product(range(p), repeat=5)], n_curves)
-    maps = [AutMap((u,), (r,), (s,), (t,)) for u in range(1, p) for r, s, t in product(range(p), repeat=3)]
+    maps = prime_field_maps(p)
     preserving = 0
-    for curve in curves:
+    for curve in sampled_curves(p, n_curves):
         for aut in maps:
             verdict = ecaut.check_preserves(curve, aut)
             assert verdict == preserves_by_evaluation(curve, aut, fld), (curve, aut)
             preserving += verdict
     assert preserving > n_curves  # more than the identities
+
+
+@pytest.mark.parametrize("degree", (1, 2))
+@pytest.mark.parametrize("p,n_curves", [(p, n) for p, _, n in PRIME_FIELD_SAMPLES])
+def test_brute_force_matches_every_point_oracle_on_prime_field_maps(p, n_curves, degree):
+    # no table row has a1, a3, r, s and t all nonzero; for odd p the
+    # preserving prime-field maps on the sampled curves include such maps
+    # (over F_2 the a2 equation of Table 3.1 reads r = s (a1 + s), so
+    # s = a1 = 1 forces r = 0)
+    checked, all_nonzero = 0, False
+    for curve in sampled_curves(p, n_curves):
+        for aut in prime_field_maps(p):
+            if ecaut.check_preserves(curve, aut):
+                assert ecaut.brute_force_count(curve, aut, degree) == every_point_fixed_count(curve, aut, degree), (
+                    curve, aut)
+                checked += 1
+                all_nonzero |= all((curve.a1, curve.a3, *aut.r, *aut.s, *aut.t))
+    assert checked > n_curves and (p == 2 or all_nonzero)
+
+
+def test_check_preserves_ignores_trailing_zeros_of_sym_poly():
+    # w^2 + w + 1 spelled with a zero (mod p) leading coefficient still
+    # asks for GF(2^2), which holds the cube roots of unity
+    curve = Weierstrass(2, a3=1)
+    for sym_poly in ((1, 1, 1), (1, 1, 1, 0), (1, 1, 1, 2)):
+        aut = AutMap(u=(1, 1), sym_poly=sym_poly)
+        assert ecaut.check_preserves(curve, aut), sym_poly
+        assert ecaut.brute_force_count(curve, aut, 2) == 3, sym_poly
 
 
 def substitution_automorphisms(curve):

@@ -242,32 +242,52 @@ I0STAR_FIXED = tuple((f"p{i}", f"p{i}") for i in range(4))  # p<i> joins tail t<
 I0STAR_TAILS = tuple((f"t{i}", _tame((f"p{i}", 1), free=1)) for i in range(4))
 
 
-# one kind of inadmissible input per case; the other components are admissible
+# one kind of inadmissible input per case; the other components are
+# admissible.  Each case ends with its repair: the new order, or the new
+# action of the one component at fault, which makes the action admissible
 INADMISSIBLE = {
-    "a 2-cycle of points at order 3": ("I2", 3, I2_SWAP, (("c0", _tame(free=2)), ("c1", _tame(free=2)))),
-    "a fixed slot at a moved point": ("I2", 2, I2_SWAP, (("c0", _tame(("p0", 1), free=1)), ("c1", _tame(free=2)))),
-    "negative free slots": ("I0*", 3, I0STAR_FIXED,
-                            (("z0", _tame(*((f"p{i}", 1) for i in range(4)), free=-2)), *I0STAR_TAILS)),
+    "a 2-cycle of points at order 3": ("I2", 3, I2_SWAP, (("c0", _tame(free=2)), ("c1", _tame(free=2))),
+                                       {"order": 2}),
+    "a fixed slot at a moved point": ("I2", 2, I2_SWAP, (("c0", _tame(("p0", 1), free=1)), ("c1", _tame(free=2))),
+                                      {"c0": _tame(free=2)}),
+    # the fixed slots are the two an admissible action has; only the free
+    # count is wrong (it cannot be negative and still total 2 with at most
+    # 2 fixed slots)
+    "negative free slots": ("I2", 2, I2_FIXED, (("c0", _tame(("p0", 1), ("p1", 1), free=-1)), ("c1", I2_BOTH)),
+                            {"c0": I2_BOTH}),
     "an unknown kind": ("I2", 2, I2_FIXED, (("c0", fibers.ComponentAction("wild", I2_BOTH.fixed_branches)),
-                                            ("c1", I2_BOTH))),
-    "a missing component": ("I2", 2, I2_FIXED, (("c0", I2_BOTH),)),
-    "more than 2 slots": ("I2", 2, I2_FIXED, (("c0", _tame(("p0", 1), ("p1", 1), free=1)), ("c1", I2_BOTH))),
+                                            ("c1", I2_BOTH)), {"c0": I2_BOTH}),
+    "a missing component": ("I2", 2, I2_FIXED, (("c0", I2_BOTH),), {"c1": I2_BOTH}),
+    "more than 2 slots": ("I2", 2, I2_FIXED, (("c0", _tame(("p0", 1), ("p1", 1), free=1)), ("c1", I2_BOTH)),
+                          {"c0": I2_BOTH}),
     "an identity component with slots": ("I0*", 3, I0STAR_FIXED,
-                                         (("z0", fibers.ComponentAction("identity", (), 2)), *I0STAR_TAILS)),
-    "a negative branch count": ("I1", 2, (("node", "node"),), (("c0", _tame(("node", -1), free=3)),)),
+                                         (("z0", fibers.ComponentAction("identity", (), 2)), *I0STAR_TAILS),
+                                         {"z0": fibers.ComponentAction("identity")}),
+    "a negative branch count": ("I1", 2, (("node", "node"),), (("c0", _tame(("node", -1), free=2)),),
+                                {"c0": _tame(("node", 0), free=2)}),
 }
 
 
 def test_fixed_euler_rejects_inadmissible():
-    for case, (tag, order, perm, components) in INADMISSIBLE.items():
+    for case, (tag, order, perm, components, repair) in INADMISSIBLE.items():
         model = fibers.catalog(tag).model
         action = fibers.FiberAction(order, perm, components)
         assert not admissible_oracle(model, action), case
         try:
             fibers.fixed_euler(model, action)
         except ValueError:
-            continue
-        pytest.fail(f"fixed_euler accepted {case}")
+            pass
+        else:
+            pytest.fail(f"fixed_euler accepted {case}")
+        # the case with its one defect repaired is admissible, so the case
+        # is rejected for the reason it names and for no other
+        assert len(repair) == 1, case
+        repaired_components = {**dict(components), **repair}
+        repaired = fibers.FiberAction(repair.get("order", order), perm,
+                                      tuple((cid, repaired_components[cid]) for cid, _ in model.components))
+        assert admissible_oracle(model, repaired), case
+        fibers.fixed_euler(model, repaired)
+        assert repaired in fibers.admissible_actions(model, repaired.order), case
 
 
 @pytest.mark.parametrize("order", [0, -4])
