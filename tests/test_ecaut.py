@@ -235,7 +235,7 @@ def test_filtered_count_matches_every_point_oracle(row):
 
 @pytest.mark.parametrize("degree", (1, 2))
 @pytest.mark.parametrize("curve", TABLE_CURVES, ids=repr)
-def test_fixed_over_matches_the_pair_scan(curve, degree):
+def test_fixed_over_vs_pair_scan(curve, degree):
     # the brute-force count runs the helper only over fixed x, so check it
     # here at every x and every shift: u^3 = 1 (shift = 0 through GF.sqrt
     # or the p = 2 trace, shift != 0 with no fixed y) and u^3 = 0, q - 1
