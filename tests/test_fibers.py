@@ -250,11 +250,11 @@ INADMISSIBLE = {
                                        {"order": 2}),
     "a fixed slot at a moved point": ("I2", 2, I2_SWAP, (("c0", _tame(("p0", 1), free=1)), ("c1", _tame(free=2))),
                                       {"c0": _tame(free=2)}),
-    # the fixed slots are the two an admissible action has; only the free
-    # count is wrong (it cannot be negative and still total 2 with at most
-    # 2 fixed slots)
-    "negative free slots": ("I2", 2, I2_FIXED, (("c0", _tame(("p0", 1), ("p1", 1), free=-1)), ("c1", I2_BOTH)),
-                            {"c0": I2_BOTH}),
+    # four fixed slots and free -2 still total 2 slots; no tame z0 is
+    # admissible at order 3, so the repair makes it the identity
+    "negative free slots": ("I0*", 3, I0STAR_FIXED,
+                            (("z0", _tame(*((f"p{i}", 1) for i in range(4)), free=-2)), *I0STAR_TAILS),
+                            {"z0": fibers.ComponentAction("identity")}),
     "an unknown kind": ("I2", 2, I2_FIXED, (("c0", fibers.ComponentAction("wild", I2_BOTH.fixed_branches)),
                                             ("c1", I2_BOTH)), {"c0": I2_BOTH}),
     "a missing component": ("I2", 2, I2_FIXED, (("c0", I2_BOTH),), {"c1": I2_BOTH}),
@@ -263,8 +263,10 @@ INADMISSIBLE = {
     "an identity component with slots": ("I0*", 3, I0STAR_FIXED,
                                          (("z0", fibers.ComponentAction("identity", (), 2)), *I0STAR_TAILS),
                                          {"z0": fibers.ComponentAction("identity")}),
-    "a negative branch count": ("I1", 2, (("node", "node"),), (("c0", _tame(("node", -1), free=2)),),
-                                {"c0": _tame(("node", 0), free=2)}),
+    # -2 branches and free 4 total 2 slots and leave the node's 4 other
+    # branches, which order 2 can move in 2-cycles
+    "a negative branch count": ("I1", 2, (("node", "node"),), (("c0", _tame(("node", -2), free=4)),),
+                                {"c0": _tame(("node", 2))}),
 }
 
 
@@ -273,6 +275,9 @@ def test_fixed_euler_rejects_inadmissible():
         model = fibers.catalog(tag).model
         action = fibers.FiberAction(order, perm, components)
         assert not admissible_oracle(model, action), case
+        if case != "more than 2 slots":  # the other cases keep the slot total of 2
+            assert all(sum(k for _, k in ca.fixed_branches) + ca.free_slots == 2
+                       for _, ca in components if ca.kind == "tame"), case
         try:
             fibers.fixed_euler(model, action)
         except ValueError:
