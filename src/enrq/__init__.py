@@ -6,8 +6,9 @@ Submodules, each loaded on first use (`import enrq` loads none of them;
 `enrq.lattice` or `from enrq import lattice` loads that one and what it
 imports):
 
-* lattice  - the rank-10 hyperbolic lattice U + E8(-1): intersection
-  form, reflections, isotropic-sequence search
+* lattice  - the rank-10 lattice U + E8(-1): intersection form,
+  reflections
+* search   - isotropic-sequence search
 * fibers   - Kodaira fiber types: incidence models, Euler numbers,
   2-connectedness, tame actions and fixed-locus Euler characteristics
 * configs  - singular-fiber configurations of genus-one pencils: the
@@ -27,7 +28,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("cli", "configs", "delpezzo", "ecaut", "fibers", "gf", "lattice", "report", "tables")
+_SUBMODULES = ("cli", "configs", "delpezzo", "ecaut", "fibers", "gf", "lattice", "report", "search", "tables")
 
 
 def __getattr__(name):

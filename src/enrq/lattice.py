@@ -16,14 +16,11 @@ short branch attached to node 4):
 Vectors are plain tuples of 10 integers.  Everything here is exact: one
 fraction-free congruence elimination, over the integers, gives the
 determinant, the inertia and the bound of the isotropic sequence search.
-The search keeps the constraints v.f = 1 of the sequence so far in
-integer reduced echelon form with late pivots: a pivot coordinate is
-computed from the coordinates chosen before it, not branched on.
+The search itself is in `enrq.search`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -213,176 +210,17 @@ def gram_signature():
 # isotropic sequence search
 
 
-def _e8_bound():
-    """Integer data for branch and bound on q(x) = -x'.x' over the E8 block.
-
-    From the pivot rows U_k and leading minors of -E8 (see _reduce),
-    SCALE q(x) = sum_k W_k (U_k.x)^2 with SCALE the lcm of the D_k D_{k+1}
-    and integer weights W_k.  Term k reads only x_{k+1}..x8; U_k is kept
-    as (lattice index, coefficient) pairs.
-    """
-    rows, minors, _ = _reduce([[-GRAM[2 + i][2 + j] for j in range(8)] for i in range(8)])
-    denominators = [a * b for a, b in zip(minors, minors[1:])]
-    scale = math.lcm(*denominators)
-    pivots = tuple(tuple((2 + j, row[j]) for j in range(k, 8) if row[j]) for k, row in enumerate(rows))
-    return scale, tuple(scale // d for d in denominators), pivots
-
-
-_E8_SCALE, _E8_WEIGHTS, _E8_ROWS = _e8_bound()
-
-
-_ORDER = (0, 1, 9, 8, 7, 6, 5, 4, 3, 2)  # search positions: a, b, x8, ..., x1
-
-
-def _value_order(bound):
-    return [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)]
-
-
-def _echelon(prefix_duals):
-    """Reduced integer echelon form of the constraints v.f = 1, with every
-    pivot as late as possible in the search order.
-
-    A row is [c_0, ..., c_9, rhs] over search positions (see _ORDER).
-    Positions are eliminated from the last to the first: a remaining row
-    with a nonzero c_p becomes the pivot row s of position p, and p is
-    cleared from every other row by r <- s_p r - r_p s, each row then
-    divided by the gcd of its entries.  Returns {position: row}, or None
-    when a row with no coefficient left keeps a nonzero right-hand side.
-    A pivot row is zero at every other pivot position and at every
-    position after its own, so its pivot coordinate is fixed by the
-    coordinates the search has already chosen.
-    """
-    rest = [[dual[i] for i in _ORDER] + [1] for dual in prefix_duals]
-    pivots = {}
-    for p in range(RANK - 1, -1, -1):
-        s = next((r for r in rest if r[p]), None)
-        if s is None:
-            continue
-        rest = [r for r in rest if r is not s]
-        for r in rest + list(pivots.values()):
-            c = r[p]
-            if c:
-                r[:] = [s[p] * x - c * y for x, y in zip(r, s)]
-                g = math.gcd(*r)
-                if g > 1:
-                    r[:] = [x // g for x in r]
-        pivots[p] = s
-    if any(r[RANK] for r in rest):
-        return None
-    return pivots
-
-
-def _candidates(prefix_duals, bound):
-    """Yield isotropic vectors v with |v_i| <= bound and v.f = 1 for each
-    previous sequence member f (prefix_duals holds the rows G.f).
-
-    Coordinates are chosen in the order (a, b, x8, ..., x1) so that the
-    partial sums of SCALE q(x) give monotone integer lower bounds on
-    SCALE 2ab (branch-and-bound).  The constraints are kept in reduced
-    echelon form with late pivots (see _echelon): a pivot coordinate is
-    computed from the coordinates before it, never branched on, and a
-    free coordinate runs through 0, 1, -1, 2, -2, ... while each row can
-    still reach its right-hand side within the box.  So the vectors come
-    in the lexicographic order of that value order, deterministically.
-    """
-    pivots = _echelon(prefix_duals)
-    if pivots is None:
-        return
-    rows = list(pivots.values())
-    rhs = [r[RANK] for r in rows]
-    # reach[c][step]: the most the positions from step on can add to row c
-    reach = [[bound * sum(abs(x) for x in r[step:RANK]) for step in range(RANK + 1)] for r in rows]
-    # per position: the (row, pivot) that fixes it, if any, and the (row, coefficient) pairs it moves
-    solve = [None] * RANK
-    for c, (pos, r) in enumerate(pivots.items()):
-        solve[pos] = (c, r[pos])
-    moves = [tuple((c, r[step]) for c, r in enumerate(rows) if r[step]) for step in range(RANK)]
-    vals = _value_order(bound)
-    coords = [0] * RANK
-
-    def rec(step, partial, qpart, target):
-        if step == RANK:
-            if qpart == target and any(coords):
-                yield tuple(coords)
-            return
-        idx = _ORDER[step]
-        values = vals
-        if solve[step] is not None:
-            c, d = solve[step]
-            val, rem = divmod(rhs[c] - partial[c], d)
-            if rem or abs(val) > bound:
-                return
-            values = (val,)
-        for val in values:
-            coords[idx] = val
-            ok = True
-            newpartial = list(partial)
-            for c, coef in moves[step]:
-                p = partial[c] + val * coef
-                if abs(rhs[c] - p) > reach[c][step + 1]:
-                    ok = False
-                    break
-                newpartial[c] = p
-            if not ok:
-                coords[idx] = 0
-                continue
-            if step == 1:
-                # a, b fixed: the E8 part must satisfy q(x) = 2ab >= 0
-                t = 2 * coords[0] * coords[1]
-                if t < 0:
-                    coords[idx] = 0
-                    continue
-                yield from rec(2, newpartial, 0, _E8_SCALE * t)
-            elif step >= 2:
-                # the E8 term of this coordinate reads only coordinates already fixed
-                k = idx - 2
-                term = 0
-                for i, c in _E8_ROWS[k]:
-                    term += c * coords[i]
-                q = qpart + _E8_WEIGHTS[k] * term * term
-                if q <= target:
-                    yield from rec(step + 1, newpartial, q, target)
-            else:
-                yield from rec(step + 1, newpartial, qpart, target)
-        coords[idx] = 0
-
-    yield from rec(0, [0] * len(rows), 0, None)
-
-
 def search_sequences(n: int, bound: int, cap: int | None = 100):
     """Depth-first search for isotropic sequences of length n with all
     coordinates bounded by `bound` in absolute value.
 
     Returns a list of IsotropicSequence (ordered, so permutations of the
     same vector set count as distinct sequences).  At most `cap` results
-    are returned, cap >= 1 (pass cap=None for the full enumeration).  The
-    search order is fixed, so results are deterministic.
+    are returned, cap >= 1 (pass cap=None for the full enumeration).  n,
+    bound and cap must be ints.  The search order is fixed, so results
+    are deterministic.  The search itself is in `enrq.search`, loaded on
+    the first call.
     """
-    if not 1 <= n <= 10:
-        # Eleven isotropic vectors with pairwise product 1 would have a
-        # Gram matrix of signature (1, 10): impossible in a rank-10 lattice.
-        raise ValueError("sequence length must be between 1 and 10")
-    if bound < 1:
-        raise ValueError("coordinate bound must be >= 1")
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be >= 1, or None for the full enumeration")
-    results = []
-    chosen = []
-    duals = []
+    from . import search
 
-    def extend():
-        if len(chosen) == n:
-            results.append(IsotropicSequence(tuple(chosen)))
-            return len(results) != cap
-        for v in _candidates(duals, bound):
-            chosen.append(v)
-            duals.append(tuple(sum(GRAM[i][j] * v[j] for j in range(RANK)) for i in range(RANK)))
-            go_on = extend()
-            chosen.pop()
-            duals.pop()
-            if not go_on:
-                return False
-        return True
-
-    extend()
-    return results
+    return search.search_sequences(n, bound, cap)

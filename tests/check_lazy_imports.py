@@ -16,7 +16,7 @@ import contextlib
 import io
 import sys
 
-SUBMODULES = {"cli", "configs", "delpezzo", "ecaut", "fibers", "gf", "lattice", "report", "tables"}
+SUBMODULES = {"cli", "configs", "delpezzo", "ecaut", "fibers", "gf", "lattice", "report", "search", "tables"}
 
 
 def loaded():
@@ -33,6 +33,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     status, _ = enrq.cli.run(enrq.cli.RunConfig(suite="fibers-euler"))
 assert status == 0, status
 assert loaded() - before == {"enrq.fibers", "enrq.lattice"}, sorted(loaded() - before)
+
+before = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    status, _ = enrq.cli.run(enrq.cli.RunConfig(suite="lattice-selfcheck"))
+assert status == 0, status
+assert loaded() - before == {"enrq.search"}, sorted(loaded() - before)
 
 assert enrq.gf.GF(2, 3).q == 8
 assert "enrq.gf" in sys.modules

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import islice, product
@@ -7,7 +8,7 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enrq import fibers, lattice
+from enrq import fibers, lattice, search
 
 
 def det_by_fraction_elimination(matrix):
@@ -250,6 +251,12 @@ def test_search_finds_full_ten_sequence_within_bound_six(time_limit):
     assert len(seq) == 10
     assert lattice.validate_sequence(seq.vectors)
     assert all(abs(c) <= 6 for v in seq for c in v)
+    # the detail of the lattice-selfcheck row at the default bound 6
+    assert "; ".join(str(v) for v in seq) == (
+        "(0, 1, 0, 0, 0, 0, 0, 0, 0, 0); (1, 0, 0, 0, 0, 0, 0, 0, 0, 0); (1, 1, 1, 0, 0, 0, 0, 0, 0, 0); "
+        "(1, 1, 1, 0, 1, 0, 0, 0, 0, 0); (1, 1, 1, 0, 1, 1, 0, 0, 0, 0); (1, 1, 1, 1, 1, 1, 0, 0, 0, 0); "
+        "(1, 1, 0, -1, -1, -2, -2, -1, 0, 0); (1, 1, 0, -1, -1, -2, -2, -1, -1, 0); "
+        "(1, 1, 2, 2, 3, 4, 3, 3, 2, 1); (1, 1, 0, -1, -1, -2, -2, -1, -1, -1)")
 
 
 def test_search_rejects_a_cap_below_one(time_limit):
@@ -261,6 +268,19 @@ def test_search_rejects_a_cap_below_one(time_limit):
     with time_limit():
         found = lattice.search_sequences(2, 1, cap=None)
     assert len(found) == 4452
+
+
+@pytest.mark.parametrize("n, bound, cap", [
+    (2.5, 1, 5), (2.0, 1, 5), (True, 1, 5),
+    (2, 1.5, 5), (2, 1.0, 5), (2, True, 5),
+    (2, 1, 5.0), (2, 1, 2.5), (2, 1, True),
+])
+def test_search_rejects_non_int_arguments(time_limit, n, bound, cap):
+    # a float n never equals the sequence length and would search forever;
+    # a float cap would never be reached
+    with time_limit(1):
+        with pytest.raises(ValueError):
+            lattice.search_sequences(n, bound, cap=cap)
 
 
 def test_search_is_deterministic(time_limit):
@@ -282,13 +302,28 @@ def test_isotropic_sequence_validates_on_construction():
 
 def test_e8_bound_is_the_scaled_form():
     # the search bound: SCALE * (-x.x) as a weighted sum of integer squares
-    assert lattice._E8_SCALE == 120
-    assert lattice._E8_WEIGHTS == (60, 15, 5, 4, 6, 10, 20, 60)
+    assert search._E8_SCALE == 120
+    assert search._E8_WEIGHTS == (60, 15, 5, 4, 6, 10, 20, 60)
     rng = random.Random(8)
     for _ in range(500):
         x = (0, 0) + tuple(rng.randint(-6, 6) for _ in range(8))
-        terms = [sum(c * x[i] for i, c in row) for row in lattice._E8_ROWS]
-        assert sum(w * t * t for w, t in zip(lattice._E8_WEIGHTS, terms)) == 120 * -lattice.inner(x, x)
+        terms = [sum(c * x[i] for i, c in row) for row in search._E8_ROWS]
+        assert sum(w * t * t for w, t in zip(search._E8_WEIGHTS, terms)) == 120 * -lattice.inner(x, x)
+
+
+def form_of(duals):
+    # the echelon form of the constraints v.f = 1, one search._echelon step per row
+    form = {}
+    for dual in duals:
+        form = search._echelon(form, dual)
+        if form is None:
+            break
+    return form
+
+
+def candidates(duals, bound):
+    form = form_of(duals)
+    return iter(()) if form is None else search._candidates(form, bound)
 
 
 def test_candidates_match_the_full_box_at_bound_one():
@@ -305,16 +340,23 @@ def test_candidates_match_the_full_box_at_bound_one():
     for prefix in ((), (lattice.F,), (lattice.F, lattice.E), ((1, 1, 1, 0, 0, 0, 0, 0, 0, 0),)):
         want = [v for v in isotropic if all(lattice.inner(v, f) == 1 for f in prefix)]
         duals = [tuple(lattice.inner(b, f) for b in lattice.BASIS) for f in prefix]
-        assert list(lattice._candidates(duals, 1)) == want, prefix
+        assert list(candidates(duals, 1)) == want, prefix
         sizes.append(len(want))
     assert sizes == [180, 89, 88, 24]
+
+
+def sequences_digest(found):
+    return hashlib.sha256(json.dumps([s.to_json() for s in found]).encode()).hexdigest()
+
+
+# the first ten 10-sequences are the same at bounds 4, 5 and 6 (perfbench/expected.json)
+TEN_SEQUENCES_DIGEST = "eef29dd028866adc49307d89f1e85c762c8c483d472880909d89b413c9fda603"
 
 
 def test_search_output_pinned_and_fano_polarized(time_limit):
     with time_limit():
         found = lattice.search_sequences(10, 4, cap=10)
-    digest = hashlib.sha256(json.dumps([s.to_json() for s in found]).encode()).hexdigest()
-    assert digest == "eef29dd028866adc49307d89f1e85c762c8c483d472880909d89b413c9fda603"
+    assert sequences_digest(found) == TEN_SEQUENCES_DIGEST
     for seq in found:
         # Fano polarization: sum f_i = 3 Delta with Delta^2 = 10 and Delta.f_i = 3
         total = [sum(c) for c in zip(*seq)]
@@ -324,11 +366,18 @@ def test_search_output_pinned_and_fano_polarized(time_limit):
         assert all(lattice.inner(delta, f) == 3 for f in seq)
 
 
+@pytest.mark.parametrize("bound", [5, 6])
+def test_search_output_pinned_at_bounds_five_and_six(time_limit, bound):
+    with time_limit():
+        found = lattice.search_sequences(10, bound, cap=10)
+    assert sequences_digest(found) == TEN_SEQUENCES_DIGEST
+
+
 def candidates_dfs_oracle(prefix_duals, bound):
     # the search before echelon form: branch on every coordinate, in the
     # order (a, b, x8, ..., x1), and prune a value only when some raw row
     # G.f can no longer reach 1 within the box
-    vals = lattice._value_order(bound)
+    vals = search._value_order(bound)
     order = [0, 1] + [9 - i for i in range(8)]
     ncon = len(prefix_duals)
     reach = []
@@ -360,13 +409,13 @@ def candidates_dfs_oracle(prefix_duals, bound):
             if step == 1:
                 t = 2 * coords[0] * coords[1]
                 if t >= 0:
-                    yield from rec(2, newpartial, 0, lattice._E8_SCALE * t)
+                    yield from rec(2, newpartial, 0, search._E8_SCALE * t)
             elif step >= 2:
                 k = idx - 2
                 term = 0
-                for i, c in lattice._E8_ROWS[k]:
+                for i, c in search._E8_ROWS[k]:
                     term += c * coords[i]
-                q = qpart + lattice._E8_WEIGHTS[k] * term * term
+                q = qpart + search._E8_WEIGHTS[k] * term * term
                 if q <= target:
                     yield from rec(step + 1, newpartial, q, target)
             else:
@@ -387,7 +436,7 @@ EMPTY_PREFIX_HEAD = 20000
 def assert_candidates_match_oracle(prefix, bound):
     duals = duals_of(prefix)
     limit = None if prefix else EMPTY_PREFIX_HEAD
-    got = list(islice(lattice._candidates(duals, bound), limit))
+    got = list(islice(candidates(duals, bound), limit))
     assert got == list(islice(candidates_dfs_oracle(duals, bound), limit)), (prefix, bound)
     return len(got)
 
@@ -417,19 +466,84 @@ def test_candidates_match_the_dfs_oracle_on_short_prefixes(time_limit):
 def test_candidates_edge_cases_of_the_echelon_form():
     f_dual = duals_of((lattice.F,))[0]
     # v.F = a: the pivot is the first search position, with no free one before it
-    assert lattice._echelon([f_dual]) == {0: [1] + [0] * 9 + [1]}
+    assert form_of([f_dual]) == {0: [1] + [0] * 9 + [1]}
     for bound in (1, 2, 4):
         assert assert_candidates_match_oracle((lattice.F,), bound) > 0
     # dependent rows: the same row twice is consistent, G.F and 2 G.F are not
     double = tuple(2 * x for x in f_dual)
-    assert lattice._echelon([f_dual, double]) is None
-    assert list(lattice._candidates([f_dual, double], 2)) == []
+    assert form_of([f_dual, double]) is None
+    assert list(candidates([f_dual, double], 2)) == []
     assert list(candidates_dfs_oracle([f_dual, double], 2)) == []
-    assert list(lattice._candidates([f_dual, f_dual], 1)) == list(candidates_dfs_oracle([f_dual, f_dual], 1))
+    assert list(candidates([f_dual, f_dual], 1)) == list(candidates_dfs_oracle([f_dual, f_dual], 1))
     # rows a + x1 = 1 and -x1 = 1 reduce to x1 = -1 and a = 2: a lone pivot
     # that no reach test bounds, so only the box check keeps a = 2 out at bound 1
     rows = [(1, 0, 1, 0, 0, 0, 0, 0, 0, 0), (0, 0, -1, 0, 0, 0, 0, 0, 0, 0)]
-    assert lattice._echelon(rows) == {9: [0] * 9 + [1, -1], 0: [1] + [0] * 9 + [2]}
-    assert list(lattice._candidates(rows, 1)) == list(candidates_dfs_oracle(rows, 1)) == []
-    got = list(lattice._candidates(rows, 2))
+    assert form_of(rows) == {9: [0] * 9 + [1, -1], 0: [1] + [0] * 9 + [2]}
+    assert list(candidates(rows, 1)) == list(candidates_dfs_oracle(rows, 1)) == []
+    got = list(candidates(rows, 2))
     assert got == list(candidates_dfs_oracle(rows, 2)) and len(got) == 1330
+
+
+def echelon_batch_oracle(prefix_duals):
+    # the batch elimination the search used before its one-row step: the
+    # reduced echelon form of all rows at once, late pivots first
+    rank = lattice.RANK
+    rest = [[dual[i] for i in search._ORDER] + [1] for dual in prefix_duals]
+    pivots = {}
+    for p in range(rank - 1, -1, -1):
+        s = next((r for r in rest if r[p]), None)
+        if s is None:
+            continue
+        rest = [r for r in rest if r is not s]
+        for r in rest + list(pivots.values()):
+            c = r[p]
+            if c:
+                r[:] = [s[p] * x - c * y for x, y in zip(r, s)]
+                g = math.gcd(*r)
+                if g > 1:
+                    r[:] = [x // g for x in r]
+        pivots[p] = s
+    if any(r[rank] for r in rest):
+        return None
+    return pivots
+
+
+def random_constraints(rng):
+    # sparse random rows G.f, then dependent rows: a r1 + (1 - a) r2 keeps
+    # the right-hand side 1 (consistent), a r1 + b r2 with a + b != 1 does not
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        rows.append(tuple(rng.choice([0, 0, 0, rng.randint(-4, 4)]) for _ in range(lattice.RANK)))
+    if len(rows) >= 2 and rng.random() < 0.5:
+        r1, r2 = rng.sample(rows, 2)
+        a = rng.randint(-2, 3)
+        b = 1 - a if rng.random() < 0.5 else rng.choice([x for x in range(-2, 3) if x != 1 - a])
+        rows.insert(rng.randrange(len(rows) + 1), tuple(a * x + b * y for x, y in zip(r1, r2)))
+    return rows
+
+
+def test_echelon_step_folds_to_the_batch_form():
+    rng = random.Random(2024)
+    inconsistent = dependent = 0
+    for _ in range(2000):
+        rows = random_constraints(rng)
+        want = echelon_batch_oracle(rows)
+        got = form_of(rows)
+        if want is None:
+            assert got is None, rows
+            inconsistent += 1
+            continue
+        assert got is not None and set(got) == set(want), rows
+        for p, row in want.items():
+            assert got[p] in (row, [-x for x in row]), (rows, p)
+        dependent += len(want) < len(rows)
+    assert inconsistent >= 100 and dependent >= 100
+
+
+def test_echelon_step_leaves_the_given_form_unchanged():
+    f_dual, e_dual = duals_of((lattice.F, lattice.E))
+    form = form_of([f_dual])
+    copy = {p: list(r) for p, r in form.items()}
+    assert search._echelon(form, e_dual) is not form
+    assert search._echelon(form, tuple(2 * x for x in f_dual)) is None
+    assert form == copy
