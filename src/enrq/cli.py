@@ -290,14 +290,17 @@ def run(cfg: RunConfig):
                          "ext_degree": cfg.ext_degree, "order": cfg.order},
                 "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "suite_s": suite_s}
+        path = cfg.out
         try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(body)
-            with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
+            path = cfg.out + ".meta.json"
+            with open(path, "w", encoding="utf-8") as fh:
                 json.dump(meta, fh, indent=2)
                 fh.write("\n")
         except OSError as exc:
-            raise OutputError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+            # a failed write or close leaves exc.filename unset, so name the path here
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(body)
     return (0 if report.passed() else 1), report

@@ -19,11 +19,11 @@ Fixed points are counted two independent ways:
 
 * brute force: explicit Weierstrass curves over small prime fields, with
   each automorphism given as a Weierstrass substitution (u, r, s, t).
-  Every x of an extension field is enumerated; over each x that the map
-  fixes, the fixed y are the solutions of one linear equation, and those
-  on the curve are counted without solving the curve for y.  With the
-  extension chosen large enough that ker(1 - g) is rational, this is the
-  geometric count.
+  The fixed x solve one linear equation, (1 - u^2) x = r, over an
+  extension field: one x, none, or every x when u^2 = 1 and r = 0.  Over
+  each fixed x the fixed y solve another, and those on the curve are
+  counted without solving the curve for y.  With the extension chosen
+  large enough that ker(1 - g) is rational, this is the geometric count.
 
 When the characteristic divides the order of g the map 1 - g can be
 inseparable and the fixed-point count is the separable degree; those
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 
-from .gf import FIELD_CAP, GF
+from .gf import FIELD_CAP, GF, check_field, check_ints
 
 # ---------------------------------------------------------------------------
 # quaternion algebra (a, b | Q): i^2 = a, j^2 = b, ij = k = -ji, with
@@ -133,6 +133,7 @@ class CurveClass:
     j: str
 
     def __post_init__(self):
+        check_ints(char=self.char)
         if (self.char, self.j) not in _CLASSES:
             raise ValueError(f"unknown curve class (char {self.char}, j {self.j!r})")
 
@@ -178,6 +179,7 @@ def fixed_count(c: CurveClass, order: int) -> int:
     beyond it, if N(1 - g) is coprime to the characteristic then 1 - g
     is separable and the norm is still the count.
     """
+    check_ints(order=order)
     elems, a, b, orders = _unit_group(c)
     of_order = [x for x in elems if orders[x] == order]
     if not of_order:
@@ -214,6 +216,10 @@ class Weierstrass:
     a4: int = 0
     a6: int = 0
 
+    def __post_init__(self):
+        check_ints(a1=self.a1, a2=self.a2, a3=self.a3, a4=self.a4, a6=self.a6)
+        check_field(self.p, 1)
+
 
 @dataclass(frozen=True)
 class AutMap:
@@ -234,6 +240,11 @@ class AutMap:
     sym_poly: tuple = ()
 
     def __post_init__(self):
+        for name in ("u", "r", "s", "t", "sym_poly"):
+            coeffs = getattr(self, name)
+            if not isinstance(coeffs, tuple):
+                raise ValueError(f"AutMap {name} must be a tuple of ints, not {coeffs!r}")
+            check_ints(**{f"AutMap {name}[{i}]": c for i, c in enumerate(coeffs)})
         if not any(self.u):
             raise ValueError("AutMap needs u != 0: with u = 0 the substitution is not invertible")
         if not self.sym_poly and any(any(c[1:]) for c in (self.u, self.r, self.s, self.t)):
@@ -330,25 +341,30 @@ def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int) -> int:
     """Count points fixed by the map over the degree-ext_degree extension
     (including the point at infinity).
 
-    The map is first checked to preserve the curve.  Every x of the field
-    is enumerated; X = u^2 x + r depends on x alone, so only the x with
-    X = x can carry fixed points, and over such an x the fixed y are the
-    solutions of one linear equation, (1 - u^3) y = s u^2 x + t, on the
-    curve (see `_fixed_over`).  When ext_degree makes ker(1 - g) rational
-    this is the geometric fixed-point count.  `GF` rejects an extension
-    field above FIELD_CAP.
+    The map is first checked to preserve the curve.  X = u^2 x + r
+    depends on x alone, so only the x with X = x, the solutions of
+    (1 - u^2) x = r, can carry fixed points: x = r / (1 - u^2) if
+    u^2 != 1, none if u^2 = 1 and r != 0, and every x of the field if
+    u^2 = 1 and r = 0.  Over such an x the fixed y are the solutions of
+    (1 - u^3) y = s u^2 x + t on the curve (see `_fixed_over`).  When
+    ext_degree makes ker(1 - g) rational this is the geometric
+    fixed-point count.  `GF` rejects an extension field above FIELD_CAP.
     """
+    check_ints(ext_degree=ext_degree)
     if not check_preserves(curve, aut):
         raise ValueError("map does not preserve the curve")
     fld = GF(curve.p, ext_degree)
     u, r, s, t = _constants(aut, fld)
     u2 = fld.mul(u, u)
     fixed_over = _fixed_over(curve, fld, fld.mul(u2, u))
+    d = fld.sub(fld.one, u2)
+    if d:
+        xs = (fld.mul(r, fld.inv(d)),)
+    else:
+        xs = () if r else fld.elements()
     count = 1  # point at infinity
-    for x in fld.elements():
-        u2x = fld.mul(u2, x)
-        if fld.add(u2x, r) == x:
-            count += fixed_over(x, fld.add(fld.mul(s, u2x), t))
+    for x in xs:
+        count += fixed_over(x, fld.add(fld.mul(s, fld.mul(u2, x)), t))
     return count
 
 

@@ -167,18 +167,32 @@ def _tables(p, k):
     return modulus, exp, log, zech, order
 
 
+def check_ints(**values):
+    """Raise a one-line ValueError unless every value is an int (a bool is not)."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, not {value!r}")
+
+
+def check_field(p, k):
+    """Raise a one-line ValueError unless `GF(p, k)` can be built: int p
+    and k, k >= 1, p^k within FIELD_CAP and p prime."""
+    check_ints(p=p, k=k)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    # before p is factored or a table is built; p^21 already exceeds
+    # the cap for p >= 2, so a larger k need not be raised to
+    if p ** min(k, FIELD_CAP.bit_length()) > FIELD_CAP:
+        raise ValueError(f"GF({p}^{k}) is larger than FIELD_CAP = {FIELD_CAP} elements")
+    if _prime_factors(p) != {p}:
+        raise ValueError("p must be prime")
+
+
 class GF:
     """The field with p^k elements; elements are ints (see the module docstring)."""
 
     def __init__(self, p, k):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        # before p is factored or a table is built; p^21 already exceeds
-        # the cap for p >= 2, so a larger k need not be raised to
-        if p ** min(k, FIELD_CAP.bit_length()) > FIELD_CAP:
-            raise ValueError(f"GF({p}^{k}) is larger than FIELD_CAP = {FIELD_CAP} elements")
-        if _prime_factors(p) != {p}:
-            raise ValueError("p must be prime")
+        check_field(p, k)
         self.p = p
         self.k = k
         self.q = p**k

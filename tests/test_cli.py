@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -120,6 +122,35 @@ def test_cli_unwritable_out_is_a_usage_error(tmp_path, target):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("enrq: error: cannot write "), proc.stderr
     assert str(out) in lines[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cli_full_device_names_the_out_path():
+    # the open succeeds and the write fails, so the OSError carries no filename
+    proc = subprocess.run(
+        [sys.executable, "-m", "enrq.cli", "--suite", "tables-consistency", "--out", "/dev/full"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"enrq: error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_cli_failed_sidecar_write_names_the_sidecar(tmp_path, monkeypatch, capsys):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fake_open(path, *args, **kwargs):
+        return Full() if path.endswith(".meta.json") else open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    out = tmp_path / "r.md"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--suite", "tables-consistency", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert out.read_text().startswith("## tables-consistency")
+    assert capsys.readouterr().err == f"enrq: error: cannot write {out}.meta.json: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_cli_ecaut_tables_at_ext_degree_four(tmp_path):

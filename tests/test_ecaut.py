@@ -143,6 +143,40 @@ def test_brute_force_rejects_huge_fields():
         ecaut.brute_force_count(curve, aut, 12)
 
 
+# each entry point rejects what is not an int (a bool is not), and a
+# Weierstrass p that does not give a field, with a one-line ValueError
+BAD_INPUTS = {
+    "GF p float": (lambda: GF(2.0, 3), "p must be an int, not 2.0"),
+    "GF p str": (lambda: GF("2", 3), "p must be an int, not '2'"),
+    "GF k bool": (lambda: GF(2, True), "k must be an int, not True"),
+    "GF k float": (lambda: GF(2, 2.0), "k must be an int, not 2.0"),
+    "class char float": (lambda: CurveClass(2.0, SPECIAL), "char must be an int, not 2.0"),
+    "class char bool": (lambda: CurveClass(False, J0), "char must be an int, not False"),
+    "order float": (lambda: ecaut.fixed_count(CurveClass(2, SPECIAL), 3.0), "order must be an int, not 3.0"),
+    "order bool": (lambda: ecaut.fixed_count(CurveClass(2, SPECIAL), True), "order must be an int, not True"),
+    "curve p float": (lambda: Weierstrass(2.0, a3=1), "p must be an int, not 2.0"),
+    "curve p composite": (lambda: Weierstrass(4, a3=1), "p must be prime"),
+    "curve p one": (lambda: Weierstrass(1), "p must be prime"),
+    "curve p above the cap": (lambda: Weierstrass(2**61 - 1), "FIELD_CAP"),
+    "curve a3 float": (lambda: Weierstrass(2, a3=1.0), "a3 must be an int, not 1.0"),
+    "ext_degree bool": (lambda: ecaut.brute_force_count(Weierstrass(2, a3=1), AutMap(t=(1,)), True),
+                        "ext_degree must be an int, not True"),
+    "ext_degree float": (lambda: ecaut.brute_force_count(Weierstrass(2, a3=1), AutMap(t=(1,)), 2.0),
+                         "ext_degree must be an int, not 2.0"),
+    "map u int": (lambda: AutMap(u=8), "AutMap u must be a tuple of ints, not 8"),
+    "map u float": (lambda: AutMap(u=(1.0,)), r"AutMap u\[0\] must be an int, not 1.0"),
+    "map sym_poly list": (lambda: AutMap(sym_poly=[1, 1, 1]), r"AutMap sym_poly must be a tuple of ints"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_inputs_raise_one_line_value_errors(name):
+    build, message = BAD_INPUTS[name]
+    with pytest.raises(ValueError, match=message) as exc:
+        build()
+    assert "\n" not in str(exc.value)
+
+
 def test_aut_map_rejects_u_zero_and_w_without_sym_poly():
     for u in ((), (0,), (0, 0)):
         with pytest.raises(ValueError, match="u != 0"):
@@ -321,6 +355,83 @@ def test_brute_force_matches_every_point_oracle_on_prime_field_maps(p, n_curves,
                 checked += 1
                 all_nonzero |= all((curve.a1, curve.a3, *aut.r, *aut.s, *aut.t))
     assert checked > n_curves and (p == 2 or all_nonzero)
+
+
+def scanned_count(curve, aut, ext_degree):
+    """(count, branch) by the whole-field x scan: u^2 x + r == x is tested
+    at every x, and the fixed y over each fixed x are counted by
+    `ecaut._fixed_over`.  branch names the case of (1 - u^2) x = r that
+    `brute_force_count` solves instead."""
+    if not ecaut.check_preserves(curve, aut):
+        raise ValueError("map does not preserve the curve")
+    fld = GF(curve.p, ext_degree)
+    u, r, s, t = ecaut._constants(aut, fld)
+    u2 = fld.mul(u, u)
+    fixed_over = ecaut._fixed_over(curve, fld, fld.mul(u2, u))
+    count = 1
+    for x in fld.elements():
+        u2x = fld.mul(u2, x)
+        if fld.add(u2x, r) == x:
+            count += fixed_over(x, fld.add(fld.mul(s, u2x), t))
+    branch = "one x" if u2 != fld.one else "no x" if r else "every x"
+    return count, branch
+
+
+def solved_and_scanned(curve, aut, degree):
+    """(brute_force_count, scanned count, branch), or the two ValueError texts."""
+    try:
+        solved = ecaut.brute_force_count(curve, aut, degree)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as scan_error:
+            scanned_count(curve, aut, degree)
+        return str(exc), str(scan_error.value), "error"
+    return (solved, *scanned_count(curve, aut, degree))
+
+
+def test_solved_x_matches_the_whole_field_scan_on_table_rows():
+    # every degree with p^d <= 2^12, the odd degrees included, where a
+    # row whose map needs a cube or fourth root of unity has none
+    branches = Counter()
+    for row in ecaut.TABLE_ROWS:
+        for degree in range(1, 13):
+            if row.curve.p**degree <= 1 << 12:
+                solved, scanned, branch = solved_and_scanned(row.curve, row.aut, degree)
+                assert solved == scanned, (row, degree)
+                branches[branch] += 1
+    assert set(branches) == {"one x", "no x", "every x", "error"}, branches
+
+
+@pytest.fixture(scope="module")
+def preserving_prime_field_maps():
+    return {p: [(curve, aut) for curve in sampled_curves(p, n_curves) for aut in prime_field_maps(p)
+                if ecaut.check_preserves(curve, aut)]
+            for p, _, n_curves in PRIME_FIELD_SAMPLES}
+
+
+@pytest.mark.parametrize("degree", (1, 2, 3))
+def test_solved_x_matches_the_whole_field_scan_on_prime_field_maps(preserving_prime_field_maps, degree):
+    branches = Counter()
+    for p, pairs in preserving_prime_field_maps.items():
+        for curve, aut in pairs:
+            solved, scanned, branch = solved_and_scanned(curve, aut, degree)
+            assert solved == scanned, (curve, aut, degree)
+            branches[branch] += 1
+    assert set(branches) == {"one x", "no x", "every x"}, branches
+
+
+def test_counts_over_the_large_fields_enumerate_no_field(monkeypatch):
+    # the rows with u^2 != 1 over GF(2^12), GF(3^8) and GF(13^4): the one
+    # candidate x is solved for, so no element list is walked
+    def refuse(self):
+        raise AssertionError("GF.elements called")
+
+    monkeypatch.setattr(GF, "elements", refuse)
+    degrees = {2: 12, 3: 8, 13: 4}
+    # the rows of orders 3, 4 and 6 other than the two translations u = 1
+    rows = [r for r in ecaut.TABLE_ROWS if r.order in (3, 4, 6) and r.aut.u != (1,)]
+    assert sorted(r.order for r in rows) == [3, 3, 4, 4, 6]
+    for row in rows:
+        assert ecaut.brute_force_count(row.curve, row.aut, degrees[row.curve.p]) == row.expected, row
 
 
 def test_check_preserves_ignores_trailing_zeros_of_sym_poly():
