@@ -35,23 +35,33 @@ half-fiber in characteristic 2).  The branch summaries report every
 product-4 overlay together with which condition rejected it.
 
 Cost.  The diagrams are the catalog Gram matrices, indexed by catalog
-position.  Per connector C9 the shared curves, the 9 x 9 Gram block of
-the curves of F, the multiplicities f1 and the check F.C = 0 are fixed
-(f1 is 0 on C10, which lies outside F); per isomorphism only the
-column of C10 against the shared curves, f2, the check F'.C = 0, the
-u-solve and the parity test are computed.  Distinct isomorphisms often
-give the same Gram matrix, so each call keeps a memo of determinants
-keyed by the matrix, and computes each determinant once; the memo ends
-with the call.
+position.  What depends on one fiber type alone is built once per tag
+and cached (`_model`): the check F.C = 0, and per connector the other
+eight curves, their Gram block with the connector, weight profiles, a
+parent-first node order, connectivity and the automorphism group Aut(S)
+of the remainder S.  The check F'.C = 0 then needs no repeat, since an
+isomorphism carries the rows of the second diagram onto the block.  Per
+call, a branch whose profile multisets agree gets one isomorphism phi0
+from a first-solution search, and all of them as the coset Aut(S) . phi0,
+sorted into lexicographic order of their images; per isomorphism only
+the column of C10 against the shared curves, f2, the u-solve and the
+parity test are computed.  Distinct isomorphisms often give the same
+Gram matrix, so each call keeps a memo of determinants keyed by the
+matrix, and computes each determinant once; the memo ends with the call.
+The cache holds nothing about a pair, a determinant or a result, and
+every list and dict a call returns is new.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 from operator import mul
 
 from . import ecaut, fibers
+from .gf import check_ints
 from .lattice import exact_det
 
 
@@ -63,6 +73,10 @@ class FiberEntry:
     tag: str
     double: bool | None = None
     wild: int = 0
+
+    def __post_init__(self):
+        fibers.catalog(self.tag)
+        check_ints(wild=self.wild)
 
 
 @dataclass(frozen=True)
@@ -152,6 +166,7 @@ def odd_order_smooth_case(order: int):
     group of a supersingular curve in characteristic 2 has no elements of
     odd order > 3.
     """
+    check_ints(order=order)
     if order % 2 == 0 or order < 3:
         raise ValueError("order must be odd and >= 3")
     ss = ecaut.CurveClass(2, ecaut.SPECIAL)
@@ -191,14 +206,18 @@ def bielliptic_pair_check(tags, shared_components: int, connector_mults):
     m * (C.F2) = 2 against the other half-fiber, so m must be 1 or 2;
     multiplicative fibers with more than two components are excluded.
     """
+    if not isinstance(tags, (tuple, list)):
+        raise ValueError(f"tags must be a tuple or list of fiber tags, not {tags!r}")
     tags = tuple(tags)
     if not tags:
         raise ValueError("need at least one fiber type")
     if isinstance(connector_mults, int):
         connector_mults = (connector_mults,) * len(tags)
-    connector_mults = tuple(connector_mults)
-    if len(connector_mults) != len(tags):
+    if not isinstance(connector_mults, (tuple, list)) or len(connector_mults) != len(tags):
         raise ValueError("one connector multiplicity per fiber")
+    check_ints(shared_components=shared_components)
+    for m in connector_mults:
+        check_ints(connector_mult=m)
     reasons = []
     total = sum(fibers.catalog(t).m - 1 for t in tags)
     if total != 8:
@@ -225,55 +244,69 @@ def _diagram(tag):
     return [c for c, _ in ent.model.components], [m for _, m in ent.model.components], ent.model.component_gram()
 
 
-def _weight_profile(node, nodes, weight):
-    """The sorted weights from node to the nodes (itself included, with
-    the -2 of the diagonal)."""
-    return tuple(sorted(map(weight[node].__getitem__, nodes)))
+# a fiber diagram minus one connector c: `nodes` are the other components
+# (catalog positions) in sorted id order, and node i of the remainder is
+# nodes[i]; `block` is the Gram matrix of nodes + [c], `prof` the sorted
+# weights of each node within the remainder, `multiset` the sorted
+# profiles, `order` a parent-first (BFS) order of the nodes, and `aut`
+# the automorphisms of the remainder in lexicographic order (see _isos)
+_Remainder = namedtuple("_Remainder", "nodes block prof multiset order connected aut")
 
 
-def _profiles(nodes, weight):
-    """The weight profile of each of the nodes, in list order."""
-    return [_weight_profile(n, nodes, weight) for n in nodes]
+@cache  # facts about one fiber type; never about a pair or a result
+def _model(tag):
+    """(ids, mult, gram, rests) of a fiber type: _diagram(tag), and the
+    _Remainder of each connector, by catalog position."""
+    ids, mult, gram = _diagram(tag)
+    assert all(sum(map(mul, row, mult)) == 0 for row in gram), f"fiber condition violated in {tag}"
+    rests = []
+    share = {}  # equal tuples share one object, since the cache lives as long as the process
+    for c in range(len(ids)):
+        nodes = sorted((n for n in range(len(ids)) if n != c), key=ids.__getitem__)
+        cols = nodes + [c]
+        block = tuple(share.setdefault(row, row) for row in (tuple(gram[a][b] for b in cols) for a in cols))
+        prof = [share.setdefault(p, p) for p in (tuple(sorted(row[:-1])) for row in block[:-1])]
+        order = []
+        for root in range(len(nodes)):
+            if root not in order:
+                connected = not order  # false from a second root on
+                order.append(root)
+                for a in order:  # visits the nodes appended below too
+                    order += [b for b in range(len(nodes)) if block[a][b] > 0 and b not in order]
+        rest = _Remainder(nodes, block, prof, sorted(prof), order, connected, ())
+        rests.append(rest._replace(aut=tuple(share.setdefault(a, a) for a in sorted(_isos(rest, rest)))))
+    return ids, mult, gram, rests
 
 
-def _isomorphisms(nodes1, weight1, prof1, nodes2, weight2, prof2):
-    """All weighted-graph isomorphisms nodes2 -> nodes1, as dicts from
-    nodes2 to nodes1 (positions in the weight matrices).  prof1 and prof2
-    are the nodes' profiles (see _profiles); a node maps only to one of
-    equal profile.  The backtrack assigns nodes2 in list order and tries
-    images in nodes1 order, so the isomorphisms come in lexicographic
-    order of their images."""
-    if len(nodes1) != len(nodes2):
-        return []
-    by_profile = {}
-    for n1, p in zip(nodes1, prof1):
-        by_profile.setdefault(p, []).append(n1)
-    candidates = [by_profile.get(p, ()) for p in prof2]
-    size = len(nodes2)
-    images = [None] * size
-    used = set()
-    found = []
+def _isos(src, dst):
+    """Yield each weighted-graph isomorphism of the _Remainder src onto
+    dst as a tuple: entry i is the image of node i.  A node maps only to
+    one of equal profile, and nodes are assigned in src.order, each
+    checked against those before it."""
+    w1, prof1, order = src.block, src.prof, src.order
+    w2, prof2 = dst.block, dst.prof
+    image = [None] * len(order)
 
-    def rec(i):
-        if i == size:
-            found.append(dict(zip(nodes2, images)))
+    def rec(k):
+        if k == len(order):
+            yield tuple(image)
             return
-        row2 = weight2[nodes2[i]]
-        for n1 in candidates[i]:
-            if n1 in used:
-                continue
-            row1 = weight1[n1]
-            for j in range(i):
-                if row2[nodes2[j]] != row1[images[j]]:
-                    break
-            else:
-                images[i] = n1
-                used.add(n1)
-                rec(i + 1)
-                used.discard(n1)
+        i = order[k]
+        for j, p in enumerate(prof2):
+            if p == prof1[i] and j not in image and all(w2[j][image[m]] == w1[i][m] for m in order[:k]):
+                image[i] = j
+                yield from rec(k + 1)
+        image[i] = None
 
-    rec(0)
-    return found
+    return rec(0)
+
+
+def _coset(s, r):
+    """The isomorphisms of the _Remainder r onto s in lexicographic order
+    of their images: none unless the profile multisets agree, else the
+    coset s.aut . phi0 of the first one the search finds."""
+    phi0 = next(_isos(r, s), None) if s.multiset == r.multiset else None
+    return sorted(tuple(a[i] for i in phi0) for a in s.aut) if phi0 else []
 
 
 def _mod2_rank(v1, v2):
@@ -285,23 +318,6 @@ def _mod2_rank(v1, v2):
     if len(nz) == 2 and nz[0] != nz[1]:
         return 2
     return 1
-
-
-def _connected(nodes, weight):
-    if not nodes:
-        return True
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            row = weight[a]
-            for b in nodes:
-                if b not in seen and row[b]:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return len(seen) == len(nodes)
 
 
 def _memo_det(memo, gram):
@@ -325,43 +341,23 @@ def shared_eight_search(t1: str, t2: str):
         ent = fibers.catalog(t)
         if ent.kind != fibers.ADDITIVE or ent.m != 9:
             raise ValueError(f"{t}: need an additive fiber with nine components")
-    ids1, mult1, w1 = _diagram(t1)
-    ids2, mult2, w2 = _diagram(t2)
-    order1 = sorted(range(len(ids1)), key=ids1.__getitem__)
-    order2 = sorted(range(len(ids2)), key=ids2.__getitem__)
+    ids1, mult1, w1, model1 = _model(t1)
+    ids2, mult2, w2, model2 = _model(t2)
     branches = []
     witness = None
     dets = {}  # Gram (tuple of rows) -> exact_det, for this call only
-    # diagram 2 minus each connector, with its profile multiset
-    rests2 = []
-    for c2 in range(len(ids2)):
-        r2 = [n for n in order2 if n != c2]
-        prof2 = _profiles(r2, w2)
-        rests2.append((c2, r2, prof2, sorted(prof2)))
-    for c1 in range(len(ids1)):
-        # everything that does not depend on the isomorphism: rows and
-        # columns 0..8 of the Gram matrix (the shared curves, then C9), f1,
-        # and F.C = 0 for the curves of F, since f1[9] = 0
-        shared = [n for n in order1 if n != c1]
-        block = [[w1[a][b] for b in shared + [c1]] for a in shared + [c1]]
-        f1 = [mult1[s] for s in shared] + [mult1[c1], 0]
-        assert all(sum(map(mul, row, f1)) == 0 for row in block), "fiber condition violated in F"
-        prof1 = _profiles(shared, w1)
-        multiset1 = sorted(prof1)
-        shared_conn = _connected(shared, w1)
-        for c2, r2, prof2, multiset2 in rests2:
-            # unequal profile multisets admit no isomorphism
-            isos = _isomorphisms(shared, w1, prof1, r2, w2, prof2) if multiset1 == multiset2 else []
+    for c1, s in enumerate(model1):
+        shared, block = s.nodes, s.block  # rows and columns 0..8 of the Gram matrix
+        f1 = [mult1[n] for n in shared] + [mult1[c1], 0]  # 0 on C10, which lies outside F
+        for c2, r in enumerate(model2):
+            r2 = r.nodes
+            isos = _coset(s, r)
             branch = {"connector1": ids1[c1], "connector2": ids2[c2], "isomorphisms": len(isos), "hits": []}
             m2 = mult2[c2]
             for iso in isos:
-                inv = {v: k for k, v in iso.items()}  # shared node -> diagram-2 node
-                images = [inv[s] for s in shared]
+                images = [n for _, n in sorted(zip(iso, r2))]  # diagram-2 node on each shared curve
                 col9 = [w2[n][c2] for n in images]  # C10 against the shared curves
                 f2 = [mult2[n] for n in images] + [0, m2]
-                # F'.C = 0 for the curves of F': the shared ones and C10
-                gf2 = [sum(map(mul, row, f2)) + c * m2 for row, c in zip(block, col9)]
-                assert not any(gf2) and sum(map(mul, col9, f2)) == 2 * m2, "fiber condition violated in F'"
                 # F.F' = F.C10 * m(C10) is affine in u with slope m(C9) * m(C10) >= 1
                 gf1_9 = sum(map(mul, col9, f1))
                 u, rem = divmod(4 - gf1_9 * m2, f1[8] * m2)
@@ -372,8 +368,8 @@ def shared_eight_search(t1: str, t2: str):
                 # half-fiber classes F/2, F'/2 must pair integrally (F.C10, F'.C9)
                 if gf1_9 % 2 or (sum(map(mul, block[8], f2)) + u * m2) % 2:
                     continue
-                gram = [row + [c] for row, c in zip(block, col9)]
-                gram.append(block[8] + [u])
+                gram = [[*row, c] for row, c in zip(block, col9)]
+                gram.append([*block[8], u])
                 gram.append(col9 + [u, -2])
                 det = _memo_det(dets, gram)
                 rank = _mod2_rank(f1, f2)
@@ -383,7 +379,7 @@ def shared_eight_search(t1: str, t2: str):
                 unimodular = abs(closure) == 1
                 if not unimodular:
                     reason = f"closure discriminant {closure} != +-1"
-                elif not shared_conn:
+                elif not s.connected:
                     reason = "shared configuration disconnected"
                 else:
                     reason = None
@@ -393,7 +389,7 @@ def shared_eight_search(t1: str, t2: str):
                     "overlay_det": det,
                     "closure_disc": closure,
                     "unimodular": unimodular,
-                    "shared_connected": shared_conn,
+                    "shared_connected": s.connected,
                     "rejected": reason,
                 }
                 branch["hits"].append(hit)
@@ -403,8 +399,8 @@ def shared_eight_search(t1: str, t2: str):
                         "connector1_mult": mult1[c1],
                         "connector2": ids2[c2],
                         "connector2_mult": m2,
-                        "shared": [ids1[s] for s in shared],
-                        "iso": dict(sorted((ids2[k], ids1[v]) for k, v in iso.items())),
+                        "shared": [ids1[n] for n in shared],
+                        "iso": {ids2[n]: ids1[shared[i]] for n, i in zip(r2, iso)},
                         "u": u,
                         "gram": gram,
                         "fiber1_mult": f1,

@@ -165,10 +165,16 @@ def dynkin_label(tag: str) -> str:
     return catalog(tag).dynkin
 
 
-@cache  # entries are frozen, so one instance per tag can be shared
 def catalog(tag: str) -> CatalogEntry:
     """Canonical incidence model and invariants for a singular fiber type:
     one of `_FIXED`, an I_n cycle or an I_n* chain with two tails per end."""
+    if not isinstance(tag, str):
+        raise ValueError(f"fiber tag must be a str, not {tag!r}")
+    return _entry(tag)
+
+
+@cache  # entries are frozen, so one instance per tag can be shared
+def _entry(tag):
     family = _FAMILY.fullmatch(tag)
     if tag in _FIXED:
         dynkin, model = _FIXED[tag]

@@ -146,7 +146,7 @@ def _reduce(gram):
     n = len(m)
     if any(len(row) != n for row in m) or any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
         raise ValueError("Gram matrix must be square and symmetric")
-    if not all(isinstance(x, int) for row in m for x in row):
+    if not all(isinstance(x, int) and not isinstance(x, bool) for row in m for x in row):
         raise ValueError("Gram matrix entries must be integers")
 
     def swap(a, b):

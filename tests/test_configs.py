@@ -83,6 +83,38 @@ def test_configuration_validation():
     assert cfg.shioda_tate_sum() == 8
 
 
+# each entry point rejects a tag that is not a str and a number that is
+# not an int (a bool is not), with a one-line ValueError
+BAD_INPUTS = {
+    "search tag int": (lambda: configs.shared_eight_search(5, "II*"), "fiber tag must be a str, not 5"),
+    "search tag list": (lambda: configs.shared_eight_search("II*", ["II*"]), r"fiber tag must be a str, not \['II\*'\]"),
+    "pair check tags str": (lambda: configs.bielliptic_pair_check("II*", 8, 1), "tags must be a tuple or list"),
+    "pair check tag int": (lambda: configs.bielliptic_pair_check((9,), 8, 1), "fiber tag must be a str, not 9"),
+    "pair check shared float": (lambda: configs.bielliptic_pair_check(["II*"], 8.0, 1),
+                                "shared_components must be an int, not 8.0"),
+    "pair check mult bool": (lambda: configs.bielliptic_pair_check(["II*"], 8, True),
+                             "connector_mult must be an int, not True"),
+    "pair check mult float": (lambda: configs.bielliptic_pair_check(["II*"], 8, (1.0,)),
+                              "connector_mult must be an int, not 1.0"),
+    "pair check mult str": (lambda: configs.bielliptic_pair_check(["II*"], 8, "1"), "one connector multiplicity per fiber"),
+    "entry wild float": (lambda: configs.FiberEntry("II", wild=1.5), "wild must be an int, not 1.5"),
+    "entry wild bool": (lambda: configs.FiberEntry("II", wild=True), "wild must be an int, not True"),
+    "entry tag int": (lambda: configs.FiberEntry(2), "fiber tag must be a str, not 2"),
+    "entry tag unknown": (lambda: configs.FiberEntry("V"), "unknown fiber tag 'V'"),
+    "order str": (lambda: configs.odd_order_smooth_case("3"), "order must be an int, not '3'"),
+    "order float": (lambda: configs.odd_order_smooth_case(3.0), "order must be an int, not 3.0"),
+    "order bool": (lambda: configs.odd_order_smooth_case(True), "order must be an int, not True"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_inputs_raise_one_line_value_errors(name):
+    build, message = BAD_INPUTS[name]
+    with pytest.raises(ValueError, match=message) as exc:
+        build()
+    assert "\n" not in str(exc.value)
+
+
 def test_bielliptic_pair_check():
     ok, reasons = configs.bielliptic_pair_check(("I0*", "I0*"), 8, 2)
     assert ok and not reasons
@@ -340,20 +372,55 @@ def test_shared_eight_search_output_pinned(pair):
 
 @pytest.mark.parametrize("t1,t2", OVERLAY_PAIRS)
 def test_isomorphism_pruning_keeps_every_isomorphism(t1, t2):
-    # _isomorphisms works on catalog positions in sorted id order; the
-    # oracle on the ids themselves
-    ids1, _, w1 = configs._diagram(t1)
-    ids2, _, w2 = configs._diagram(t2)
+    # _coset works on remainder nodes, indices into the nodes of each
+    # Remainder; the oracle on the ids themselves
+    ids1, _, _, rests1 = configs._model(t1)
+    ids2, _, _, rests2 = configs._model(t2)
     _, _, dw1 = dict_diagram(t1)
     _, _, dw2 = dict_diagram(t2)
-    for c1 in range(len(ids1)):
-        r1 = sorted((n for n in range(len(ids1)) if n != c1), key=ids1.__getitem__)
-        for c2 in range(len(ids2)):
-            r2 = sorted((n for n in range(len(ids2)) if n != c2), key=ids2.__getitem__)
-            got = [{ids2[a]: ids1[b] for a, b in iso.items()} for iso in configs._isomorphisms(
-                r1, w1, configs._profiles(r1, w1), r2, w2, configs._profiles(r2, w2))]
-            expected = unpruned_isomorphisms([ids1[n] for n in r1], dw1, [ids2[n] for n in r2], dw2)
+    for c1, s in enumerate(rests1):
+        for c2, r in enumerate(rests2):
+            got = [{ids2[r.nodes[a]]: ids1[s.nodes[b]] for a, b in enumerate(iso)} for iso in configs._coset(s, r)]
+            expected = unpruned_isomorphisms([ids1[n] for n in s.nodes], dw1, [ids2[n] for n in r.nodes], dw2)
             assert got == expected, (ids1[c1], ids2[c2])
+
+
+@pytest.mark.parametrize("tag", ["I4*", "II*"])
+def test_cached_remainders_match_the_oracle(tag):
+    ids, mult, gram, rests = configs._model(tag)
+    assert (ids, mult, gram) == configs._diagram(tag)
+    _, _, dw = dict_diagram(tag)
+    for c, r in enumerate(rests):
+        nodes = [ids[n] for n in r.nodes]
+        assert nodes == sorted(i for i in ids if i != ids[c])
+        automorphisms = [{ids[r.nodes[a]]: ids[r.nodes[b]] for a, b in enumerate(aut)} for aut in r.aut]
+        assert automorphisms == unpruned_isomorphisms(nodes, dw, nodes, dw), ids[c]
+        assert r.connected == dict_connected(nodes, dw)
+        # parent-first: a node that is not the first has a neighbour before it
+        assert sorted(r.order) == list(range(8))
+        parent_first = all(any(dw.get((nodes[b], nodes[a]), 0) for a in r.order[:k]) for k, b in enumerate(r.order) if k)
+        assert parent_first == r.connected
+
+
+def test_fiber_condition_checked_once_per_diagram(monkeypatch):
+    ids, mult, gram = configs._diagram("II*")
+    monkeypatch.setattr(configs, "_diagram", lambda tag: (ids, mult[:-1] + [mult[-1] + 1], gram))
+    configs._model.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="fiber condition violated in II"):
+            configs.shared_eight_search("II*", "II*")
+    finally:
+        configs._model.cache_clear()
+
+
+def test_cold_call_equals_warm_call():
+    warm = {pair: configs.shared_eight_search(*pair) for pair in OVERLAY_PAIRS}
+    configs._model.cache_clear()
+    cold = {pair: configs.shared_eight_search(*pair) for pair in OVERLAY_PAIRS}
+    assert cold == warm
+    # one cached model per fiber type, and no other cache in the module
+    assert configs._model.cache_info()[2:] == (None, 2)
+    assert [name for name, f in vars(configs).items() if hasattr(f, "cache_info")] == ["_model"]
 
 
 def test_diagram_is_indexed_by_catalog_position():

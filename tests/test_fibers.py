@@ -44,6 +44,13 @@ def test_dynkin_labels_round_trip():
     assert fibers.dynkin_label("II*") == "E~8"
 
 
+@pytest.mark.parametrize("tag", [5, None, True, ["II*"], ("II*",), b"II*"])
+def test_catalog_rejects_a_tag_that_is_not_a_str(tag):
+    with pytest.raises(ValueError, match="fiber tag must be a str") as exc:
+        fibers.catalog(tag)
+    assert "\n" not in str(exc.value)
+
+
 def test_catalog_rejects_bad_tags():
     # leading zeros and a trailing newline would name a second entry for one type
     for tag in ("SMOOTH", "I0", "V", "I01", "I007", "I00*", "I1\n", "I", "I*", "II**"):

@@ -110,6 +110,8 @@ def test_det_and_inertia_match_exact_oracles():
     [[1, 2, 3], [2, 1, 0]],
     [[Fraction(1, 2)]],
     [[2, 1.0], [1.0, 2]],
+    [[True]],  # a bool is not an integer entry
+    [[-2, False], [False, -2]],
 ])
 def test_det_and_signature_reject_non_symmetric_or_non_integer(matrix):
     with pytest.raises(ValueError):
