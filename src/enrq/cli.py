@@ -15,6 +15,8 @@ import json
 import random
 import sys
 import time
+from functools import cache
+from itertools import chain, islice
 
 from .report import Report
 
@@ -62,21 +64,48 @@ def _selfcheck_samples(lattice):
     """The 1000 samples (r, x, y) of the randomized reflection rows, from
     the fixed seed: r is a uniform simple root of E8(-1) moved by 0 to 3
     uniform simple reflections, x and y have coordinates uniform in
-    [-5, 5].  Everything is drawn in bulk; the floats inside choices only
-    pick indices, the lattice arithmetic is in integers."""
-    n = 1000
+    [-5, 5].  The draw is made once per process (`_selfcheck_draw`); each
+    call yields the same samples afresh, equal roots as one object."""
+    from struct import iter_unpack
+
+    roots, picks, coords = _selfcheck_draw(lattice.GRAM)
+    vectors = chain.from_iterable(iter_unpack("10b", chunk) for chunk in coords)
+    for i, x, y in zip(picks, vectors, vectors):
+        yield roots[i], x, y
+
+
+@cache
+def _selfcheck_draw(gram):
+    """(roots, picks, coords) behind `_selfcheck_samples`, a fact about
+    the seed and the Gram matrix alone: the distinct roots in order of
+    first draw, each sample's index into them (bytes), and the 20
+    coordinates of each sample's x and y (signed bytes, 20 samples to a
+    chunk).  The roots are walked with an exact step of their own, not
+    with the maps under test: reflecting r in the simple root e_a moves
+    coordinate a alone, by r.e_a = (G r)_a.  The floats inside choices
+    only pick indices."""
+    n, rank = 1000, len(gram)
     rng = random.Random(20260809)
-    simple = lattice.BASIS[2:]
-    reflections = [lattice.reflection(a) for a in simple]
-    roots = rng.choices(simple, k=n)
+    starts = rng.choices(range(2, rank), k=n)
     lengths = rng.choices(range(4), k=n)
-    steps = iter(rng.choices(reflections, k=sum(lengths)))
-    coords = rng.choices(range(-5, 6), k=20 * n)
-    for i, (r, length) in enumerate(zip(roots, lengths)):
-        for _ in range(length):
-            r = next(steps)(r)
-        j = 20 * i
-        yield r, tuple(coords[j:j + 10]), tuple(coords[j + 10:j + 20])
+    steps = iter(rng.choices(range(2, rank), k=sum(lengths)))
+    # 20 samples per call: the same random() sequence as one call for all
+    # 20,000 coordinates, without that call's 160 KB list; each 400-byte
+    # chunk is a small object, so the cache leaves the malloc heap alone
+    signed = bytes(c & 0xFF for c in range(-5, 6))
+    coords = tuple(bytes(rng.choices(signed, k=20 * 20)) for _ in range(n // 20))
+    rows = [[(j, g) for j, g in enumerate(row) if g] for row in gram]
+    index, picks = {}, []
+    for start, length in zip(starts, lengths):
+        r = [0] * rank
+        r[start] = 1
+        for a in islice(steps, length):
+            k = 0
+            for j, g in rows[a]:
+                k += g * r[j]
+            r[a] += k
+        picks.append(index.setdefault(tuple(r), len(index)))
+    return tuple(index), bytes(picks), coords
 
 
 def suite_lattice_selfcheck(report, cfg):

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
 from math import gcd
+from types import MappingProxyType
 
 from . import lattice
 
@@ -121,12 +122,23 @@ def euler(model: FiberModel) -> int:
 # catalog
 
 
+_SHARED = {}
+
+
+def _shared(value):
+    """The first value equal to `value` that was passed here, so that equal
+    ids and tuples in the catalog models and the per-model caches are
+    stored once, whichever model they belong to."""
+    return _SHARED.setdefault(value, value)
+
+
 def _transversal(components, paths):
     """The model whose singular points are transversal crossings: along
     each path (a, b, c, ...) of component ids, a meets b, b meets c, ...,
     and the i-th crossing is the point p<i>."""
     edges = [e for path in paths for e in zip(path, path[1:])]
-    return FiberModel(tuple(components), tuple(Point(f"p{i}", ((a, 1), (b, 1))) for i, (a, b) in enumerate(edges)))
+    points = (Point(_shared(f"p{i}"), (_shared((a, 1)), _shared((b, 1)))) for i, (a, b) in enumerate(edges))
+    return FiberModel(tuple(map(_shared, components)), tuple(points))
 
 
 # Dynkin label and model of each type outside the I_n (n >= 2) and I_n* families
@@ -261,14 +273,21 @@ class FiberAction:
     components: tuple  # sorted ((component_id, ComponentAction), ...)
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("action order must be >= 1")
+        _check_order(self.order, 1)
 
     def perm(self):
         return dict(self.point_perm)
 
     def component_map(self):
         return dict(self.components)
+
+
+def _check_order(order, least):
+    """One-line ValueError unless the order is an int (a bool is not) >= least."""
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise ValueError(f"order must be an int, not {order!r}")
+    if order < least:
+        raise ValueError(f"order must be >= {least}")
 
 
 def _cycle_lengths(perm):
@@ -300,34 +319,55 @@ def _can_split_into_cycles(count, order):
 
 def _point_perms(model: FiberModel, order: int):
     """Incidence-preserving permutations of the singular points with all
-    cycle lengths dividing the automorphism order."""
+    cycle lengths dividing the automorphism order, as read-only mappings.
+    A cycle stays inside a group of points with one signature, so the
+    result depends only on the groups and on the divisors of the order up
+    to the largest group: models with the same groups, and orders such as
+    101 and 1,000,003, share one cached entry."""
+    groups = _point_groups(model)
+    largest = max(map(len, groups), default=1)
+    return _group_perms(groups, tuple(d for d in range(2, largest + 1) if order % d == 0))
+
+
+@cache
+def _point_groups(model: FiberModel):
+    """The point ids grouped by signature, each group sorted."""
     groups = {}
     for p in model.points:
         groups.setdefault(p.signature(), []).append(p.id)
+    return _shared(tuple(_shared(tuple(sorted(ids))) for ids in groups.values()))
+
+
+@cache  # read-only values, so every caller can share them
+def _group_perms(groups, divisors):
+    """`_point_perms` for the point groups and the allowed cycle lengths
+    above 1."""
     group_perms = []
-    for ids in groups.values():
-        ids = sorted(ids)
+    for ids in groups:
         ok = []
         for img in permutations(ids):
             perm = dict(zip(ids, img))
-            if all(ln == 1 or (ln <= order and order % ln == 0) for ln in _cycle_lengths(perm)):
+            if all(ln == 1 or ln in divisors for ln in _cycle_lengths(perm)):
                 ok.append(perm)
         group_perms.append(ok)
+    perms = []
     for combo in product(*group_perms):
         perm = {}
         for d in combo:
             perm.update(d)
-        yield perm
+        perms.append(MappingProxyType(perm))
+    return tuple(perms)
 
 
+@cache
 def _incidence(model: FiberModel):
-    """{component id: [(point id, branches of the component there), ...]}
-    with the points in model order."""
+    """For each component, in model order, its incidence list: ((point id,
+    branches of the component there), ...) with the points in model order."""
     counts = {cid: {} for cid, _ in model.components}
     for p in model.points:
         for cid, cnt in p.branches:
             counts[cid][p.id] = counts[cid].get(p.id, 0) + cnt
-    return {cid: list(pts.items()) for cid, pts in counts.items()}
+    return tuple(tuple(map(_shared, pts.items())) for pts in counts.values())
 
 
 def _component_options(incidence, perm, order):
@@ -352,17 +392,17 @@ def admissible_actions(model: FiberModel, order: int):
     preserve incidence, and any cycle (of points, or of branches at a
     fixed node) must have length dividing the order.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    _check_order(order, 2)
     actions = []
     incidence = _incidence(model)
+    cids = [cid for cid, _ in model.components]
     for perm in _point_perms(model, order):
-        opts = [_component_options(inc, perm, order) for inc in incidence.values()]
+        opts = [_component_options(inc, perm, order) for inc in incidence]
         if any(not o for o in opts):
             continue
         perm_t = tuple(sorted(perm.items()))
         for combo in product(*opts):
-            actions.append(FiberAction(order, perm_t, tuple(zip(incidence, combo))))
+            actions.append(FiberAction(order, perm_t, tuple(zip(cids, combo))))
     return actions
 
 
@@ -377,9 +417,10 @@ def fixed_euler(model: FiberModel, action: FiberAction) -> int:
     `_point_perms`, each component action from `_component_options`.
     """
     perm, order, comp = action.perm(), action.order, action.component_map()
-    incidence = _incidence(model)
-    if (perm not in _point_perms(model, order) or comp.keys() != incidence.keys()
-            or any(comp[cid] not in _component_options(inc, perm, order) for cid, inc in incidence.items())):
+    cids = [cid for cid, _ in model.components]
+    if (perm not in _point_perms(model, order) or comp.keys() != set(cids)
+            or any(comp[cid] not in _component_options(inc, perm, order)
+                   for cid, inc in zip(cids, _incidence(model)))):
         raise ValueError(f"action of order {order} is not admissible on the model")
     return _fixed_euler(model, action)
 
@@ -434,7 +475,7 @@ def _perm_tallies(model: FiberModel, order: int):
     _fixed_euler and a moved point adds nothing, hence the split.  Each
     component shape is tallied once, by `_component_tally`.
     """
-    incidence = list(_incidence(model).values())
+    incidence = _incidence(model)
     for perm in _point_perms(model, order):
         count, values = 1, {sum(perm[p.id] == p.id for p in model.points)}
         for inc in incidence:
@@ -458,8 +499,7 @@ def lefschetz_check(tag: str, order: int):
     II) are reported without a claim: at even order the I1 branch swap
     acts by -1 on the loop class, so L(g) does not count its fixed locus.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    _check_order(order, 2)
     entry = catalog(tag)
     actions, values, trace_ok = 0, set(), True
     for perm, count, perm_values in _perm_tallies(entry.model, order):

@@ -67,15 +67,26 @@ def neg(v):
 def reflection(r):
     """The reflection in the hyperplane orthogonal to the root r, as a map.
 
-    Checks r.r = -2 once, when the map is built; the map x -> x + (x.r) r
-    is then an isometry of the lattice and an involution.
+    Checks once, when the map is built, that r is 10 ints with r.r = -2;
+    anything else raises ValueError.  The map x -> x + (x.r) r is then an
+    isometry of the lattice and an involution.  It takes x.r from the
+    nonzero entries of the dual row G r (2 to 5 for a root near a simple
+    one), not from the full product of `inner`.
     """
+    if not (isinstance(r, (tuple, list)) and len(r) == RANK
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in r)):
+        raise ValueError(f"a root must be {RANK} ints, not {r!r}")
     if inner(r, r) != -2:
         raise ValueError("reflection vector must have self-intersection -2")
+    dual = [(i, d) for i, row in enumerate(GRAM) if (d := sum(g * c for g, c in zip(row, r)))]
     support = [(i, c) for i, c in enumerate(r) if c]
 
     def apply(x):
-        k = inner(x, r)
+        if len(x) != RANK:
+            raise ValueError(f"a lattice vector has {RANK} coordinates, not {len(x)}")
+        k = 0
+        for i, d in dual:
+            k += d * x[i]
         if not k:
             return x
         y = list(x)

@@ -41,6 +41,48 @@ def test_run_all_reports_every_suite(tmp_path, time_limit):
         assert hashlib.sha256(report.render(fmt).encode("utf-8")).hexdigest() == digest, fmt
 
 
+# sha256 of the bodies of the two suites that read the per-process caches
+SUITE_BODY_SHA256 = {
+    ("lattice-selfcheck", "markdown"): "83ca2c2243e6129869d50ee57ae62077847bc2068b5642d8e10c6416c527ebfd",
+    ("lattice-selfcheck", "csv"): "658145c4d147b8bc984731b202cd536f92ecb3787b9b419d60062c1ccd857a2d",
+    ("lattice-selfcheck", "json"): "33c8034cb782186967f03f7188b5bfee481de53fbd064bc382f4d6f006c2ccbf",
+    ("lefschetz", "markdown"): "8e7de9c4f739b8ce92ec9b8654693114486b6b0596585a77593e5fa45f3e5676",
+    ("lefschetz", "csv"): "11a6630b6b5a2dcf02c4e28d4160a80f90fd74c8ba20f191af1537807ca17354",
+    ("lefschetz", "json"): "02c750ac550eb9e3729ed0e4f1d976328917d1eb3ef087e7f3cbd6f535259921",
+}
+
+
+def body_sha256(suite, fmt, tmp_path):
+    out = tmp_path / f"{suite}.{fmt}"
+    status, _ = run(RunConfig(suite=suite, fmt=fmt, out=str(out)))
+    assert status == 0, (suite, fmt)
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def clear_caches():
+    from enrq import fibers
+
+    for cached in (cli._selfcheck_draw, fibers._point_groups, fibers._group_perms, fibers._incidence):
+        cached.cache_clear()
+    fibers._SHARED.clear()
+
+
+def test_run_all_three_times_in_one_process(tmp_path, time_limit):
+    # each run after the first reads the caches the earlier ones filled
+    with time_limit():
+        for fmt, digest in ALL_BODY_SHA256.items():
+            assert body_sha256("all", fmt, tmp_path) == digest, fmt
+
+
+@pytest.mark.parametrize("suite, fmt", SUITE_BODY_SHA256)
+def test_cached_suites_are_pinned_cold_and_warm(suite, fmt, tmp_path, time_limit):
+    with time_limit():
+        warm = body_sha256(suite, fmt, tmp_path)
+        clear_caches()
+        cold = body_sha256(suite, fmt, tmp_path)
+    assert cold == warm == SUITE_BODY_SHA256[suite, fmt]
+
+
 def test_formats_render(tmp_path, time_limit):
     for fmt, probe in (("markdown", "## lattice-selfcheck"), ("csv", "suite,label,status,detail"), ("json", '"schema"')):
         out = tmp_path / f"r.{fmt}"
@@ -282,6 +324,16 @@ def test_reflection_kernel_matches_the_formula_on_reachable_roots():
         assert refl(perp) == perp
 
 
+def test_selfcheck_draw_is_compact_and_shared():
+    samples = list(cli._selfcheck_samples(lattice))
+    roots, picks, coords = cli._selfcheck_draw(lattice.GRAM)
+    assert len(roots) == len({r for r, _, _ in samples}) == 39
+    assert {id(r) for r, _, _ in samples} == {id(r) for r in roots}  # equal roots are one object
+    assert (type(picks), len(picks)) == (bytes, 1000)
+    assert {(type(chunk), len(chunk)) for chunk in coords} == {(bytes, 400)} and len(coords) == 50
+    assert cli._selfcheck_draw.cache_info().currsize == 1
+
+
 def test_selfcheck_samples_are_pinned():
     # a faster sampler must not change which samples the randomized rows check
     samples = json.dumps(list(cli._selfcheck_samples(lattice))).encode()
@@ -298,3 +350,16 @@ def test_broken_reflection_fails_both_randomized_rows(monkeypatch, tmp_path, tim
     assert rows["reflections are involutions (1000 randomized)"] == "fail"
     assert rows["reflections are isometries (1000 randomized)"] == "fail"
     assert rows["Gram determinant"] == "pass"
+
+
+def test_broken_reflection_does_not_poison_a_later_run(monkeypatch, tmp_path, time_limit):
+    # the broken run fills the sample cache; the clean run after it must not
+    # read roots that the broken map walked
+    clear_caches()
+    monkeypatch.setattr(lattice, "reflection", lambda r: lambda x: tuple(a + b for a, b in zip(x, r)))
+    with time_limit():
+        status, _ = run(RunConfig(suite="lattice-selfcheck", out=str(tmp_path / "broken.md")))
+        assert status == 1
+        monkeypatch.undo()
+        assert body_sha256("lattice-selfcheck", "markdown", tmp_path) == SUITE_BODY_SHA256[
+            "lattice-selfcheck", "markdown"]

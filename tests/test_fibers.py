@@ -464,6 +464,58 @@ def test_lefschetz_check_rejects_order_below_two(order):
         fibers.lefschetz_check("I2", order)
 
 
+@pytest.mark.parametrize("order", [2.5, 2.0, "2", True, None, [2]])
+def test_order_must_be_an_int(order):
+    # a float, str or bool order used to give a result, or a TypeError
+    model = fibers.catalog("I2").model
+    identity = fibers.ComponentAction("identity")
+    calls = {
+        "lefschetz_check": lambda: fibers.lefschetz_check("I2", order),
+        "admissible_actions": lambda: fibers.admissible_actions(model, order),
+        "FiberAction": lambda: fibers.FiberAction(order, I2_FIXED, (("c0", identity), ("c1", identity))),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="order must be an int") as exc:
+            call()
+        assert "\n" not in str(exc.value), name
+
+
+def uncached_point_perms(model, order):
+    """The point permutations as generated before the cache, with each cycle
+    length tested against the order itself: the oracle for the cache."""
+    groups = {}
+    for p in model.points:
+        groups.setdefault(p.signature(), []).append(p.id)
+    group_perms = []
+    for ids in groups.values():
+        ids = sorted(ids)
+        group_perms.append([dict(zip(ids, img)) for img in permutations(ids)
+                            if all(order % _cycle_length(dict(zip(ids, img)), pid) == 0 for pid in ids)])
+    for combo in product(*group_perms):
+        yield {pid: img for d in combo for pid, img in d.items()}
+
+
+@pytest.mark.parametrize("tag", fibers.standard_tags(9))
+def test_point_perm_cache_matches_the_uncached_generator(tag):
+    model = fibers.catalog(tag).model
+    for order in (*range(2, 8), 101, 1_000_003):
+        assert [dict(p) for p in fibers._point_perms(model, order)] == list(uncached_point_perms(model, order)), order
+    # both orders have no divisor up to the point count, so they share one entry
+    assert fibers._point_perms(model, 101) is fibers._point_perms(model, 1_000_003)
+
+
+def test_cached_point_perms_and_incidence_are_read_only():
+    model = fibers.catalog("I2").model
+    perms = fibers._point_perms(model, 2)
+    assert len(perms) == 2 and isinstance(perms, tuple)
+    incidence = fibers._incidence(model)
+    with pytest.raises(TypeError):
+        perms[0]["p0"] = "p1"
+    assert incidence == ((("p0", 1), ("p1", 1)),) * 2
+    assert all(type(x) is tuple for inc in incidence for x in (inc, *inc))
+    assert dict(perms[0]) == {"p0": "p0", "p1": "p1"}
+
+
 def _materialized_by_perm(model, order):
     """{point permutation: (action count, fixed-locus values)} from the
     enumerated actions, the oracle for the aggregate."""

@@ -215,6 +215,28 @@ def test_reflection_rejects_vectors_of_the_wrong_length():
             lattice.reflection(root)(bad)
 
 
+@pytest.mark.parametrize("root", [
+    (0, 0, 1.0, 0, 0, 0, 0, 0, 0, 0),  # a float entry used to make the map return floats
+    (0, 0, True, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, "1", 0, 0, 0, 0, 0, 0, 0),
+    [0, 0, 1.5, 0, 0, 0, 0, 0, 0, 0],
+    None,
+    5,
+    "0010000000",
+    {2: 1},
+])
+def test_reflection_rejects_a_root_that_is_not_ten_ints(root):
+    with pytest.raises(ValueError, match="a root must be 10 ints") as exc:
+        lattice.reflection(root)
+    assert "\n" not in str(exc.value)
+
+
+def test_reflection_accepts_a_root_given_as_a_list():
+    root = lattice.BASIS[2]
+    assert lattice.reflection(list(root))(lattice.F) == lattice.reflection(root)(lattice.F)
+    assert lattice.reflection(list(root))(root) == lattice.neg(root)
+
+
 def test_validate_sequence_basics():
     assert lattice.validate_sequence([])
     assert lattice.validate_sequence([lattice.E, lattice.F])
