@@ -22,18 +22,27 @@ imports):
 * tables   - classification constants with consistency checks
 * report   - deterministic report rendering (markdown, CSV, JSON)
 * cli      - deterministic verification reports (the `enrq` command)
-"""
 
-import importlib
+`check_ints` is the one integer rule of the public entry points.
+"""
 
 __version__ = "0.1.0"
 
 _SUBMODULES = ("cli", "configs", "delpezzo", "ecaut", "fibers", "gf", "lattice", "report", "search", "tables")
 
 
+def check_ints(**values):
+    """Raise a one-line ValueError unless every value is an int (a bool is not)."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 def __getattr__(name):
     if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
+        # the import statement's machinery, so -X importtime lists the module
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -18,6 +18,7 @@ import time
 from functools import cache
 from itertools import chain, islice
 
+from . import check_ints
 from .report import Report
 
 
@@ -32,9 +33,9 @@ BOUND_MIN, BOUND_CAP = 4, 1000
 
 
 class RunConfig:
-    """One run's settings, checked when built (ValueError on a bad one).
-    ext_degree 0 means the per-row sufficient degrees, order 0 the tame
-    orders 2, 3, 5, 7."""
+    """One run's settings, checked when built (ValueError on a bad one):
+    bound, ext_degree and order are ints.  ext_degree 0 means the per-row
+    sufficient degrees, order 0 the tame orders 2, 3, 5, 7."""
 
     def __init__(self, suite="all", fmt="markdown", out=None, bound=6, ext_degree=0, order=0):
         self.suite = suite
@@ -47,6 +48,7 @@ class RunConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.fmt not in ("markdown", "csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        check_ints(bound=self.bound, ext_degree=self.ext_degree, order=self.order)
         if not BOUND_MIN <= self.bound <= BOUND_CAP:
             raise ValueError(f"bound {self.bound}: use {BOUND_MIN} to {BOUND_CAP} "
                              f"(the sequence search does not finish below {BOUND_MIN})")
@@ -108,10 +110,9 @@ def _selfcheck_draw(gram):
     return tuple(index), bytes(picks), coords
 
 
-def suite_lattice_selfcheck(report, cfg):
+def suite_lattice_selfcheck(s, cfg):
     from . import lattice
 
-    s = report.new_suite("lattice-selfcheck")
     det = lattice.gram_determinant()
     s.add("Gram determinant", det in (1, -1), f"det = {det}")
     sig = lattice.gram_signature()
@@ -137,10 +138,9 @@ def suite_lattice_selfcheck(report, cfg):
           "; ".join(str(v) for v in found[0].vectors) if found else "none found")
 
 
-def suite_fibers_euler(report, cfg):
+def suite_fibers_euler(s, cfg):
     from . import fibers
 
-    s = report.new_suite("fibers-euler")
     oracle = {f"I{n}": n for n in range(1, 10)}
     oracle.update({f"I{n}*": n + 6 for n in range(0, 10)})
     oracle.update({"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10})
@@ -153,10 +153,9 @@ def suite_fibers_euler(report, cfg):
         )
 
 
-def suite_fibers_2conn(report, cfg):
+def suite_fibers_2conn(s, cfg):
     from . import fibers
 
-    s = report.new_suite("fibers-2conn")
     for tag in fibers.standard_tags(9):
         ent = fibers.catalog(tag)
         if not ent.model.reducible():
@@ -165,25 +164,23 @@ def suite_fibers_2conn(report, cfg):
         s.add(f"2-connectedness of {tag}", val >= 2, f"min D1.D2 = {val}")
 
 
-def suite_lefschetz(report, cfg):
+def suite_lefschetz(s, cfg):
     from . import fibers
 
-    s = report.new_suite("lefschetz")
     orders = [cfg.order] if cfg.order else [2, 3, 5, 7]
     for order in orders:
         for tag in fibers.standard_tags(9):
             res = fibers.lefschetz_check(tag, order)
-            if fibers.catalog(tag).model.reducible():
-                ok, detail = res["ok"], f"e(F) = {res['euler']}, {res['actions']} admissible actions"
-            else:
+            if res["expected"] is None:
                 ok, detail = None, f"irreducible singular fiber, e(F) = {res['euler']}"
+            else:
+                ok, detail = res["ok"], f"e(F) = {res['euler']}, {res['actions']} admissible actions"
             s.add(f"{tag} order {order}: fixed-locus values {res['values']}", ok, detail)
 
 
-def suite_configs_enumerate(report, cfg):
+def suite_configs_enumerate(s, cfg):
     from . import configs, fibers
 
-    s = report.new_suite("configs-enumerate")
     pairs = configs.enumerate_pairs()
     s.add("numerically consistent additive pairs", len(pairs) == 7, f"{len(pairs)} pairs")
     res = configs.realizable_filter(pairs)
@@ -206,10 +203,9 @@ def suite_configs_enumerate(report, cfg):
           "no odd order > 3 in the supersingular automorphism group")
 
 
-def suite_configs_shared8(report, cfg):
+def suite_configs_shared8(s, cfg):
     from . import configs
 
-    s = report.new_suite("configs-shared8")
     expected = {("I4*", "I4*"): False, ("I4*", "II*"): True, ("II*", "II*"): True}
     for (t1, t2), want in expected.items():
         res = configs.shared_eight_search(t1, t2)
@@ -229,10 +225,9 @@ def suite_configs_shared8(report, cfg):
     s.add("normalization", None, configs.OVERLAY_NORMALIZATION)
 
 
-def suite_ecaut_tables(report, cfg):
+def suite_ecaut_tables(s, cfg):
     from . import ecaut
 
-    s = report.new_suite("ecaut-tables")
     rows = ecaut.classification_report(cfg.ext_degree or None)
     for r in rows:
         s.add(
@@ -242,10 +237,9 @@ def suite_ecaut_tables(report, cfg):
         )
 
 
-def suite_delpezzo_verify(report, cfg):
+def suite_delpezzo_verify(s, cfg):
     from . import delpezzo
 
-    s = report.new_suite("delpezzo-verify")
     families = [
         ("D1", delpezzo.aut_d1(), "torus (lam, mu)"),
         ("D2", delpezzo.aut_d2(), "additive (alpha, beta)"),
@@ -280,16 +274,16 @@ def suite_delpezzo_verify(report, cfg):
     s.add("D2 additive family is 2-torsion", delpezzo.proj_equal(sq, delpezzo.identity_map()))
 
 
-def suite_tables_consistency(report, cfg):
+def suite_tables_consistency(s, cfg):
     from . import tables
 
-    s = report.new_suite("tables-consistency")
     for label, ok, detail in tables.consistency_check():
         s.add(label, ok, detail)
     for name, flag in tables.figures_unavailable():
         s.add(name, None, flag)
 
 
+# each function fills the report suite that `run` names by its key
 _SUITE_FUNCS = {
     "lattice-selfcheck": suite_lattice_selfcheck,
     "fibers-euler": suite_fibers_euler,
@@ -311,7 +305,7 @@ def run(cfg: RunConfig):
     suite_s = {}
     for name in names:
         start = time.perf_counter()
-        _SUITE_FUNCS[name](report, cfg)
+        _SUITE_FUNCS[name](report.new_suite(name), cfg)
         suite_s[name] = time.perf_counter() - start
     body = report.render(cfg.fmt)
     if cfg.out:

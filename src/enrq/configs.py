@@ -60,8 +60,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 from operator import mul
 
-from . import ecaut, fibers
-from .gf import check_ints
+from . import check_ints, fibers
 from .lattice import exact_det
 
 
@@ -166,6 +165,8 @@ def odd_order_smooth_case(order: int):
     group of a supersingular curve in characteristic 2 has no elements of
     odd order > 3.
     """
+    from . import ecaut
+
     check_ints(order=order)
     if order % 2 == 0 or order < 3:
         raise ValueError("order must be odd and >= 3")

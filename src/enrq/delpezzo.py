@@ -132,6 +132,8 @@ ONE = ParamPoly(frozenset({(0,) * NVARS}))
 
 
 def var(name):
+    if name not in _IDX:
+        raise ValueError(f"unknown variable {name!r}: use one of {', '.join(NAMES)}")
     mon = [0] * NVARS
     mon[_IDX[name]] = 1
     return ParamPoly(frozenset({tuple(mon)}))
@@ -338,17 +340,6 @@ def pullback(poly, m: ProjMap):
     return out
 
 
-def _x_linear_parts(poly):
-    """[poly.coefficient_of(j) for j in X_VARS], in one pass over the
-    monomials."""
-    parts = [set() for _ in X_VARS]
-    for mon in poly.monomials:
-        for j in X_VARS:
-            if mon[j] == 1:
-                parts[j].add(mon[:j] + (0,) + mon[j + 1:])
-    return [ParamPoly(frozenset(p)) for p in parts]
-
-
 def _x_coefficients(poly):
     """Split a polynomial by its x-monomial part: {x-exponent-tuple:
     parameter-polynomial coefficient}.  Distinct monomials never cancel."""
@@ -356,6 +347,16 @@ def _x_coefficients(poly):
     for mon in poly.monomials:
         out.setdefault(mon[:5], set()).add((0,) * 5 + mon[5:])
     return {k: ParamPoly(frozenset(v)) for k, v in out.items()}
+
+
+_X_UNITS = tuple(tuple(int(i == j) for i in X_VARS) for j in X_VARS)  # the x-parts of x0..x4
+
+
+def _x_linear_parts(poly):
+    """The coefficients of x0..x4 in a polynomial linear in x, read from
+    its `_x_coefficients` split."""
+    split = _x_coefficients(poly)
+    return [split.get(unit, ZERO) for unit in _X_UNITS]
 
 
 def verify_preserves(m: ProjMap, kind: str):

@@ -9,7 +9,8 @@ point carrying the incident branches per component and a local
 intersection multiplicity (2 for the tangency of type III).  `catalog`
 is the one parser: the table `_FIXED` gives the Dynkin label and model
 of I1, II, III, IV, IV*, III* and II*, and one full-match pattern reads
-I_n (n >= 1) and I_n* (n >= 0), written without leading zeros.  Apart
+I_n (n >= 1) and I_n* (n >= 0) up to n = CATALOG_CAP, written without
+leading zeros.  Apart
 from I1, II, III and IV, every type meets only in transversal points,
 so `_transversal` builds it from its components and paths of component
 ids.  `FiberModel.component_gram` is the one intersection matrix.
@@ -39,12 +40,19 @@ singular points) and w_c = free slots for a tame one.  So
 `lefschetz_check` aggregates per point permutation, counting the actions
 as a product and the values as a Minkowski sum of per-component sets.
 A component's count and set depend only on its shape (the branch counts
-at its fixed points, whether all its points are fixed, the order), so
-each shape is tallied once.  Each permutation's value is checked against
-the Lefschetz number
+at its fixed points, whether all its points are fixed, the allowed cycle
+lengths), so each shape is tallied once.  Each permutation's value is
+checked against the Lefschetz number
 L(g) = 2 * #components - sum over fixed points p of (branches(p) - 1).
 `admissible_actions` and `fixed_euler` materialize the actions one by
 one and are the oracle for the aggregate.
+
+The order enters each of these three calls once: the model's `_layout`
+(its point groups, incidence lists and room, the longest cycle it can
+hold) is looked up, and the order is reduced to the allowed cycle
+lengths, its divisors d >= 2 up to the room.  The cached helpers are
+keyed by those lengths, never by the order, so orders such as 101 and
+1,000,003 share every entry.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from itertools import permutations, product
 from math import gcd
 from types import MappingProxyType
 
-from . import lattice
+from . import check_ints, lattice
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -160,6 +168,9 @@ _FIXED = {
 
 # I_n (group 2 empty) and I_n* (group 2 "*"): n >= 1 resp. n >= 0, no leading zero
 _FAMILY = re.compile(r"I([1-9][0-9]*|0(?=\*))(\*?)")
+# the largest n of an I_n or I_n* tag that `catalog` builds: the build
+# time grows with n^2, about 0.1 s at the cap, and each entry stays cached
+CATALOG_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -188,26 +199,30 @@ def catalog(tag: str) -> CatalogEntry:
 @cache  # entries are frozen, so one instance per tag can be shared
 def _entry(tag):
     family = _FAMILY.fullmatch(tag)
+    n = int(family[1]) if family else None
     if tag in _FIXED:
         dynkin, model = _FIXED[tag]
-    elif family and family[2]:
-        n = int(family[1])
+    elif n is None:
+        raise ValueError(f"unknown fiber tag {tag!r}")
+    elif n > CATALOG_CAP:
+        raise ValueError(f"fiber tag {tag!r}: n is above CATALOG_CAP = {CATALOG_CAP}")
+    elif family[2]:
         chain = [f"z{i}" for i in range(n + 1)]
         comps = [(c, 2) for c in chain] + [(f"t{i}", 1) for i in range(4)]
         ends = [("t0", "z0"), ("t1", "z0"), ("t2", chain[-1]), ("t3", chain[-1])]
         dynkin, model = f"D~{n + 4}", _transversal(comps, [chain, *ends])
-    elif family:
-        n = int(family[1])
+    else:
         cycle = [f"c{i % n}" for i in range(n + 1)]
         dynkin, model = f"A~{n - 1}", _transversal([(c, 1) for c in cycle[:n]], [cycle])
-    else:
-        raise ValueError(f"unknown fiber tag {tag!r}")
     kind = MULTIPLICATIVE if family and not family[2] else ADDITIVE
     return CatalogEntry(tag, dynkin, model, len(model.components), euler(model), kind)
 
 
 def standard_tags(max_n: int = 9):
-    """All singular fiber tags with I_n / I_n* parameters up to max_n."""
+    """All singular fiber tags with I_n / I_n* parameters up to max_n, an int >= 0."""
+    check_ints(max_n=max_n)
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
     tags = [f"I{n}" for n in range(1, max_n + 1)]
     tags += ["II", "III", "IV"]
     tags += [f"I{n}*" for n in range(0, max_n + 1)]
@@ -284,8 +299,7 @@ class FiberAction:
 
 def _check_order(order, least):
     """One-line ValueError unless the order is an int (a bool is not) >= least."""
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise ValueError(f"order must be an int, not {order!r}")
+    check_ints(order=order)
     if order < least:
         raise ValueError(f"order must be >= {least}")
 
@@ -293,90 +307,69 @@ def _check_order(order, least):
 def _cycle_lengths(perm):
     seen = set()
     for start in perm:
-        if start in seen:
-            continue
-        ln = 0
-        x = start
-        while x not in seen:
+        ln, x = 0, start
+        while x not in seen:  # a start already seen adds no cycle
             seen.add(x)
-            x = perm[x]
-            ln += 1
-        yield ln
+            x, ln = perm[x], ln + 1
+        if ln:
+            yield ln
 
 
-def _can_split_into_cycles(count, order):
+@cache
+def _layout(model: FiberModel):
+    """(groups, incidence, room) of a model: the point ids grouped by
+    signature, each group sorted; for each component, in model order, its
+    incidence list ((point id, branches of the component there), ...)
+    with the points in model order; and the longest cycle the model has
+    room for, its largest group or the most branches one component has
+    at one point."""
+    groups, counts = {}, {cid: {} for cid, _ in model.components}
+    for p in model.points:
+        groups.setdefault(p.signature(), []).append(p.id)
+        for cid, cnt in p.branches:
+            counts[cid][p.id] = counts[cid].get(p.id, 0) + cnt
+    groups = _shared(tuple(_shared(tuple(sorted(ids))) for ids in groups.values()))
+    incidence = tuple(tuple(map(_shared, pts.items())) for pts in counts.values())
+    room = max([*map(len, groups), *(b for inc in incidence for _, b in inc)], default=0)
+    return groups, incidence, room
+
+
+def _allowed_lengths(order, room):
+    """The cycle lengths above 1 that an automorphism of this order allows
+    where no cycle is longer than `room`: the divisors d >= 2 of the order
+    up to room.  Orders such as 101 and 1,000,003 both give ()."""
+    return tuple(d for d in range(2, room + 1) if order % d == 0)
+
+
+def _can_split_into_cycles(count, lengths):
     """Can `count` slots be permuted with no fixed slot, in cycles whose
-    lengths divide `order`?"""
-    if count == 0:
-        return True
-    # a cycle longer than `count` cannot occur, so the scan stops there
-    divs = [d for d in range(2, min(order, count) + 1) if order % d == 0]
+    lengths are among `lengths`?"""
     reachable = {0}
     for _ in range(count):
-        reachable |= {r + d for r in reachable for d in divs if r + d <= count}
+        reachable |= {r + d for r in reachable for d in lengths if r + d <= count}
     return count in reachable
 
 
-def _point_perms(model: FiberModel, order: int):
-    """Incidence-preserving permutations of the singular points with all
-    cycle lengths dividing the automorphism order, as read-only mappings.
-    A cycle stays inside a group of points with one signature, so the
-    result depends only on the groups and on the divisors of the order up
-    to the largest group: models with the same groups, and orders such as
-    101 and 1,000,003, share one cached entry."""
-    groups = _point_groups(model)
-    largest = max(map(len, groups), default=1)
-    return _group_perms(groups, tuple(d for d in range(2, largest + 1) if order % d == 0))
-
-
-@cache
-def _point_groups(model: FiberModel):
-    """The point ids grouped by signature, each group sorted."""
-    groups = {}
-    for p in model.points:
-        groups.setdefault(p.signature(), []).append(p.id)
-    return _shared(tuple(_shared(tuple(sorted(ids))) for ids in groups.values()))
-
-
 @cache  # read-only values, so every caller can share them
-def _group_perms(groups, divisors):
-    """`_point_perms` for the point groups and the allowed cycle lengths
-    above 1."""
-    group_perms = []
+def _group_perms(groups, lengths):
+    """The incidence-preserving permutations of the singular points, as
+    read-only mappings: a cycle stays inside one group of `_layout` and
+    its length is 1 or in `lengths`.  Models with the same groups, and
+    orders with the same allowed lengths, share one cached entry."""
+    per_group = []
     for ids in groups:
-        ok = []
-        for img in permutations(ids):
-            perm = dict(zip(ids, img))
-            if all(ln == 1 or ln in divisors for ln in _cycle_lengths(perm)):
-                ok.append(perm)
-        group_perms.append(ok)
-    perms = []
-    for combo in product(*group_perms):
-        perm = {}
-        for d in combo:
-            perm.update(d)
-        perms.append(MappingProxyType(perm))
-    return tuple(perms)
+        perms = (dict(zip(ids, img)) for img in permutations(ids))
+        per_group.append([p for p in perms if all(ln == 1 or ln in lengths for ln in _cycle_lengths(p))])
+    return tuple(MappingProxyType({k: v for p in combo for k, v in p.items()}) for combo in product(*per_group))
 
 
-@cache
-def _incidence(model: FiberModel):
-    """For each component, in model order, its incidence list: ((point id,
-    branches of the component there), ...) with the points in model order."""
-    counts = {cid: {} for cid, _ in model.components}
-    for p in model.points:
-        for cid, cnt in p.branches:
-            counts[cid][p.id] = counts[cid].get(p.id, 0) + cnt
-    return tuple(tuple(map(_shared, pts.items())) for pts in counts.values())
-
-
-def _component_options(incidence, perm, order):
+def _component_options(incidence, perm, lengths):
     """The admissible ComponentActions on one component, given its
-    incidence list and the point permutation."""
+    incidence list, the point permutation and the allowed cycle lengths."""
     fixed = [(pid, b) for pid, b in incidence if perm[pid] == pid]
     options = [ComponentAction("identity")] if len(fixed) == len(incidence) else []
     # tame: choose how many branch slots stay fixed at each fixed point
-    per_point = [[(pid, k) for k in range(b, -1, -1) if _can_split_into_cycles(b - k, order)] for pid, b in fixed]
+    per_point = [[(pid, k) for k in range(b, -1, -1) if _can_split_into_cycles(b - k, lengths)] for pid, b in fixed]
     for combo in product(*per_point):
         k_total = sum(k for _, k in combo)
         if k_total <= 2:
@@ -394,10 +387,11 @@ def admissible_actions(model: FiberModel, order: int):
     """
     _check_order(order, 2)
     actions = []
-    incidence = _incidence(model)
+    groups, incidence, room = _layout(model)
+    lengths = _allowed_lengths(order, room)
     cids = [cid for cid, _ in model.components]
-    for perm in _point_perms(model, order):
-        opts = [_component_options(inc, perm, order) for inc in incidence]
+    for perm in _group_perms(groups, lengths):
+        opts = [_component_options(inc, perm, lengths) for inc in incidence]
         if any(not o for o in opts):
             continue
         perm_t = tuple(sorted(perm.items()))
@@ -414,13 +408,15 @@ def fixed_euler(model: FiberModel, action: FiberAction) -> int:
     points off that subcurve, and the tame components' free slots.
     Raises ValueError unless the action is one that the generators of
     `admissible_actions` yield for its order: the point permutation from
-    `_point_perms`, each component action from `_component_options`.
+    `_group_perms`, each component action from `_component_options`.
     """
     perm, order, comp = action.perm(), action.order, action.component_map()
+    groups, incidence, room = _layout(model)
+    lengths = _allowed_lengths(order, room)
     cids = [cid for cid, _ in model.components]
-    if (perm not in _point_perms(model, order) or comp.keys() != set(cids)
-            or any(comp[cid] not in _component_options(inc, perm, order)
-                   for cid, inc in zip(cids, _incidence(model)))):
+    if (perm not in _group_perms(groups, lengths) or comp.keys() != set(cids)
+            or any(comp[cid] not in _component_options(inc, perm, lengths)
+                   for cid, inc in zip(cids, incidence))):
         raise ValueError(f"action of order {order} is not admissible on the model")
     return _fixed_euler(model, action)
 
@@ -450,16 +446,17 @@ def _lefschetz_number(model, perm):
 
 
 @cache
-def _component_tally(fixed_branches, all_fixed, order):
+def _component_tally(fixed_branches, all_fixed, lengths):
     """(number, weight set) of the options `_component_options` gives a
     component whose fixed points carry `fixed_branches` (sorted branch
-    counts), with every point fixed or not.  A tame option fixes k of the
-    b slots at each fixed point and lets the other b - k cycle, the k
-    summing to at most 2, and weighs 2 - sum k; the identity, possible
-    when every point is fixed, weighs 2 - deg."""
+    counts), with every point fixed or not, under the allowed cycle
+    lengths.  A tame option fixes k of the b slots at each fixed point
+    and lets the other b - k cycle, the k summing to at most 2, and
+    weighs 2 - sum k; the identity, possible when every point is fixed,
+    weighs 2 - deg."""
     ways = [1, 0, 0]  # tame choices by number of fixed branch slots
     for b in fixed_branches:
-        ks = [k for k in range(min(b, 2) + 1) if _can_split_into_cycles(b - k, order)]
+        ks = [k for k in range(min(b, 2) + 1) if _can_split_into_cycles(b - k, lengths)]
         ways = [sum(ways[t - k] for k in ks if k <= t) for t in range(3)]
     weights = {2 - t for t in range(3) if ways[t]}
     if all_fixed:
@@ -475,12 +472,13 @@ def _perm_tallies(model: FiberModel, order: int):
     _fixed_euler and a moved point adds nothing, hence the split.  Each
     component shape is tallied once, by `_component_tally`.
     """
-    incidence = _incidence(model)
-    for perm in _point_perms(model, order):
+    groups, incidence, room = _layout(model)
+    lengths = _allowed_lengths(order, room)
+    for perm in _group_perms(groups, lengths):
         count, values = 1, {sum(perm[p.id] == p.id for p in model.points)}
         for inc in incidence:
             fixed = sorted(b for pid, b in inc if perm[pid] == pid)
-            n, weights = _component_tally(tuple(fixed), len(fixed) == len(inc), order)
+            n, weights = _component_tally(tuple(fixed), len(fixed) == len(inc), lengths)
             if not n:
                 break
             count *= n

@@ -32,6 +32,8 @@ import operator
 from functools import cache
 from itertools import product
 
+from . import check_ints
+
 FIELD_CAP = 1 << 20  # the largest p^k that GF accepts
 
 
@@ -165,13 +167,6 @@ def _tables(p, k):
         # adding 1 changes only the lowest digit, a % p
         zech = [log[a - a % p + (a + 1) % p] for a in exp[:n]]
     return modulus, exp, log, zech, order
-
-
-def check_ints(**values):
-    """Raise a one-line ValueError unless every value is an int (a bool is not)."""
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, not {value!r}")
 
 
 def check_field(p, k):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from . import lattice
+from . import check_ints, lattice
 from .lattice import BASIS, GRAM, RANK, IsotropicSequence, _reduce
 
 
@@ -157,15 +157,12 @@ def _candidates(pivots, bound):
     yield from rec(0, [0] * len(rows), 0, None)
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def search_sequences(n, bound, cap):
     """The search behind `lattice.search_sequences`, with the same
     arguments and result."""
-    if not (_is_int(n) and _is_int(bound) and (cap is None or _is_int(cap))):
-        raise ValueError("n and bound must be integers, and cap an integer or None")
+    check_ints(n=n, bound=bound)
+    if cap is not None:
+        check_ints(cap=cap)
     if not 1 <= n <= 10:
         # Eleven isotropic vectors with pairwise product 1 would have a
         # Gram matrix of signature (1, 10): impossible in a rank-10 lattice.

@@ -7,13 +7,15 @@ Run it in a fresh interpreter, with enrq importable:
 It exits 0 when `import enrq.cli` loads no suite module and not
 `dataclasses` (which, with its `inspect` import, took about a third of
 the import time of `enrq.cli`), a suite run loads only the modules that
-suite reaches, and the package still offers every submodule as an
-attribute.  `tests/test_cli.py` runs it in a
+suite reaches (configs-shared8 in an interpreter of its own, so that it
+finds nothing loaded), and the package still offers every submodule as
+an attribute.  `tests/test_cli.py` runs it in a
 subprocess, so that the test process's own imports do not count.
 """
 
 import contextlib
 import io
+import subprocess
 import sys
 
 SUBMODULES = {"cli", "configs", "delpezzo", "ecaut", "fibers", "gf", "lattice", "report", "search", "tables"}
@@ -21,6 +23,24 @@ SUBMODULES = {"cli", "configs", "delpezzo", "ecaut", "fibers", "gf", "lattice", 
 
 def loaded():
     return {name for name in sys.modules if name == "enrq" or name.startswith("enrq.")}
+
+
+def fresh_footprint(suite):
+    """The enrq modules beyond enrq.cli that one run of the suite loads in
+    a new interpreter."""
+    code = ("import contextlib, io, sys, enrq.cli\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status, _ = enrq.cli.run(enrq.cli.RunConfig(suite={suite!r}))\n"
+            "assert status == 0, status\n"
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return {name for name in proc.stdout.split() if name.startswith("enrq.")}
+
+
+# no enrq.ecaut and no enrq.gf: configs loads ecaut only for the odd-order case
+footprint = fresh_footprint("configs-shared8")
+assert footprint == {"enrq.configs", "enrq.fibers", "enrq.lattice"}, sorted(footprint)
 
 
 import enrq.cli  # noqa: E402

@@ -62,9 +62,18 @@ def body_sha256(suite, fmt, tmp_path):
 def clear_caches():
     from enrq import fibers
 
-    for cached in (cli._selfcheck_draw, fibers._point_groups, fibers._group_perms, fibers._incidence):
+    for cached in (cli._selfcheck_draw, fibers._layout, fibers._group_perms, fibers._component_tally):
         cached.cache_clear()
     fibers._SHARED.clear()
+
+
+def test_clear_caches_empties_the_fiber_layouts():
+    from enrq import fibers
+
+    fibers.lefschetz_check("I2", 2)
+    assert fibers._layout.cache_info().currsize >= 1
+    clear_caches()
+    assert fibers._layout.cache_info().currsize == fibers._group_perms.cache_info().currsize == 0
 
 
 def test_run_all_three_times_in_one_process(tmp_path, time_limit):
@@ -132,6 +141,27 @@ def test_config_validation():
     # multiples of every table row's degree whose fields stay enumerable
     assert ecaut.TABLE_EXT_DEGREES == (2, 4)
     assert all(RunConfig(ext_degree=d).ext_degree == d for d in (0, 2, 4))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("bound", 4.5), ("bound", 6.0), ("bound", True), ("bound", "6"),
+    ("ext_degree", 2.0), ("ext_degree", None), ("ext_degree", False),
+    ("order", 2.5), ("order", 4.0), ("order", "4"),
+])
+def test_config_rejects_a_non_int_setting(name, value):
+    # 4.5, 2.0 and 2.5 used to be accepted, and the run failed partway through
+    with pytest.raises(ValueError, match=f"{name} must be an int") as exc:
+        RunConfig(**{name: value})
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("flag, value", [("--bound", "4.5"), ("--ext-degree", "2.0"), ("--order", "2.5")])
+def test_cli_non_int_setting_exits_two(flag, value, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main([flag, value])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"invalid int value: '{value}'" in err
 
 
 def test_cli_subprocess_and_usage_error(tmp_path):
@@ -260,6 +290,21 @@ def test_lazy_import_contract():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "lazy imports ok\n"
+
+
+def test_import_profile_lists_every_loaded_module():
+    # the package attribute loads a submodule with __import__, which -X
+    # importtime reports; importlib.import_module hid enrq.fibers and
+    # enrq.lattice from the profile of `import enrq.configs`
+    code = "import sys, enrq.configs; print(*(m for m in sys.modules if m.split('.')[0] == 'enrq'))"
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    loaded = set(proc.stdout.split())
+    assert loaded == {"enrq", "enrq.configs", "enrq.fibers", "enrq.lattice"}, sorted(loaded)
+    assert loaded <= listed, sorted(loaded - listed)
 
 
 SIMPLE_ROOTS = lattice.BASIS[2:]

@@ -325,6 +325,14 @@ def test_inverse_prints_a_negative_exponent():
     assert str(MU2.unit_inverse() * X0) == "x0*mu2^-1"
 
 
+@pytest.mark.parametrize("name", ["nope", "x5", "X0", "", None, 0])
+def test_var_rejects_an_unknown_name(name):
+    # "nope" raised KeyError
+    with pytest.raises(ValueError, match="unknown variable") as exc:
+        dp.var(name)
+    assert "\n" not in str(exc.value)
+
+
 def test_is_unit_fails_on_any_non_unit_variable():
     rng = random.Random(20260902)
     others = [n for n in dp.NAMES if n not in UNIT_NAMES]
@@ -425,10 +433,13 @@ def test_mul_matches_oracle_on_random_polynomials():
 
 
 def test_x_linear_parts_match_coefficient_of():
+    # _x_linear_parts takes input linear in x, as its three callers pass
     rng = random.Random(20260817)
     polys = [_random_param_poly(rng) for _ in range(100)]
     polys += [c for m in FAMILY_MAPS + COMPOSED_MAPS for c in m.coords]
-    for poly in polys:
+    linear = [poly for poly in polys if not poly.x_degrees() - {1}]
+    assert len(linear) >= len(FAMILY_MAPS + COMPOSED_MAPS) * 5
+    for poly in linear:
         assert dp._x_linear_parts(poly) == [poly.coefficient_of(j) for j in dp.X_VARS], str(poly)
 
 

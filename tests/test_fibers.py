@@ -60,6 +60,40 @@ def test_catalog_rejects_bad_tags():
             fibers.dynkin_label(tag)
 
 
+@pytest.mark.parametrize("tag, match", [
+    (f"I{fibers.CATALOG_CAP + 1}", "above CATALOG_CAP"),
+    (f"I{fibers.CATALOG_CAP + 1}*", "above CATALOG_CAP"),
+    ("I10000", "above CATALOG_CAP"),  # built for 9 s, then cached, before the cap
+    ("I" + "9" * 40, "above CATALOG_CAP"),
+])
+def test_catalog_rejects_a_tag_above_the_cap(tag, match, time_limit):
+    cached = fibers._entry.cache_info().currsize
+    with time_limit(1):
+        with pytest.raises(ValueError, match=match) as exc:
+            fibers.catalog(tag)
+    assert "\n" not in str(exc.value)
+    assert fibers._entry.cache_info().currsize == cached
+
+
+def test_catalog_builds_the_tags_at_the_cap():
+    for tag, m in ((f"I{fibers.CATALOG_CAP}", fibers.CATALOG_CAP), (f"I{fibers.CATALOG_CAP}*", fibers.CATALOG_CAP + 5)):
+        assert fibers.catalog(tag).m == m, tag
+
+
+@pytest.mark.parametrize("max_n, match", [
+    (-1, "max_n must be >= 0"),  # returned the six exceptional tags
+    (2.0, "max_n must be an int"),
+    (True, "max_n must be an int"),
+    ("9", "max_n must be an int"),
+    (None, "max_n must be an int"),
+])
+def test_standard_tags_rejects_a_bad_max_n(max_n, match):
+    with pytest.raises(ValueError, match=match) as exc:
+        fibers.standard_tags(max_n)
+    assert "\n" not in str(exc.value)
+    assert fibers.standard_tags(0) == ["II", "III", "IV", "I0*", "IV*", "III*", "II*"]
+
+
 # every standard_tags(9) model as "id:multiplicity" in catalog order
 COMPONENTS = {
     **{f"I{n}": " ".join(f"c{i}:1" for i in range(n)) for n in range(1, 10)},
@@ -495,25 +529,81 @@ def uncached_point_perms(model, order):
         yield {pid: img for d in combo for pid, img in d.items()}
 
 
+def point_perms(model, order):
+    """The cached point permutations that the generators use at this order."""
+    groups, _, room = fibers._layout(model)
+    return fibers._group_perms(groups, fibers._allowed_lengths(order, room))
+
+
 @pytest.mark.parametrize("tag", fibers.standard_tags(9))
 def test_point_perm_cache_matches_the_uncached_generator(tag):
     model = fibers.catalog(tag).model
     for order in (*range(2, 8), 101, 1_000_003):
-        assert [dict(p) for p in fibers._point_perms(model, order)] == list(uncached_point_perms(model, order)), order
-    # both orders have no divisor up to the point count, so they share one entry
-    assert fibers._point_perms(model, 101) is fibers._point_perms(model, 1_000_003)
+        assert [dict(p) for p in point_perms(model, order)] == list(uncached_point_perms(model, order)), order
+    # both orders have no divisor up to the model's room, so they share one entry
+    assert point_perms(model, 101) is point_perms(model, 1_000_003)
 
 
 def test_cached_point_perms_and_incidence_are_read_only():
     model = fibers.catalog("I2").model
-    perms = fibers._point_perms(model, 2)
+    perms = point_perms(model, 2)
     assert len(perms) == 2 and isinstance(perms, tuple)
-    incidence = fibers._incidence(model)
+    layout = fibers._layout(model)
     with pytest.raises(TypeError):
         perms[0]["p0"] = "p1"
-    assert incidence == ((("p0", 1), ("p1", 1)),) * 2
-    assert all(type(x) is tuple for inc in incidence for x in (inc, *inc))
+    assert layout == ((("p0", "p1"),), ((("p0", 1), ("p1", 1)),) * 2, 2)
+    groups, incidence, _ = layout
+    assert all(type(x) is tuple for x in (layout, groups, *groups, incidence, *incidence, *incidence[0]))
     assert dict(perms[0]) == {"p0": "p0", "p1": "p1"}
+
+
+def test_layout_room_is_the_longest_cycle_the_model_holds():
+    # I1: two branches of one component at the node; I2: two points of one
+    # signature; I3: every point and every branch on its own
+    assert [fibers._layout(fibers.catalog(t).model)[2] for t in ("I1", "I2", "I3", "II*")] == [2, 2, 1, 1]
+    assert fibers._layout(NON_CATALOG["2I2"])[2] == 2
+    triple_node = fibers.FiberModel((("c0", 1),), (fibers.Point("t", (("c0", 3),)),))
+    assert fibers._layout(triple_node)[2] == 3
+    assert fibers._allowed_lengths(12, 4) == (2, 3, 4)
+    assert fibers._allowed_lengths(1_000_003, 4) == fibers._allowed_lengths(12, 1) == ()
+
+
+def test_lefschetz_check_caches_stay_bounded_over_many_orders():
+    # the caches are keyed by the allowed cycle lengths, never by the order
+    # itself: 200 primes above every room add no entry to what orders 2, 3,
+    # 5, 7 and 101 leave (about 1,000 tally entries when keyed by the order)
+    caches = (fibers._component_tally, fibers._group_perms, fibers._layout)
+    for cached in caches:
+        cached.cache_clear()
+    tags = fibers.standard_tags(9)
+    for order in (2, 3, 5, 7, 101):
+        for tag in tags:
+            fibers.lefschetz_check(tag, order)
+    sizes = [cached.cache_info().currsize for cached in caches]
+    primes = [n for n in range(1000, 4000) if all(n % d for d in range(2, 64))][:200]
+    assert len(primes) == 200
+    for order in primes:
+        for tag in tags:
+            fibers.lefschetz_check(tag, order)
+    assert [cached.cache_info().currsize for cached in caches] == sizes
+    assert fibers._component_tally.cache_info().currsize <= 8
+
+
+def test_lefschetz_check_hashes_its_model_once(monkeypatch):
+    fibers._layout.cache_clear()
+    model_hash = fibers.FiberModel.__hash__
+    hashed = []
+
+    def counting_hash(model):
+        hashed.append(model)
+        return model_hash(model)
+
+    monkeypatch.setattr(fibers.FiberModel, "__hash__", counting_hash)
+    for tag in ("I2", "I9*", "II*"):
+        for _ in range(2):  # a cold and a warm call
+            hashed.clear()
+            assert fibers.lefschetz_check(tag, 2)["ok"], tag
+            assert hashed == [fibers.catalog(tag).model], tag
 
 
 def _materialized_by_perm(model, order):
@@ -595,10 +685,26 @@ def test_component_tally_matches_the_options_oracle():
                 perm = {pid: pid + "'" if m else pid for (pid, _), m in zip(incidence, moved)}
                 fixed = tuple(sorted(b for b, m in zip(branches, moved) if not m))
                 for order in (*range(2, 13), 101):
-                    options = fibers._component_options(incidence, perm, order)
+                    lengths = fibers._allowed_lengths(order, max(branches))
+                    options = fibers._component_options(incidence, perm, lengths)
+                    assert options == options_oracle(incidence, perm, order), (branches, moved, order)
                     weights = {2 - sum(branches) if ca.kind == "identity" else ca.free_slots for ca in options}
-                    got = fibers._component_tally(fixed, not any(moved), order)
+                    got = fibers._component_tally(fixed, not any(moved), lengths)
                     assert got == (len(options), weights), (branches, moved, order)
+
+
+def options_oracle(incidence, perm, order):
+    """The ComponentActions the admissibility rules allow on one component,
+    each rule tested against the order itself, in `_component_options`'s
+    order: the identity first, then the tame ones by descending fixed
+    slots at each point, earlier points first."""
+    fixed = [(pid, b) for pid, b in incidence if perm[pid] == pid]
+    options = [fibers.ComponentAction("identity")] if len(fixed) == len(incidence) else []
+    choices = [[(pid, k) for k in range(b, -1, -1) if _can_split_into_cycles_oracle(b - k, order)] for pid, b in fixed]
+    for combo in product(*choices):
+        if sum(k for _, k in combo) <= 2:
+            options.append(fibers.ComponentAction("tame", combo, 2 - sum(k for _, k in combo)))
+    return options
 
 
 def _can_split_into_cycles_oracle(count, order):
@@ -611,7 +717,10 @@ def _can_split_into_cycles_oracle(count, order):
 
 
 def test_can_split_into_cycles_matches_unbounded_definition():
+    # room for a cycle as long as the count suffices; more room changes nothing
     for count in range(9):
         for order in range(2, 61):
-            assert fibers._can_split_into_cycles(count, order) == _can_split_into_cycles_oracle(count, order), (
-                count, order)
+            want = _can_split_into_cycles_oracle(count, order)
+            for room in (count, count + 3):
+                lengths = fibers._allowed_lengths(order, room)
+                assert fibers._can_split_into_cycles(count, lengths) == want, (count, order, room)

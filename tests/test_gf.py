@@ -242,3 +242,15 @@ def test_tables_are_built_on_first_use_and_shared():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "0"  # importing builds no field
+
+
+def test_check_ints_is_the_package_rule():
+    # one definition at the package root; gf.check_ints still names it
+    import enrq
+
+    assert gf.check_ints is enrq.check_ints
+    enrq.check_ints(a=0, b=-3)
+    for bad in (True, 2.0, "2", None):
+        with pytest.raises(ValueError, match="b must be an int") as exc:
+            enrq.check_ints(a=1, b=bad)
+        assert "\n" not in str(exc.value)
