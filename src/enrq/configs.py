@@ -36,20 +36,25 @@ product-4 overlay together with which condition rejected it.
 
 Cost.  The diagrams are the catalog Gram matrices, indexed by catalog
 position.  What depends on one fiber type alone is built once per tag
-and cached (`_model`): the check F.C = 0, and per connector the other
-eight curves, their Gram block with the connector, weight profiles, a
-parent-first node order, connectivity and the automorphism group Aut(S)
-of the remainder S.  The check F'.C = 0 then needs no repeat, since an
-isomorphism carries the rows of the second diagram onto the block.  Per
-call, a branch whose profile multisets agree gets one isomorphism phi0
-from a first-solution search, and all of them as the coset Aut(S) . phi0,
-sorted into lexicographic order of their images; per isomorphism only
-the column of C10 against the shared curves, f2, the u-solve and the
-parity test are computed.  Distinct isomorphisms often give the same
-Gram matrix, so each call keeps a memo of determinants keyed by the
-matrix, and computes each determinant once; the memo ends with the call.
-The cache holds nothing about a pair, a determinant or a result, and
-every list and dict a call returns is new.
+and cached (`_model`): the check F.C = 0, the constant kappa below, and
+per connector the other eight curves, their Gram block with the
+connector, a parent-first node order, connectivity, the automorphism
+group Aut(S) of the remainder S, and a canonical labelling of S with the
+canonical form it gives (colour refinement and individualisation; every
+remainder of D~8 and E~8 is a forest, on which this is canonical).  The
+check F'.C = 0 then needs no repeat, since an isomorphism carries the
+rows of the second diagram onto the block.  Per call, a branch whose
+canonical forms agree gets phi0 = label(S)^-1 . label(S') and all its
+isomorphisms as the coset Aut(S) . phi0, sorted into lexicographic order
+of their images; per isomorphism only the column of C10 against the
+shared curves, f2, the u-solve and the parity test are computed.  No
+determinant is taken per call: the first nine rows and columns of an
+overlay Gram matrix are the Gram matrix A of F, which has corank 1 and
+kernel m(F), so adj(A) = kappa * m m^T, and bordering A with C10 gives
+det = -kappa * (F.C10)^2.  kappa is the cofactor of each diagonal entry
+of A over m(C)^2, taken with exact_det for every component C of the
+type, once per tag (4 for D~8, 1 for E~8).  The cache holds nothing
+about a pair or a result, and every list and dict a call returns is new.
 """
 
 from __future__ import annotations
@@ -247,54 +252,100 @@ def _diagram(tag):
 
 # a fiber diagram minus one connector c: `nodes` are the other components
 # (catalog positions) in sorted id order, and node i of the remainder is
-# nodes[i]; `block` is the Gram matrix of nodes + [c], `prof` the sorted
-# weights of each node within the remainder, `multiset` the sorted
-# profiles, `order` a parent-first (BFS) order of the nodes, and `aut`
-# the automorphisms of the remainder in lexicographic order (see _isos)
-_Remainder = namedtuple("_Remainder", "nodes block prof multiset order connected aut")
+# nodes[i]; `block` is the Gram matrix of nodes + [c], `order` a
+# parent-first (BFS) order of the nodes, `aut` the automorphisms of the
+# remainder in lexicographic order, `label` its canonical
+# labelling (entry i is the position of node i, see _canonical) and
+# `form` its 0/1 adjacency matrix in that order, 64 bytes
+_Remainder = namedtuple("_Remainder", "nodes block order connected aut form label")
 
 
 @cache  # facts about one fiber type; never about a pair or a result
 def _model(tag):
-    """(ids, mult, gram, rests) of a fiber type: _diagram(tag), and the
-    _Remainder of each connector, by catalog position."""
+    """(ids, mult, gram, rests, kappa) of a fiber type: _diagram(tag), the
+    _Remainder of each connector, by catalog position, and the kappa with
+    adj(gram) = kappa * mult * mult^T."""
     ids, mult, gram = _diagram(tag)
     assert all(sum(map(mul, row, mult)) == 0 for row in gram), f"fiber condition violated in {tag}"
+    # gram has corank 1 and kernel mult, so the cofactor of entry (c, c) is kappa * mult[c]^2
+    kappas = {divmod(exact_det([r[:c] + r[c + 1:] for r in gram[:c] + gram[c + 1:]]), m * m) for c, m in enumerate(mult)}
+    kappa = min(kappas)[0]
+    assert kappas == {(kappa, 0)} and kappa, f"diagonal cofactors of {tag} are not kappa * m^2 for one kappa != 0"
+    n = len(ids) - 1
     rests = []
-    share = {}  # equal tuples share one object, since the cache lives as long as the process
+    share = {}  # equal tuples and bytes share one object, since the cache lives as long as the process
     for c in range(len(ids)):
-        nodes = sorted((n for n in range(len(ids)) if n != c), key=ids.__getitem__)
+        nodes = sorted((i for i in range(len(ids)) if i != c), key=ids.__getitem__)
         cols = nodes + [c]
         block = tuple(share.setdefault(row, row) for row in (tuple(gram[a][b] for b in cols) for a in cols))
-        prof = [share.setdefault(p, p) for p in (tuple(sorted(row[:-1])) for row in block[:-1])]
-        order = []
-        for root in range(len(nodes)):
+        adj = [[b for b in range(n) if block[a][b] > 0] for a in range(n)]
+        order, roots = [], 0
+        for root in range(n):
             if root not in order:
-                connected = not order  # false from a second root on
+                roots += 1
                 order.append(root)
                 for a in order:  # visits the nodes appended below too
-                    order += [b for b in range(len(nodes)) if block[a][b] > 0 and b not in order]
-        rest = _Remainder(nodes, block, prof, sorted(prof), order, connected, ())
-        rests.append(rest._replace(aut=tuple(share.setdefault(a, a) for a in sorted(_isos(rest, rest)))))
-    return ids, mult, gram, rests
+                    order += [b for b in adj[a] if b not in order]
+        # _canonical is canonical on forests only; every D~8 and E~8 remainder is one
+        edges = [block[a][b] for a in range(n) for b in range(a)]
+        assert set(edges) <= {0, 1} and sum(edges) == n - roots, f"{tag} minus {ids[c]} is not a forest"
+        orbits = _refine(adj, [0] * n)
+        label = bytes(_canonical(adj, orbits))
+        inv = sorted(range(n), key=label.__getitem__)
+        form = bytes(block[a][b] > 0 for a in inv for b in inv)
+        aut = tuple(share.setdefault(a, a) for a in sorted(_automorphisms(adj, order, orbits)))
+        rests.append(_Remainder(nodes, block, order, roots == 1, aut, share.setdefault(form, form), share.setdefault(label, label)))
+    return ids, mult, gram, rests, kappa
 
 
-def _isos(src, dst):
-    """Yield each weighted-graph isomorphism of the _Remainder src onto
-    dst as a tuple: entry i is the image of node i.  A node maps only to
-    one of equal profile, and nodes are assigned in src.order, each
-    checked against those before it."""
-    w1, prof1, order = src.block, src.prof, src.order
-    w2, prof2 = dst.block, dst.prof
+def _refine(adj, colour):
+    """The stable colouring that colour refinement reaches from `colour` on
+    the graph with neighbour lists adj.  Each round's colours are the ranks
+    of the sorted signatures (colour, sorted neighbour colours), so they
+    keep the order of the colours they split."""
+    count = len(set(colour))
+    while True:
+        sigs = [(c, tuple(sorted([colour[b] for b in nb]))) for c, nb in zip(colour, adj)]
+        ranks = sorted(set(sigs))
+        colour = [ranks.index(sig) for sig in sigs]
+        if len(ranks) in (count, len(adj)):  # no colour split, or no colour left to split
+            return colour
+        count = len(ranks)
+
+
+def _canonical(adj, colour):
+    """A canonical labelling of a forest from its stable colouring: entry i
+    is the position of node i.  While a colour is repeated, the first node
+    of the smallest repeated colour is individualised and the colouring
+    refined again; the final colour is the position.  Colour refinement
+    identifies forests (Arvind, Koebler, Rattan and Verbitsky, 2017), so
+    the stable colours are orbits and the form does not depend on which
+    node is individualised; taking the first makes the labelling the least
+    of its coset under the automorphisms."""
+    while len(set(colour)) < len(adj):
+        low = min(c for c in colour if colour.count(c) > 1)
+        first = colour.index(low)
+        colour = _refine(adj, [2 * c + (c == low and a != first) for a, c in enumerate(colour)])
+    return colour
+
+
+def _automorphisms(adj, order, colour):
+    """Yield each automorphism of the forest with neighbour lists adj as a
+    tuple: entry i is the image of node i.  Nodes are assigned in a
+    parent-first order, each to a node of its colour in a stable colouring
+    and next to its parent's image.  A bijection that keeps every parent
+    edge keeps every edge of a forest, and there are as many on both sides,
+    so it is an automorphism."""
     image = [None] * len(order)
+    parent = {i: next((m for m in adj[i] if order.index(m) < k), None) for k, i in enumerate(order)}
 
     def rec(k):
         if k == len(order):
             yield tuple(image)
             return
         i = order[k]
-        for j, p in enumerate(prof2):
-            if p == prof1[i] and j not in image and all(w2[j][image[m]] == w1[i][m] for m in order[:k]):
+        for j in range(len(order)) if parent[i] is None else adj[image[parent[i]]]:
+            if colour[j] == colour[i] and j not in image:
                 image[i] = j
                 yield from rec(k + 1)
         image[i] = None
@@ -304,10 +355,12 @@ def _isos(src, dst):
 
 def _coset(s, r):
     """The isomorphisms of the _Remainder r onto s in lexicographic order
-    of their images: none unless the profile multisets agree, else the
-    coset s.aut . phi0 of the first one the search finds."""
-    phi0 = next(_isos(r, s), None) if s.multiset == r.multiset else None
-    return sorted(tuple(a[i] for i in phi0) for a in s.aut) if phi0 else []
+    of their images: none unless the canonical forms agree, else the coset
+    s.aut . phi0 of phi0 = s.label^-1 . r.label."""
+    if s.form != r.form:
+        return []
+    phi0 = [s.label.index(p) for p in r.label]
+    return sorted(tuple(a[i] for i in phi0) for a in s.aut)
 
 
 def _mod2_rank(v1, v2):
@@ -319,15 +372,6 @@ def _mod2_rank(v1, v2):
     if len(nz) == 2 and nz[0] != nz[1]:
         return 2
     return 1
-
-
-def _memo_det(memo, gram):
-    """exact_det(gram), taken from or stored in memo (keyed by the rows)."""
-    key = tuple(map(tuple, gram))
-    det = memo.get(key)
-    if det is None:
-        det = memo[key] = exact_det(gram)
-    return det
 
 
 OVERLAY_NORMALIZATION = "F.F' = 4, unimodular closure of <curves, F/2, F'/2>, connected shared configuration"
@@ -342,11 +386,10 @@ def shared_eight_search(t1: str, t2: str):
         ent = fibers.catalog(t)
         if ent.kind != fibers.ADDITIVE or ent.m != 9:
             raise ValueError(f"{t}: need an additive fiber with nine components")
-    ids1, mult1, w1, model1 = _model(t1)
-    ids2, mult2, w2, model2 = _model(t2)
+    ids1, mult1, _, model1, kappa1 = _model(t1)
+    ids2, mult2, w2, model2, _ = _model(t2)
     branches = []
     witness = None
-    dets = {}  # Gram (tuple of rows) -> exact_det, for this call only
     for c1, s in enumerate(model1):
         shared, block = s.nodes, s.block  # rows and columns 0..8 of the Gram matrix
         f1 = [mult1[n] for n in shared] + [mult1[c1], 0]  # 0 on C10, which lies outside F
@@ -369,10 +412,10 @@ def shared_eight_search(t1: str, t2: str):
                 # half-fiber classes F/2, F'/2 must pair integrally (F.C10, F'.C9)
                 if gf1_9 % 2 or (sum(map(mul, block[8], f2)) + u * m2) % 2:
                     continue
-                gram = [[*row, c] for row, c in zip(block, col9)]
-                gram.append([*block[8], u])
-                gram.append(col9 + [u, -2])
-                det = _memo_det(dets, gram)
+                # the Gram matrix borders block, whose adjugate is kappa1 * f1 * f1^T
+                # (f1 cut to its nine entries), with C10: det = -2 * 0 - b . adj . b
+                # for C10's column b = col9 + [u], and f1 . b = gf1_9
+                det = -kappa1 * gf1_9 * gf1_9
                 rank = _mod2_rank(f1, f2)
                 closure = det // 4**rank
                 if closure * 4**rank != det:
@@ -395,6 +438,9 @@ def shared_eight_search(t1: str, t2: str):
                 }
                 branch["hits"].append(hit)
                 if reason is None and witness is None:
+                    gram = [[*row, c] for row, c in zip(block, col9)]
+                    gram.append([*block[8], u])
+                    gram.append(col9 + [u, -2])
                     witness = {
                         "connector1": ids1[c1],
                         "connector1_mult": mult1[c1],

@@ -199,7 +199,9 @@ def catalog(tag: str) -> CatalogEntry:
 @cache  # entries are frozen, so one instance per tag can be shared
 def _entry(tag):
     family = _FAMILY.fullmatch(tag)
-    n = int(family[1]) if family else None
+    n = None
+    if family:  # no leading zeros, so more digits than the cap's is above it; int() rejects over 4,300
+        n = int(family[1]) if len(family[1]) <= len(str(CATALOG_CAP)) else CATALOG_CAP + 1
     if tag in _FIXED:
         dynkin, model = _FIXED[tag]
     elif n is None:
@@ -219,10 +221,13 @@ def _entry(tag):
 
 
 def standard_tags(max_n: int = 9):
-    """All singular fiber tags with I_n / I_n* parameters up to max_n, an int >= 0."""
+    """All singular fiber tags with I_n / I_n* parameters up to max_n, an
+    int from 0 to CATALOG_CAP."""
     check_ints(max_n=max_n)
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
+    if max_n > CATALOG_CAP:
+        raise ValueError(f"max_n {max_n} is above CATALOG_CAP = {CATALOG_CAP}")
     tags = [f"I{n}" for n in range(1, max_n + 1)]
     tags += ["II", "III", "IV"]
     tags += [f"I{n}*" for n in range(0, max_n + 1)]

@@ -255,6 +255,47 @@ def test_cli_rejects_bad_order_and_ext_degree(flag):
     assert proc.stdout == ""
 
 
+# argument lists a user may type, with the exit status each must give;
+# {missing} is a path in a missing directory, {out} a writable path
+CLI_SWEEP = {
+    "unknown suite": (["--suite", "bogus"], 2),
+    "unknown format": (["--format", "yaml"], 2),
+    "suite without value": (["--suite"], 2),
+    "bound 3": (["--bound", "3"], 2),
+    "bound 1001": (["--bound", "1001"], 2),
+    "bound abc": (["--bound", "abc"], 2),
+    "ext degree 5": (["--ext-degree", "5"], 2),
+    "ext degree -1": (["--ext-degree", "-1"], 2),
+    "order 1": (["--order", "1"], 2),
+    "order -3": (["--order", "-3"], 2),
+    "out in a missing directory": (["--suite", "tables-consistency", "--out", "{missing}"], 2),
+    "out on a full device": (["--suite", "tables-consistency", "--out", "/dev/full"], 2),
+    "csv to stdout": (["--suite", "fibers-euler", "--format", "csv"], 0),
+    "json to a file": (["--suite", "configs-shared8", "--format", "json", "--out", "{out}"], 0),
+    "one lefschetz order": (["--suite", "lefschetz", "--order", "4"], 0),
+    "help": (["--help"], 0),
+}
+
+
+@pytest.mark.parametrize("name", CLI_SWEEP)
+def test_cli_sweep_exits_cleanly(name, tmp_path, time_limit):
+    args, status = CLI_SWEEP[name]
+    if "/dev/full" in args and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    paths = {"missing": str(tmp_path / "missing" / "r.md"), "out": str(tmp_path / "r.json")}
+    args = [a.format(**paths) for a in args]
+    src = Path(cli.__file__).parents[1]
+    with time_limit():
+        proc = subprocess.run([sys.executable, "-m", "enrq.cli", *args], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == status, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if status:
+        assert proc.stderr.strip().splitlines()[-1].startswith("enrq: error: ")
+    if "--out" in args and status:  # a write error names the path it could not write
+        assert f"cannot write {args[args.index('--out') + 1]}" in proc.stderr
+
+
 @pytest.mark.parametrize("bound", ["0", "1", "2", "3", "1001", "10000000"])
 def test_main_rejects_a_bound_out_of_range(bound, capsys, time_limit):
     # checked before any search: a huge bound must not run out of memory,

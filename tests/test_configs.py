@@ -1,7 +1,9 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from operator import mul
 
 import pytest
 
@@ -253,7 +255,7 @@ def dict_connected(nodes, weight):
 
 
 def unpruned_isomorphisms(nodes1, weight1, nodes2, weight2):
-    # the sorted-order backtrack without the profile-multiset shortcut
+    # every isomorphism, from a backtrack over the sorted ids; no canonical forms
     nodes1, nodes2 = sorted(nodes1), sorted(nodes2)
     if len(nodes1) != len(nodes2):
         return []
@@ -283,9 +285,9 @@ def unpruned_isomorphisms(nodes1, weight1, nodes2, weight2):
     return out
 
 
-def overlay_scan_oracle(t1, t2, grams=None):
-    # the overlay search that builds the Gram matrix for each u in 0..4;
-    # `grams`, when given, collects every Gram whose determinant it takes
+def overlay_scan_oracle(t1, t2):
+    # the overlay search that builds the Gram matrix for each u in 0..4
+    # and takes the determinant of each that meets F.F' = 4 with exact_det
     ids1, mult1, w1 = dict_diagram(t1)
     ids2, mult2, w2 = dict_diagram(t2)
     branches, witness = [], None
@@ -316,8 +318,6 @@ def overlay_scan_oracle(t1, t2, grams=None):
                     if product != 4 or gf1[9] % 2 or gf2[8] % 2:
                         continue
                     det = exact_det(gram)
-                    if grams is not None:
-                        grams.add(tuple(map(tuple, gram)))
                     rank = configs._mod2_rank(f1, f2)
                     closure = det // 4**rank
                     if closure * 4**rank != det:
@@ -374,8 +374,8 @@ def test_shared_eight_search_output_pinned(pair):
 def test_isomorphism_pruning_keeps_every_isomorphism(t1, t2):
     # _coset works on remainder nodes, indices into the nodes of each
     # Remainder; the oracle on the ids themselves
-    ids1, _, _, rests1 = configs._model(t1)
-    ids2, _, _, rests2 = configs._model(t2)
+    ids1, _, _, rests1, _ = configs._model(t1)
+    ids2, _, _, rests2, _ = configs._model(t2)
     _, _, dw1 = dict_diagram(t1)
     _, _, dw2 = dict_diagram(t2)
     for c1, s in enumerate(rests1):
@@ -387,7 +387,7 @@ def test_isomorphism_pruning_keeps_every_isomorphism(t1, t2):
 
 @pytest.mark.parametrize("tag", ["I4*", "II*"])
 def test_cached_remainders_match_the_oracle(tag):
-    ids, mult, gram, rests = configs._model(tag)
+    ids, mult, gram, rests, _ = configs._model(tag)
     assert (ids, mult, gram) == configs._diagram(tag)
     _, _, dw = dict_diagram(tag)
     for c, r in enumerate(rests):
@@ -432,41 +432,70 @@ def test_diagram_is_indexed_by_catalog_position():
     assert gram == [[-2 if a == b else dw.get((a, b), 0) for b in ids] for a in ids]
 
 
-SUITE_PAIRS = [("I4*", "I4*"), ("I4*", "II*"), ("II*", "II*")]
-
-
-def test_one_determinant_per_distinct_gram_per_call(monkeypatch):
+def test_warm_call_runs_no_determinant_and_no_graph_search(monkeypatch):
     calls = []
-
-    def counting_det(gram):
-        calls.append(1)
-        return exact_det(gram)
-
-    monkeypatch.setattr(configs, "exact_det", counting_det)
-    total = 0
-    for pair in SUITE_PAIRS:
-        grams = set()
-        overlay_scan_oracle(*pair, grams)
-        for _ in range(2):  # a second call pays again: no cache outlives a call
-            calls.clear()
-            configs.shared_eight_search(*pair)
-            assert len(calls) == len(grams), pair
-        total += len(grams)
-    assert total == 11
+    monkeypatch.setattr(configs, "exact_det", lambda gram: calls.append("exact_det") or exact_det(gram))
+    search = configs._automorphisms
+    monkeypatch.setattr(configs, "_automorphisms", lambda *args: calls.append("_automorphisms") or search(*args))
+    configs._model.cache_clear()
+    try:
+        cold = [configs.shared_eight_search(*pair) for pair in OVERLAY_PAIRS]
+        # kappa: one determinant per connector; Aut: one search per remainder
+        assert sorted(calls) == ["_automorphisms"] * 18 + ["exact_det"] * 18
+        calls.clear()
+        warm = [configs.shared_eight_search(*pair) for pair in OVERLAY_PAIRS]
+        assert calls == []
+    finally:
+        configs._model.cache_clear()
+    assert warm == cold == [overlay_scan_oracle(*pair) for pair in OVERLAY_PAIRS]
 
 
-def test_determinant_memo_keys_on_every_entry(monkeypatch):
-    # two Grams that differ only in u = C9.C10 (entries [8][9] and [9][8])
-    calls = []
-    monkeypatch.setattr(configs, "exact_det", lambda gram: calls.append(1) or exact_det(gram))
-    memo = {}
-    grams = []
-    for u in (0, 1):
-        gram = [[-2 if i == j else 0 for j in range(10)] for i in range(10)]
-        gram[8][9] = gram[9][8] = u
-        grams.append(gram)
-    dets = [configs._memo_det(memo, g) for g in grams + grams]
-    assert dets == [exact_det(g) for g in grams + grams]
-    assert dets[0] != dets[1]
-    assert len(calls) == 2
+@pytest.mark.parametrize("tag, kappa", [("I4*", 4), ("II*", 1)])
+def test_kappa_is_each_connector_cofactor_over_its_multiplicity_squared(tag, kappa):
+    ids, mult, gram, _, got = configs._model(tag)
+    assert got == kappa  # det of the finite Cartan matrix: D8 has 4, E8 has 1
+    _, dmult, dw = dict_diagram(tag)
+    for c in ids:
+        minor = [[-2 if a == b else dw.get((a, b), 0) for b in ids if b != c] for a in ids if a != c]
+        assert det_oracle(minor) == kappa * dmult[c] ** 2, c
+    # the bordered determinant identity behind overlay_det, on columns b
+    # that are not overlay columns too
+    for b in ([0] * 9, [1] + [0] * 8, list(range(9)), [4, 0, 3, 1, 0, 2, 0, 1, 4]):
+        bordered = [row + [x] for row, x in zip(gram, b)] + [b + [-2]]
+        assert det_oracle(bordered) == -kappa * sum(map(mul, mult, b)) ** 2, b
 
+
+@pytest.mark.parametrize("t1,t2", OVERLAY_PAIRS)
+def test_canonical_forms_agree_exactly_when_the_remainders_are_isomorphic(t1, t2):
+    ids1, _, _, rests1, _ = configs._model(t1)
+    ids2, _, _, rests2, _ = configs._model(t2)
+    _, _, dw1 = dict_diagram(t1)
+    _, _, dw2 = dict_diagram(t2)
+    for c1, s in enumerate(rests1):
+        for c2, r in enumerate(rests2):
+            isomorphic = bool(unpruned_isomorphisms([ids1[n] for n in s.nodes], dw1, [ids2[n] for n in r.nodes], dw2))
+            assert (s.form == r.form) == isomorphic, (ids1[c1], ids2[c2])
+
+
+def canonical_form(adj):
+    # the form _canonical gives a 0/1 adjacency matrix
+    nbrs = [[b for b, w in enumerate(row) if w] for row in adj]
+    label = configs._canonical(nbrs, configs._refine(nbrs, [0] * len(nbrs)))
+    inv = sorted(range(len(adj)), key=label.__getitem__)
+    return bytes(adj[a][b] for a in inv for b in inv)
+
+
+@pytest.mark.parametrize("tag", ["I4*", "II*"])
+def test_canonical_labelling_is_canonical_and_least_in_its_coset(tag):
+    rng = random.Random(25)
+    for r in configs._model(tag)[3]:
+        adj = [[int(w > 0) for w in row[:8]] for row in r.block[:8]]
+        assert sorted(r.label) == list(range(8))
+        assert r.form == canonical_form(adj)
+        for _ in range(20):  # the form of a relabelled copy is the same
+            p = rng.sample(range(8), 8)
+            assert canonical_form([[adj[p[a]][p[b]] for b in range(8)] for a in range(8)]) == r.form
+        # an automorphism a relabels the nodes in position order, inv, as
+        # a . inv; ties between automorphic nodes break toward the lower index
+        inv = tuple(sorted(range(8), key=r.label.__getitem__))
+        assert all(tuple(a[n] for n in inv) >= inv for a in r.aut)

@@ -65,6 +65,9 @@ def test_catalog_rejects_bad_tags():
     (f"I{fibers.CATALOG_CAP + 1}*", "above CATALOG_CAP"),
     ("I10000", "above CATALOG_CAP"),  # built for 9 s, then cached, before the cap
     ("I" + "9" * 40, "above CATALOG_CAP"),
+    # int() rejects so many digits with its own message
+    pytest.param("I" + "9" * 5000, "above CATALOG_CAP", id="I_n of 5000 digits"),
+    pytest.param("I" + "9" * 5000 + "*", "above CATALOG_CAP", id="I_n* of 5000 digits"),
 ])
 def test_catalog_rejects_a_tag_above_the_cap(tag, match, time_limit):
     cached = fibers._entry.cache_info().currsize
@@ -86,6 +89,7 @@ def test_catalog_builds_the_tags_at_the_cap():
     (True, "max_n must be an int"),
     ("9", "max_n must be an int"),
     (None, "max_n must be an int"),
+    (fibers.CATALOG_CAP + 1, "above CATALOG_CAP"),  # listed I1001, which catalog rejects
 ])
 def test_standard_tags_rejects_a_bad_max_n(max_n, match):
     with pytest.raises(ValueError, match=match) as exc:
