@@ -38,23 +38,22 @@ Cost.  The diagrams are the catalog Gram matrices, indexed by catalog
 position.  What depends on one fiber type alone is built once per tag
 and cached (`_model`): the check F.C = 0, the constant kappa below, and
 per connector the other eight curves, their Gram block with the
-connector, a parent-first node order, connectivity, the automorphism
-group Aut(S) of the remainder S, and a canonical labelling of S with the
-canonical form it gives (colour refinement and individualisation; every
-remainder of D~8 and E~8 is a forest, on which this is canonical).  The
-check F'.C = 0 then needs no repeat, since an isomorphism carries the
-rows of the second diagram onto the block.  Per call, a branch whose
-canonical forms agree gets phi0 = label(S)^-1 . label(S') and all its
-isomorphisms as the coset Aut(S) . phi0, sorted into lexicographic order
-of their images; per isomorphism only the column of C10 against the
-shared curves, f2, the u-solve and the parity test are computed.  No
+connector, their neighbour lists, a parent-first node order with each
+node's parent, and connectivity.  Every such remainder of D~8 and E~8 is
+a forest.  The isomorphisms between remainders are cached per ordered
+pair of types (`_isomorphisms`) as a 9 x 9 table of sorted lists, each
+from one parent-first DFS (`_forest_isos`); only I4* and II* have nine
+components, so at most four tables exist.  The check F'.C = 0 needs no
+repeat, since an isomorphism carries the rows of the second diagram onto
+the block.  Per isomorphism only the column of C10 against the shared
+curves, f2, the u-solve and the parity test are computed.  No
 determinant is taken per call: the first nine rows and columns of an
 overlay Gram matrix are the Gram matrix A of F, which has corank 1 and
 kernel m(F), so adj(A) = kappa * m m^T, and bordering A with C10 gives
 det = -kappa * (F.C10)^2.  kappa is the cofactor of each diagonal entry
 of A over m(C)^2, taken with exact_det for every component C of the
-type, once per tag (4 for D~8, 1 for E~8).  The cache holds nothing
-about a pair or a result, and every list and dict a call returns is new.
+type, once per tag (4 for D~8, 1 for E~8).  The caches hold nothing
+about a result, and every list and dict a call returns is new.
 """
 
 from __future__ import annotations
@@ -253,14 +252,12 @@ def _diagram(tag):
 # a fiber diagram minus one connector c: `nodes` are the other components
 # (catalog positions) in sorted id order, and node i of the remainder is
 # nodes[i]; `block` is the Gram matrix of nodes + [c], `order` a
-# parent-first (BFS) order of the nodes, `aut` the automorphisms of the
-# remainder in lexicographic order, `label` its canonical
-# labelling (entry i is the position of node i, see _canonical) and
-# `form` its 0/1 adjacency matrix in that order, 64 bytes
-_Remainder = namedtuple("_Remainder", "nodes block order connected aut form label")
+# parent-first (BFS) order of the nodes, `adj` their neighbour lists and
+# `parent[i]` the neighbour of node i before it in `order` (None at a root)
+_Remainder = namedtuple("_Remainder", "nodes block order connected adj parent")
 
 
-@cache  # facts about one fiber type; never about a pair or a result
+@cache  # facts about one fiber type
 def _model(tag):
     """(ids, mult, gram, rests, kappa) of a fiber type: _diagram(tag), the
     _Remainder of each connector, by catalog position, and the kappa with
@@ -273,94 +270,64 @@ def _model(tag):
     assert kappas == {(kappa, 0)} and kappa, f"diagonal cofactors of {tag} are not kappa * m^2 for one kappa != 0"
     n = len(ids) - 1
     rests = []
-    share = {}  # equal tuples and bytes share one object, since the cache lives as long as the process
     for c in range(len(ids)):
         nodes = sorted((i for i in range(len(ids)) if i != c), key=ids.__getitem__)
         cols = nodes + [c]
-        block = tuple(share.setdefault(row, row) for row in (tuple(gram[a][b] for b in cols) for a in cols))
-        adj = [[b for b in range(n) if block[a][b] > 0] for a in range(n)]
-        order, roots = [], 0
+        block = tuple(tuple(gram[a][b] for b in cols) for a in cols)
+        adj = tuple(tuple(b for b in range(n) if block[a][b] > 0) for a in range(n))
+        order, parent = [], [None] * n
         for root in range(n):
             if root not in order:
-                roots += 1
                 order.append(root)
                 for a in order:  # visits the nodes appended below too
-                    order += [b for b in adj[a] if b not in order]
-        # _canonical is canonical on forests only; every D~8 and E~8 remainder is one
+                    for b in adj[a]:
+                        if b not in order:
+                            order.append(b)
+                            parent[b] = a
+        roots = parent.count(None)
+        # _forest_isos needs a forest.  Once F.C = 0 and kappa hold this
+        # cannot fail: a connected affine ADE diagram minus one node is a
+        # finite ADE diagram, which is a forest
         edges = [block[a][b] for a in range(n) for b in range(a)]
         assert set(edges) <= {0, 1} and sum(edges) == n - roots, f"{tag} minus {ids[c]} is not a forest"
-        orbits = _refine(adj, [0] * n)
-        label = bytes(_canonical(adj, orbits))
-        inv = sorted(range(n), key=label.__getitem__)
-        form = bytes(block[a][b] > 0 for a in inv for b in inv)
-        aut = tuple(share.setdefault(a, a) for a in sorted(_automorphisms(adj, order, orbits)))
-        rests.append(_Remainder(nodes, block, order, roots == 1, aut, share.setdefault(form, form), share.setdefault(label, label)))
+        rests.append(_Remainder(nodes, block, order, roots == 1, adj, tuple(parent)))
     return ids, mult, gram, rests, kappa
 
 
-def _refine(adj, colour):
-    """The stable colouring that colour refinement reaches from `colour` on
-    the graph with neighbour lists adj.  Each round's colours are the ranks
-    of the sorted signatures (colour, sorted neighbour colours), so they
-    keep the order of the colours they split."""
-    count = len(set(colour))
-    while True:
-        sigs = [(c, tuple(sorted([colour[b] for b in nb]))) for c, nb in zip(colour, adj)]
-        ranks = sorted(set(sigs))
-        colour = [ranks.index(sig) for sig in sigs]
-        if len(ranks) in (count, len(adj)):  # no colour split, or no colour left to split
-            return colour
-        count = len(ranks)
-
-
-def _canonical(adj, colour):
-    """A canonical labelling of a forest from its stable colouring: entry i
-    is the position of node i.  While a colour is repeated, the first node
-    of the smallest repeated colour is individualised and the colouring
-    refined again; the final colour is the position.  Colour refinement
-    identifies forests (Arvind, Koebler, Rattan and Verbitsky, 2017), so
-    the stable colours are orbits and the form does not depend on which
-    node is individualised; taking the first makes the labelling the least
-    of its coset under the automorphisms."""
-    while len(set(colour)) < len(adj):
-        low = min(c for c in colour if colour.count(c) > 1)
-        first = colour.index(low)
-        colour = _refine(adj, [2 * c + (c == low and a != first) for a, c in enumerate(colour)])
-    return colour
-
-
-def _automorphisms(adj, order, colour):
-    """Yield each automorphism of the forest with neighbour lists adj as a
-    tuple: entry i is the image of node i.  Nodes are assigned in a
-    parent-first order, each to a node of its colour in a stable colouring
-    and next to its parent's image.  A bijection that keeps every parent
-    edge keeps every edge of a forest, and there are as many on both sides,
-    so it is an automorphism."""
-    image = [None] * len(order)
-    parent = {i: next((m for m in adj[i] if order.index(m) < k), None) for k, i in enumerate(order)}
+def _forest_isos(s, r):
+    """The isomorphisms of the forest _Remainder r onto s, sorted, each a
+    tuple whose entry i is the image of node i: none when the sorted
+    degrees differ.  The nodes of r are assigned in its parent-first order,
+    each to an unused node of s of equal degree next to its parent's image.
+    Such a bijection keeps every parent edge, which is every edge of the
+    forest r, and s has as many edges, so it is an isomorphism."""
+    deg = [len(a) for a in s.adj]
+    if sorted(deg) != sorted(map(len, r.adj)):
+        return ()
+    image, out = [None] * len(deg), []
 
     def rec(k):
-        if k == len(order):
-            yield tuple(image)
+        if k == len(deg):
+            out.append(tuple(image))
             return
-        i = order[k]
-        for j in range(len(order)) if parent[i] is None else adj[image[parent[i]]]:
-            if colour[j] == colour[i] and j not in image:
+        i = r.order[k]
+        p = r.parent[i]
+        for j in range(len(deg)) if p is None else s.adj[image[p]]:
+            if deg[j] == len(r.adj[i]) and j not in image:
                 image[i] = j
-                yield from rec(k + 1)
+                rec(k + 1)
         image[i] = None
 
-    return rec(0)
+    rec(0)
+    return tuple(sorted(out))
 
 
-def _coset(s, r):
-    """The isomorphisms of the _Remainder r onto s in lexicographic order
-    of their images: none unless the canonical forms agree, else the coset
-    s.aut . phi0 of phi0 = s.label^-1 . r.label."""
-    if s.form != r.form:
-        return []
-    phi0 = [s.label.index(p) for p in r.label]
-    return sorted(tuple(a[i] for i in phi0) for a in s.aut)
+@cache  # facts about an ordered pair of fiber types: at most 4, as only I4* and II* have nine components
+def _isomorphisms(t1, t2):
+    """iso[c1][c2]: _forest_isos of the remainder of t2 at connector c2
+    onto the remainder of t1 at connector c1, by catalog position."""
+    rests1, rests2 = _model(t1)[3], _model(t2)[3]
+    return tuple(tuple(_forest_isos(s, r) for r in rests2) for s in rests1)
 
 
 def _mod2_rank(v1, v2):
@@ -388,6 +355,7 @@ def shared_eight_search(t1: str, t2: str):
             raise ValueError(f"{t}: need an additive fiber with nine components")
     ids1, mult1, _, model1, kappa1 = _model(t1)
     ids2, mult2, w2, model2, _ = _model(t2)
+    iso_table = _isomorphisms(t1, t2)
     branches = []
     witness = None
     for c1, s in enumerate(model1):
@@ -395,7 +363,7 @@ def shared_eight_search(t1: str, t2: str):
         f1 = [mult1[n] for n in shared] + [mult1[c1], 0]  # 0 on C10, which lies outside F
         for c2, r in enumerate(model2):
             r2 = r.nodes
-            isos = _coset(s, r)
+            isos = iso_table[c1][c2]
             branch = {"connector1": ids1[c1], "connector2": ids2[c2], "isomorphisms": len(isos), "hits": []}
             m2 = mult2[c2]
             for iso in isos:

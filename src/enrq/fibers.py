@@ -192,8 +192,14 @@ def catalog(tag: str) -> CatalogEntry:
     """Canonical incidence model and invariants for a singular fiber type:
     one of `_FIXED`, an I_n cycle or an I_n* chain with two tails per end."""
     if not isinstance(tag, str):
-        raise ValueError(f"fiber tag must be a str, not {tag!r}")
+        raise ValueError(f"fiber tag must be a str, not {_quoted(tag)}")
     return _entry(tag)
+
+
+def _quoted(tag):
+    """repr(tag), cut after 40 characters so that a message stays short."""
+    text = repr(tag)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 @cache  # entries are frozen, so one instance per tag can be shared
@@ -205,9 +211,9 @@ def _entry(tag):
     if tag in _FIXED:
         dynkin, model = _FIXED[tag]
     elif n is None:
-        raise ValueError(f"unknown fiber tag {tag!r}")
+        raise ValueError(f"unknown fiber tag {_quoted(tag)}")
     elif n > CATALOG_CAP:
-        raise ValueError(f"fiber tag {tag!r}: n is above CATALOG_CAP = {CATALOG_CAP}")
+        raise ValueError(f"fiber tag {_quoted(tag)}: n is above CATALOG_CAP = {CATALOG_CAP}")
     elif family[2]:
         chain = [f"z{i}" for i in range(n + 1)]
         comps = [(c, 2) for c in chain] + [(f"t{i}", 1) for i in range(4)]

@@ -60,9 +60,10 @@ def body_sha256(suite, fmt, tmp_path):
 
 
 def clear_caches():
-    from enrq import fibers
+    from enrq import configs, fibers
 
-    for cached in (cli._selfcheck_draw, fibers._layout, fibers._group_perms, fibers._component_tally):
+    for cached in (cli._selfcheck_draw, fibers._layout, fibers._group_perms, fibers._component_tally,
+                   configs._model, configs._isomorphisms):
         cached.cache_clear()
     fibers._SHARED.clear()
 
@@ -74,6 +75,15 @@ def test_clear_caches_empties_the_fiber_layouts():
     assert fibers._layout.cache_info().currsize >= 1
     clear_caches()
     assert fibers._layout.cache_info().currsize == fibers._group_perms.cache_info().currsize == 0
+
+
+def test_clear_caches_empties_the_overlay_caches():
+    from enrq import configs
+
+    configs.shared_eight_search("I4*", "II*")
+    assert configs._model.cache_info().currsize == 2
+    clear_caches()
+    assert configs._model.cache_info().currsize == configs._isomorphisms.cache_info().currsize == 0
 
 
 def test_run_all_three_times_in_one_process(tmp_path, time_limit):

@@ -117,6 +117,20 @@ def test_bad_inputs_raise_one_line_value_errors(name):
     assert "\n" not in str(exc.value)
 
 
+@pytest.mark.parametrize("tag, message", [
+    ("I" + "9" * 5000, f"fiber tag 'I{'9' * 38}...: n is above CATALOG_CAP = {fibers.CATALOG_CAP}"),
+    ("X" * 5000, f"unknown fiber tag '{'X' * 39}..."),
+    (["II*"] * 5000, "fiber tag must be a str, not ['II*', 'II*', 'II*', 'II*', 'II*', 'II*..."),
+], ids=["I_n of 5000 digits", "5000 letters", "list of 5000 tags"])
+@pytest.mark.parametrize("entry", [fibers.catalog, configs.FiberEntry, lambda t: configs.shared_eight_search("II*", t)],
+                         ids=["catalog", "FiberEntry", "shared_eight_search"])
+def test_an_over_long_tag_is_quoted_by_a_bounded_prefix(entry, tag, message):
+    # the first 40 characters of the tag's repr, then "..."
+    with pytest.raises(ValueError) as exc:
+        entry(tag)
+    assert str(exc.value) == message
+
+
 def test_bielliptic_pair_check():
     ok, reasons = configs.bielliptic_pair_check(("I0*", "I0*"), 8, 2)
     assert ok and not reasons
@@ -372,15 +386,16 @@ def test_shared_eight_search_output_pinned(pair):
 
 @pytest.mark.parametrize("t1,t2", OVERLAY_PAIRS)
 def test_isomorphism_pruning_keeps_every_isomorphism(t1, t2):
-    # _coset works on remainder nodes, indices into the nodes of each
+    # the table works on remainder nodes, indices into the nodes of each
     # Remainder; the oracle on the ids themselves
     ids1, _, _, rests1, _ = configs._model(t1)
     ids2, _, _, rests2, _ = configs._model(t2)
+    table = configs._isomorphisms(t1, t2)
     _, _, dw1 = dict_diagram(t1)
     _, _, dw2 = dict_diagram(t2)
     for c1, s in enumerate(rests1):
         for c2, r in enumerate(rests2):
-            got = [{ids2[r.nodes[a]]: ids1[s.nodes[b]] for a, b in enumerate(iso)} for iso in configs._coset(s, r)]
+            got = [{ids2[r.nodes[a]]: ids1[s.nodes[b]] for a, b in enumerate(iso)} for iso in table[c1][c2]]
             expected = unpruned_isomorphisms([ids1[n] for n in s.nodes], dw1, [ids2[n] for n in r.nodes], dw2)
             assert got == expected, (ids1[c1], ids2[c2])
 
@@ -390,37 +405,50 @@ def test_cached_remainders_match_the_oracle(tag):
     ids, mult, gram, rests, _ = configs._model(tag)
     assert (ids, mult, gram) == configs._diagram(tag)
     _, _, dw = dict_diagram(tag)
+    table = configs._isomorphisms(tag, tag)
     for c, r in enumerate(rests):
         nodes = [ids[n] for n in r.nodes]
         assert nodes == sorted(i for i in ids if i != ids[c])
-        automorphisms = [{ids[r.nodes[a]]: ids[r.nodes[b]] for a, b in enumerate(aut)} for aut in r.aut]
+        automorphisms = [{ids[r.nodes[a]]: ids[r.nodes[b]] for a, b in enumerate(aut)} for aut in table[c][c]]
         assert automorphisms == unpruned_isomorphisms(nodes, dw, nodes, dw), ids[c]
         assert r.connected == dict_connected(nodes, dw)
         # parent-first: a node that is not the first has a neighbour before it
         assert sorted(r.order) == list(range(8))
         parent_first = all(any(dw.get((nodes[b], nodes[a]), 0) for a in r.order[:k]) for k, b in enumerate(r.order) if k)
         assert parent_first == r.connected
+        assert r.adj == tuple(tuple(b for b in range(8) if dw.get((nodes[a], nodes[b]), 0)) for a in range(8))
+        # each node's parent is its one neighbour before it in the order
+        before = [[a for a in r.order[:k] if a in r.adj[b]] for k, b in enumerate(r.order)]
+        assert [r.parent[b] for b in r.order] == [a[0] if a else None for a in before]
+        assert all(len(a) <= 1 for a in before)
+
+
+def clear_caches():
+    configs._model.cache_clear()
+    configs._isomorphisms.cache_clear()
 
 
 def test_fiber_condition_checked_once_per_diagram(monkeypatch):
     ids, mult, gram = configs._diagram("II*")
     monkeypatch.setattr(configs, "_diagram", lambda tag: (ids, mult[:-1] + [mult[-1] + 1], gram))
-    configs._model.cache_clear()
+    clear_caches()
     try:
         with pytest.raises(AssertionError, match="fiber condition violated in II"):
             configs.shared_eight_search("II*", "II*")
     finally:
-        configs._model.cache_clear()
+        clear_caches()
 
 
 def test_cold_call_equals_warm_call():
     warm = {pair: configs.shared_eight_search(*pair) for pair in OVERLAY_PAIRS}
-    configs._model.cache_clear()
+    clear_caches()
     cold = {pair: configs.shared_eight_search(*pair) for pair in OVERLAY_PAIRS}
     assert cold == warm
-    # one cached model per fiber type, and no other cache in the module
+    # one cached model per fiber type, one isomorphism table per ordered
+    # pair of types, and no other cache in the module
     assert configs._model.cache_info()[2:] == (None, 2)
-    assert [name for name, f in vars(configs).items() if hasattr(f, "cache_info")] == ["_model"]
+    assert configs._isomorphisms.cache_info()[2:] == (None, 4)
+    assert [name for name, f in vars(configs).items() if hasattr(f, "cache_info")] == ["_model", "_isomorphisms"]
 
 
 def test_diagram_is_indexed_by_catalog_position():
@@ -435,18 +463,19 @@ def test_diagram_is_indexed_by_catalog_position():
 def test_warm_call_runs_no_determinant_and_no_graph_search(monkeypatch):
     calls = []
     monkeypatch.setattr(configs, "exact_det", lambda gram: calls.append("exact_det") or exact_det(gram))
-    search = configs._automorphisms
-    monkeypatch.setattr(configs, "_automorphisms", lambda *args: calls.append("_automorphisms") or search(*args))
-    configs._model.cache_clear()
+    search = configs._forest_isos
+    monkeypatch.setattr(configs, "_forest_isos", lambda s, r: calls.append("_forest_isos") or search(s, r))
+    clear_caches()
     try:
         cold = [configs.shared_eight_search(*pair) for pair in OVERLAY_PAIRS]
-        # kappa: one determinant per connector; Aut: one search per remainder
-        assert sorted(calls) == ["_automorphisms"] * 18 + ["exact_det"] * 18
+        # kappa: one determinant per connector; one table of 9 x 9 searches per ordered pair
+        assert sorted(calls) == ["_forest_isos"] * 4 * 81 + ["exact_det"] * 18
+        assert configs._isomorphisms.cache_info()[1:] == (4, None, 4)
         calls.clear()
         warm = [configs.shared_eight_search(*pair) for pair in OVERLAY_PAIRS]
         assert calls == []
     finally:
-        configs._model.cache_clear()
+        clear_caches()
     assert warm == cold == [overlay_scan_oracle(*pair) for pair in OVERLAY_PAIRS]
 
 
@@ -465,37 +494,25 @@ def test_kappa_is_each_connector_cofactor_over_its_multiplicity_squared(tag, kap
         assert det_oracle(bordered) == -kappa * sum(map(mul, mult, b)) ** 2, b
 
 
-@pytest.mark.parametrize("t1,t2", OVERLAY_PAIRS)
-def test_canonical_forms_agree_exactly_when_the_remainders_are_isomorphic(t1, t2):
-    ids1, _, _, rests1, _ = configs._model(t1)
-    ids2, _, _, rests2, _ = configs._model(t2)
-    _, _, dw1 = dict_diagram(t1)
-    _, _, dw2 = dict_diagram(t2)
-    for c1, s in enumerate(rests1):
-        for c2, r in enumerate(rests2):
-            isomorphic = bool(unpruned_isomorphisms([ids1[n] for n in s.nodes], dw1, [ids2[n] for n in r.nodes], dw2))
-            assert (s.form == r.form) == isomorphic, (ids1[c1], ids2[c2])
-
-
-def canonical_form(adj):
-    # the form _canonical gives a 0/1 adjacency matrix
-    nbrs = [[b for b, w in enumerate(row) if w] for row in adj]
-    label = configs._canonical(nbrs, configs._refine(nbrs, [0] * len(nbrs)))
-    inv = sorted(range(len(adj)), key=label.__getitem__)
-    return bytes(adj[a][b] for a in inv for b in inv)
+def relabelled(r, p):
+    # the remainder r with node p[a] renamed a, its parent-first order and
+    # parents carried along
+    new = {old: a for a, old in enumerate(p)}
+    adj = tuple(tuple(sorted(new[b] for b in r.adj[old])) for old in p)
+    parent = tuple(None if r.parent[old] is None else new[r.parent[old]] for old in p)
+    return r._replace(nodes=None, block=None, order=[new[i] for i in r.order], adj=adj, parent=parent)
 
 
 @pytest.mark.parametrize("tag", ["I4*", "II*"])
-def test_canonical_labelling_is_canonical_and_least_in_its_coset(tag):
+def test_forest_isos_equal_the_oracle_on_relabelled_remainders(tag):
     rng = random.Random(25)
+
+    def oracle(s, r):
+        weight = [{(a, b): 1 for a in range(8) for b in x.adj[a]} for x in (s, r)]
+        return [tuple(iso[a] for a in range(8)) for iso in unpruned_isomorphisms(range(8), weight[0], range(8), weight[1])]
+
     for r in configs._model(tag)[3]:
-        adj = [[int(w > 0) for w in row[:8]] for row in r.block[:8]]
-        assert sorted(r.label) == list(range(8))
-        assert r.form == canonical_form(adj)
-        for _ in range(20):  # the form of a relabelled copy is the same
-            p = rng.sample(range(8), 8)
-            assert canonical_form([[adj[p[a]][p[b]] for b in range(8)] for a in range(8)]) == r.form
-        # an automorphism a relabels the nodes in position order, inv, as
-        # a . inv; ties between automorphic nodes break toward the lower index
-        inv = tuple(sorted(range(8), key=r.label.__getitem__))
-        assert all(tuple(a[n] for n in inv) >= inv for a in r.aut)
+        for _ in range(20):
+            x = relabelled(r, rng.sample(range(8), 8))
+            for s, t in ((r, x), (x, r), (x, x)):
+                assert list(configs._forest_isos(s, t)) == oracle(s, t)
