@@ -23,7 +23,8 @@ imports):
 * report   - deterministic report rendering (markdown, CSV, JSON)
 * cli      - deterministic verification reports (the `enrq` command)
 
-`check_ints` is the one integer rule of the public entry points.
+`check_ints` is the one integer rule of the public entry points, and
+`_quoted` the one way their ValueErrors quote a caller's value.
 """
 
 __version__ = "0.1.0"
@@ -35,7 +36,13 @@ def check_ints(**values):
     """Raise a one-line ValueError unless every value is an int (a bool is not)."""
     for name, value in values.items():
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, not {value!r}")
+            raise ValueError(f"{name} must be an int, not {_quoted(value)}")
+
+
+def _quoted(value):
+    """repr(value), cut after 40 characters so that a message stays short."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def __getattr__(name):

@@ -18,7 +18,7 @@ import time
 from functools import cache
 from itertools import chain, islice
 
-from . import check_ints
+from . import _quoted, check_ints
 from .report import Report
 
 
@@ -45,9 +45,9 @@ class RunConfig:
         self.ext_degree = ext_degree
         self.order = order
         if self.suite not in SUITES:
-            raise ValueError(f"unknown suite {self.suite!r}")
+            raise ValueError(f"unknown suite {_quoted(self.suite)}")
         if self.fmt not in ("markdown", "csv", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
+            raise ValueError(f"unknown format {_quoted(self.fmt)}")
         check_ints(bound=self.bound, ext_degree=self.ext_degree, order=self.order)
         if not BOUND_MIN <= self.bound <= BOUND_CAP:
             raise ValueError(f"bound {self.bound}: use {BOUND_MIN} to {BOUND_CAP} "

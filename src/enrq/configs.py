@@ -64,7 +64,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 from operator import mul
 
-from . import check_ints, fibers
+from . import _quoted, check_ints, fibers
 from .lattice import exact_det
 
 
@@ -212,7 +212,7 @@ def bielliptic_pair_check(tags, shared_components: int, connector_mults):
     multiplicative fibers with more than two components are excluded.
     """
     if not isinstance(tags, (tuple, list)):
-        raise ValueError(f"tags must be a tuple or list of fiber tags, not {tags!r}")
+        raise ValueError(f"tags must be a tuple or list of fiber tags, not {_quoted(tags)}")
     tags = tuple(tags)
     if not tags:
         raise ValueError("need at least one fiber type")

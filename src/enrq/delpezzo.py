@@ -27,13 +27,13 @@ supersingular covers) are intersections of two quadrics g1, g2.  A
 coordinate map preserves the surface iff the pullback of each g_i lands
 back in the span of g1, g2: since a linear substitution keeps quadrics
 quadric and the degree-2 part of the ideal is exactly <g1, g2>, this is
-a finite linear-algebra check over the parameter ring, solved by
-matching the 15 quadratic monomial coefficients (verify_preserves).
-
-The induced action on a pencil of conics is computed by pulling back the
-generic member a*A_i + b*B_i and solving for the image parameters
-(a' : b'); because the basis forms A_i, B_i have constant coefficients
-this is again plain F2 linear algebra with polynomial right-hand sides.
+a finite linear-algebra check over the parameter ring (verify_preserves).
+The induced action on a pencil of conics comes from pulling back the
+generic member a*A_i + b*B_i and writing it in the basis A1, B1, A2, B2
+(pencil_action).  Both certificates come from one elimination, `_solve`:
+the basis forms are parameter-free, so Gauss-Jordan over F2 on the
+x-monomials of the `_x_coefficients` splits gives the parameter
+coefficients, with polynomial right-hand sides.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import add
+
+from . import _quoted
 
 NAMES = (
     "x0", "x1", "x2", "x3", "x4",
@@ -133,7 +135,7 @@ ONE = ParamPoly(frozenset({(0,) * NVARS}))
 
 def var(name):
     if name not in _IDX:
-        raise ValueError(f"unknown variable {name!r}: use one of {', '.join(NAMES)}")
+        raise ValueError(f"unknown variable {_quoted(name)}: use one of {', '.join(NAMES)}")
     mon = [0] * NVARS
     mon[_IDX[name]] = 1
     return ParamPoly(frozenset({tuple(mon)}))
@@ -242,10 +244,10 @@ class Pencil:
         return A * a_part + B * b_part
 
     @cached_property
-    def columns(self):
-        """The x-coefficient vectors of A1, B1, A2, B2, as 0/1 integers
-        (the forms are parameter-free, so each coefficient is 0 or 1)."""
-        return tuple(tuple(int(not c.is_zero()) for c in _x_linear_parts(f)) for pair in self.forms for f in pair)
+    def basis(self):
+        """The `_x_coefficients` splits of A1, B1, A2, B2, the basis that
+        `pencil_action` solves in."""
+        return tuple(_x_coefficients(f) for pair in self.forms for f in pair)
 
 
 @cache
@@ -259,7 +261,7 @@ def surface(kind: str) -> QuadricPair:
         return QuadricPair(g1, X1 * X3 + X4 * (X0 + X2 + X4))
     if kind == "D3":
         return QuadricPair(g1, X1 * X3 + X4 * (X2 + X4))
-    raise ValueError(f"unknown surface {kind!r}")
+    raise ValueError(f"unknown surface {_quoted(kind)}")
 
 
 @cache
@@ -277,7 +279,7 @@ def pencils(kind: str):
             Pencil(((X3, core), (X4, X1))),
             Pencil(((core, X1), (X3, X4))),
         )
-    raise ValueError(f"unknown surface {kind!r}")
+    raise ValueError(f"unknown surface {_quoted(kind)}")
 
 
 def aut_d1(lam=LAM, mu=MU):
@@ -363,31 +365,20 @@ def verify_preserves(m: ProjMap, kind: str):
     """Check that the map carries the surface into itself.
 
     The pullback of each defining quadric is a quadric again, so it must
-    be c1 * g1 + c2 * g2 for parameter-ring constants c_ij; these are
-    solved by coefficient matching over the 15 quadratic monomials.
+    be c1 * g1 + c2 * g2 for parameter-ring constants c_ij, solved in
+    the basis (g1, g2) by `_solve`.
     Returns (True, ((c11, c12), (c21, c22))) or (False, None).
     """
     if not m.is_invertible():
         raise ValueError("map is not invertible")
     quad = surface(kind)
-    basis = [_x_coefficients(quad.g1), _x_coefficients(quad.g2)]
-    support = sorted(set(basis[0]) | set(basis[1]))
-    pivot1 = next(k for k in support if k in basis[0] and k not in basis[1])
-    pivot2 = next(k for k in support if k in basis[1] and k not in basis[0])
+    basis = (_x_coefficients(quad.g1), _x_coefficients(quad.g2))
     certificate = []
     for g in (quad.g1, quad.g2):
-        pulled = _x_coefficients(pullback(g, m))
-        c1 = pulled.get(pivot1, ZERO)
-        c2 = pulled.get(pivot2, ZERO)
-        for key in set(support) | set(pulled):
-            want = ZERO
-            if key in basis[0]:
-                want = want + c1
-            if key in basis[1]:
-                want = want + c2
-            if pulled.get(key, ZERO) != want:
-                return (False, None)
-        certificate.append((c1, c2))
+        coeffs = _solve(basis, pullback(g, m))
+        if coeffs is None:
+            return (False, None)
+        certificate.append(coeffs)
     return (True, tuple(certificate))
 
 
@@ -401,17 +392,14 @@ def pencil_action(m: ProjMap, pencil: Pencil):
     """
     rows = []
     for i in range(2):
-        pulled = pullback(pencil.member(i), m)
-        sol = _solve_f2(pencil.columns, _x_linear_parts(pulled))
+        sol = _solve(pencil.basis, pullback(pencil.member(i), m))
         if sol is None:
             return NOT_PRESERVED
-        w1, w2, w3, w4 = sol
-        # [w1 w2; w3 w4] = (s, t)^T (a', b') must have rank one
-        if w1 * w4 + w2 * w3 != ZERO:
-            return NOT_PRESERVED
-        for pair in ((w1, w2), (w3, w4)):
-            if not (pair[0].is_zero() and pair[1].is_zero()):
-                rows.append(pair)
+        rows += [pair for pair in (sol[:2], sol[2:]) if not (pair[0].is_zero() and pair[1].is_zero())]
+    # Each member's [w1 w2; w3 w4] must be (s, t)^T (a', b'): its nonzero
+    # rows all proportional to one (a', b').  Over a domain two nonzero
+    # rows proportional to one nonzero row are proportional to each other,
+    # so this one test also gives each member's rank one.
     if not rows or not all(_proportional(rows[0], row) for row in rows[1:]):
         return NOT_PRESERVED
     mat = tuple((p.coefficient_of(_IDX["a"]), p.coefficient_of(_IDX["b"])) for p in rows[0])
@@ -421,36 +409,36 @@ def pencil_action(m: ProjMap, pencil: Pencil):
     return normalize_action(mat)
 
 
-def _solve_f2(cols, target):
-    """Solve sum_j w_j * cols[j] = target where the columns are
-    constant 0/1 integer vectors (Pencil.columns) and the target has
-    ParamPoly entries.
-    Returns the unique solution or None (inconsistent or underdetermined
-    columns are rejected)."""
-    nrows = len(target)
-    ncols = len(cols)
-    mat = [list(row) for row in zip(*cols)]
-    rhs = list(target)
-    piv_rows = []
-    used = [False] * nrows
-    for j in range(ncols):
-        piv = next((i for i in range(nrows) if not used[i] and mat[i][j]), None)
-        if piv is None:
-            return None  # underdetermined column
-        used[piv] = True
-        piv_rows.append((piv, j))
-        for i in range(nrows):
-            if i != piv and mat[i][j]:
-                for jj in range(ncols):
-                    mat[i][jj] ^= mat[piv][jj]
-                rhs[i] = rhs[i] + rhs[piv]
-    for i in range(nrows):
-        if not used[i] and not rhs[i].is_zero():
-            return None  # inconsistent
-    sol = [ZERO] * ncols
-    for piv, j in piv_rows:
-        sol[j] = rhs[piv]
-    return sol
+def _solve(cols, poly):
+    """The unique parameter coefficients (w_j) with sum_j w_j * cols[j] =
+    poly, or None when the columns are dependent or poly is outside their
+    span.  The columns are `_x_coefficients` splits of parameter-free
+    forms, so every coefficient in them is 1; poly is split the same way.
+    Gauss-Jordan over F2 runs on one row per x-monomial: the bitmask of
+    the columns that hold it and poly's coefficient there."""
+    target = _x_coefficients(poly)
+    masks = {}
+    for j, col in enumerate(cols):
+        for key in col:
+            masks[key] = masks.get(key, 0) | 1 << j
+    if not target.keys() <= masks.keys():
+        return None  # an x-monomial of poly that no column holds
+    rows = [[mask, target.get(key, ZERO)] for key, mask in masks.items()]
+    pivots = []
+    for j in range(len(cols)):
+        bit = 1 << j
+        at = next((i for i, row in enumerate(rows) if row[0] & bit), None)
+        if at is None:
+            return None  # column j depends on the others
+        pivot = rows.pop(at)
+        for row in rows + pivots:
+            if row[0] & bit:
+                row[0] ^= pivot[0]
+                row[1] = row[1] + pivot[1]
+        pivots.append(pivot)
+    if any(not rhs.is_zero() for _, rhs in rows):
+        return None
+    return tuple(rhs for _, rhs in pivots)
 
 
 def normalize_action(mat):
@@ -498,7 +486,7 @@ def recover_params(m: ProjMap, kind: str):
     """Match a map against the printed family of the given kind and
     return its parameters, or None if it is not in the family."""
     if kind not in _FAMILIES:
-        raise ValueError(f"unknown family {kind!r}")
+        raise ValueError(f"unknown family {_quoted(kind)}")
     family, (row, col), where = _FAMILIES[kind]
     scale = m.coords[row].coefficient_of(col)
     if not scale.is_unit():

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 
+from . import _quoted
 from .gf import FIELD_CAP, GF, check_field, check_ints
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,7 @@ class CurveClass:
     def __post_init__(self):
         check_ints(char=self.char)
         if (self.char, self.j) not in _CLASSES:
-            raise ValueError(f"unknown curve class (char {self.char}, j {self.j!r})")
+            raise ValueError(f"unknown curve class (char {self.char}, j {_quoted(self.j)})")
 
 
 def _group_data(c: CurveClass):
@@ -243,7 +244,7 @@ class AutMap:
         for name in ("u", "r", "s", "t", "sym_poly"):
             coeffs = getattr(self, name)
             if not isinstance(coeffs, tuple):
-                raise ValueError(f"AutMap {name} must be a tuple of ints, not {coeffs!r}")
+                raise ValueError(f"AutMap {name} must be a tuple of ints, not {_quoted(coeffs)}")
             check_ints(**{f"AutMap {name}[{i}]": c for i, c in enumerate(coeffs)})
         if not any(self.u):
             raise ValueError("AutMap needs u != 0: with u = 0 the substitution is not invertible")

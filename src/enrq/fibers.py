@@ -64,7 +64,7 @@ from itertools import permutations, product
 from math import gcd
 from types import MappingProxyType
 
-from . import check_ints, lattice
+from . import _quoted, check_ints, lattice
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -194,12 +194,6 @@ def catalog(tag: str) -> CatalogEntry:
     if not isinstance(tag, str):
         raise ValueError(f"fiber tag must be a str, not {_quoted(tag)}")
     return _entry(tag)
-
-
-def _quoted(tag):
-    """repr(tag), cut after 40 characters so that a message stays short."""
-    text = repr(tag)
-    return text if len(text) <= 40 else text[:40] + "..."
 
 
 @cache  # entries are frozen, so one instance per tag can be shared

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import _quoted
+
 RANK = 10
 
 # Bourbaki E8 diagram edges on nodes 1..8.
@@ -75,7 +77,7 @@ def reflection(r):
     """
     if not (isinstance(r, (tuple, list)) and len(r) == RANK
             and all(isinstance(c, int) and not isinstance(c, bool) for c in r)):
-        raise ValueError(f"a root must be {RANK} ints, not {r!r}")
+        raise ValueError(f"a root must be {RANK} ints, not {_quoted(r)}")
     if inner(r, r) != -2:
         raise ValueError("reflection vector must have self-intersection -2")
     dual = [(i, d) for i, row in enumerate(GRAM) if (d := sum(g * c for g, c in zip(row, r)))]

@@ -12,15 +12,17 @@ import csv
 import io
 import json
 
+from . import _quoted
+
 PASS = "pass"
 FAIL = "fail"
 INFO = "info"
 
 
 class Suite:
-    def __init__(self, name, rows=None):
+    def __init__(self, name):
         self.name = name
-        self.rows = [] if rows is None else rows
+        self.rows = []
 
     def add(self, label, ok=None, detail=""):
         status = INFO if ok is None else (PASS if ok else FAIL)
@@ -31,8 +33,8 @@ class Suite:
 
 
 class Report:
-    def __init__(self, suites=None):
-        self.suites = [] if suites is None else suites
+    def __init__(self):
+        self.suites = []
 
     def new_suite(self, name):
         suite = Suite(name)
@@ -79,4 +81,4 @@ class Report:
             lines.append(f"overall: {'passed' if self.passed() else 'FAILED'}")
             lines.append("")
             return "\n".join(lines)
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {_quoted(fmt)}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-from . import configs, ecaut
+from . import _quoted, configs, ecaut
 
 # structure: (order, element orders)
 GROUPS = {
@@ -39,7 +39,7 @@ class GroupTag:
 
     def __post_init__(self):
         if self.structure not in GROUPS:
-            raise ValueError(f"unknown group tag {self.structure!r}")
+            raise ValueError(f"unknown group tag {_quoted(self.structure)}")
 
     @property
     def order(self):

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from enrq import cli, ecaut, lattice
+import enrq
+from enrq import cli, configs, delpezzo, ecaut, lattice, report, tables
 from enrq.cli import RunConfig, run
 
 
@@ -60,7 +61,7 @@ def body_sha256(suite, fmt, tmp_path):
 
 
 def clear_caches():
-    from enrq import configs, fibers
+    from enrq import fibers
 
     for cached in (cli._selfcheck_draw, fibers._layout, fibers._group_perms, fibers._component_tally,
                    configs._model, configs._isomorphisms):
@@ -78,8 +79,6 @@ def test_clear_caches_empties_the_fiber_layouts():
 
 
 def test_clear_caches_empties_the_overlay_caches():
-    from enrq import configs
-
     configs.shared_eight_search("I4*", "II*")
     assert configs._model.cache_info().currsize == 2
     clear_caches()
@@ -163,6 +162,36 @@ def test_config_rejects_a_non_int_setting(name, value):
     with pytest.raises(ValueError, match=f"{name} must be an int") as exc:
         RunConfig(**{name: value})
     assert "\n" not in str(exc.value)
+
+
+# every ValueError that quotes a caller's value, one entry point each
+QUOTING_SITES = {
+    "check_ints": lambda v: enrq.check_ints(n=v),
+    "RunConfig suite": lambda v: RunConfig(suite=v),
+    "RunConfig fmt": lambda v: RunConfig(fmt=v),
+    "bielliptic_pair_check": lambda v: configs.bielliptic_pair_check(v, 8, 1),
+    "delpezzo.var": delpezzo.var,
+    "delpezzo.surface": delpezzo.surface,
+    "delpezzo.pencils": delpezzo.pencils,
+    "delpezzo.recover_params": lambda v: delpezzo.recover_params(delpezzo.identity_map(), v),
+    "CurveClass": lambda v: ecaut.CurveClass(2, v),
+    "AutMap": lambda v: ecaut.AutMap(u=v),
+    "lattice.reflection": lattice.reflection,
+    "Report.render": lambda v: report.Report().render(v),
+    "GroupTag": tables.GroupTag,
+}
+
+
+@pytest.mark.parametrize("site", QUOTING_SITES)
+def test_a_quoted_value_keeps_the_message_short(site):
+    # a short value is quoted whole, a long one by the first 40
+    # characters of its repr and "..."
+    for value in ("X" * 20, "X" * 5000, "3" * 5000):
+        quoted = repr(value) if len(value) < 40 else repr(value)[:40] + "..."
+        with pytest.raises(ValueError) as exc:
+            QUOTING_SITES[site](value)
+        message = str(exc.value)
+        assert quoted in message and len(message) <= 160 and "\n" not in message, message
 
 
 @pytest.mark.parametrize("flag, value", [("--bound", "4.5"), ("--ext-degree", "2.0"), ("--order", "2.5")])

@@ -131,6 +131,18 @@ def test_an_over_long_tag_is_quoted_by_a_bounded_prefix(entry, tag, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: configs.FiberEntry("II", wild=[1] * 5000), f"wild must be an int, not [{'1, ' * 13}..."),
+    (lambda: configs.bielliptic_pair_check("X" * 5000, 8, 1),
+     f"tags must be a tuple or list of fiber tags, not '{'X' * 39}..."),
+    (lambda: configs.odd_order_smooth_case("3" * 5000), f"order must be an int, not '{'3' * 39}..."),
+], ids=["wild of 5000 ints", "tags of 5000 letters", "order of 5000 digits"])
+def test_an_over_long_argument_is_quoted_by_a_bounded_prefix(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_bielliptic_pair_check():
     ok, reasons = configs.bielliptic_pair_check(("I0*", "I0*"), 8, 2)
     assert ok and not reasons

@@ -433,7 +433,7 @@ def test_mul_matches_oracle_on_random_polynomials():
 
 
 def test_x_linear_parts_match_coefficient_of():
-    # _x_linear_parts takes input linear in x, as its three callers pass
+    # _x_linear_parts takes input linear in x, as its caller ProjMap.matrix passes
     rng = random.Random(20260817)
     polys = [_random_param_poly(rng) for _ in range(100)]
     polys += [c for m in FAMILY_MAPS + COMPOSED_MAPS for c in m.coords]
@@ -443,13 +443,16 @@ def test_x_linear_parts_match_coefficient_of():
         assert dp._x_linear_parts(poly) == [poly.coefficient_of(j) for j in dp.X_VARS], str(poly)
 
 
-def test_pencil_columns_are_the_basis_coefficients():
+def test_pencil_basis_is_the_split_of_each_form():
+    # A1, B1, A2, B2 are parameter-free and linear: each split maps the
+    # x-part of every x_j in the form to 1
     for kind in ("D1", "D2", "D3"):
         for pencil in dp.pencils(kind):
             (a1, b1), (a2, b2) = pencil.forms
-            want = [[f.coefficient_of(j) for j in dp.X_VARS] for f in (a1, b1, a2, b2)]
-            assert [[dp.ONE if e else ZERO for e in col] for col in pencil.columns] == want
-            assert pencil.columns is pencil.columns  # built once per pencil
+            want = tuple({tuple(int(i == j) for i in dp.X_VARS): dp.ONE for j in dp.X_VARS
+                          if not f.coefficient_of(j).is_zero()} for f in (a1, b1, a2, b2))
+            assert pencil.basis == want
+            assert pencil.basis is pencil.basis  # built once per pencil
 
 
 def test_powers_match_repeated_oracle_products():
@@ -462,22 +465,71 @@ def test_powers_match_repeated_oracle_products():
             want = mul_oracle(want, p)
 
 
-def test_solve_f2_matches_brute_force():
-    # four 0/1 columns of length five and a constant target: the unique
-    # solution over F2 when the columns are independent, else None
+def solve_oracle(forms, poly):
+    # brute force over F2 in the oracle representation: write the x-part
+    # of each parameter monomial of poly as a sum of the forms by trying
+    # all 2^n subsets; the forms are dependent when two subsets agree
+    sums = {}
+    for w in itertools.product((0, 1), repeat=len(forms)):
+        total = set()
+        for wj, f in zip(w, forms):
+            if wj:
+                total ^= to_monomials(f)
+        sums.setdefault(frozenset(total), w)
+    if len(sums) < 2 ** len(forms):
+        return None
+    by_param = {}
+    for mon in to_monomials(poly):
+        x_part = frozenset((n, e) for n, e in mon if n[0] == "x")
+        by_param.setdefault(mon - x_part, set()).add(x_part)
+    coeffs = [set() for _ in forms]
+    for param, x_parts in by_param.items():
+        w = sums.get(frozenset(x_parts))
+        if w is None:
+            return None
+        for j, wj in enumerate(w):
+            if wj:
+                coeffs[j].add(param)
+    return tuple(from_monomials(c) for c in coeffs)
+
+
+LINEAR = [X0, X1, X2, X3, X4]
+QUADRATIC = [p * q for i, p in enumerate(LINEAR) for q in LINEAR[i:]]
+
+
+def test_solve_matches_brute_force():
+    # random parameter-free bases of linear or quadratic forms over a few
+    # x-monomials, so that dependent bases occur, and targets in their
+    # span with parameter-polynomial coefficients, half of them plus one
+    # more term, which mostly leaves the span
     rng = random.Random(20260819)
+    outcomes = {"solved": 0, "dependent": 0, "outside": 0}
     for _ in range(300):
-        cols = [tuple(rng.randrange(2) for _ in range(5)) for _ in range(4)]
-        target = [rng.randrange(2) for _ in range(5)]
-        sols = [w for w in itertools.product((0, 1), repeat=4)
-                if all(sum(w[j] * cols[j][i] for j in range(4)) % 2 == target[i] for i in range(5))]
-        independent = all(any(sum(w[j] * cols[j][i] for j in range(4)) % 2 for i in range(5))
-                          for w in itertools.product((0, 1), repeat=4) if any(w))
-        got = dp._solve_f2(cols, [dp.ONE if t else ZERO for t in target])
-        if independent and sols:
-            assert got == [dp.ONE if e else ZERO for e in sols[0]], (cols, target)
+        x_monomials = rng.choice((LINEAR, QUADRATIC))
+        pool = rng.sample(x_monomials, rng.randrange(2, 6))
+        forms = [sum(rng.sample(pool, rng.randrange(1, len(pool) + 1)), ZERO) for _ in range(rng.randrange(1, 5))]
+        poly = sum((_random_param_poly(rng, x_degree=0) * f for f in forms), ZERO)
+        if rng.randrange(2):
+            poly = poly + _random_param_poly(rng, x_degree=0) * rng.choice(x_monomials)
+        want = solve_oracle(forms, poly)
+        assert dp._solve(tuple(dp._x_coefficients(f) for f in forms), poly) == want, ([str(f) for f in forms], str(poly))
+        if want is not None:
+            outcomes["solved"] += 1
+            assert sum((w * f for w, f in zip(want, forms)), ZERO) == poly
+        elif solve_oracle(forms, ZERO) is None:
+            outcomes["dependent"] += 1
         else:
-            assert got is None, (cols, target)
+            outcomes["outside"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_pencil_action_rejects_members_moved_by_different_actions():
+    # swapping x1 and x4 fixes the first member a*x2 + b*x3 of D1's first
+    # pencil and sends the second, a*x4 + b*x1, to b*x4 + a*x1: each
+    # member alone is mapped by a rank-one matrix, only the two together
+    # show that no single (a' : b') exists
+    swap = dp.ProjMap((X0, X4, X2, X3, X1))
+    assert dp.pencil_action(swap, dp.pencils("D1")[0]) == dp.NOT_PRESERVED
 
 
 def test_pencil_action_rejects_a_solution_nonlinear_in_a_b():
