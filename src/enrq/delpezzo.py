@@ -39,7 +39,7 @@ coefficients, with polynomial right-hand sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from operator import add
 
 from . import _quoted
@@ -134,7 +134,7 @@ ONE = ParamPoly(frozenset({(0,) * NVARS}))
 
 
 def var(name):
-    if name not in _IDX:
+    if not isinstance(name, str) or name not in _IDX:
         raise ValueError(f"unknown variable {_quoted(name)}: use one of {', '.join(NAMES)}")
     mon = [0] * NVARS
     mon[_IDX[name]] = 1
@@ -250,7 +250,22 @@ class Pencil:
         return tuple(_x_coefficients(f) for pair in self.forms for f in pair)
 
 
-@cache
+def _by_kind(build):
+    """`functools.cache` on a surface kind D1, D2 or D3, checked before the
+    lookup: a list or dict would fail in the cache's own hashing, and a
+    tuple's membership test hashes nothing."""
+    cached = cache(build)
+
+    @wraps(build)
+    def lookup(kind):
+        if kind not in ("D1", "D2", "D3"):
+            raise ValueError(f"unknown surface {_quoted(kind)}")
+        return cached(kind)
+
+    return lookup
+
+
+@_by_kind
 def surface(kind: str) -> QuadricPair:
     """Defining quadric pair: D1 (classical cover image), D2 (ordinary,
     e = 1), D3 (supersingular, e = 0)."""
@@ -259,12 +274,10 @@ def surface(kind: str) -> QuadricPair:
         return QuadricPair(g1, X0 * X0 + X3 * X4)
     if kind == "D2":
         return QuadricPair(g1, X1 * X3 + X4 * (X0 + X2 + X4))
-    if kind == "D3":
-        return QuadricPair(g1, X1 * X3 + X4 * (X2 + X4))
-    raise ValueError(f"unknown surface {_quoted(kind)}")
+    return QuadricPair(g1, X1 * X3 + X4 * (X2 + X4))
 
 
-@cache
+@_by_kind
 def pencils(kind: str):
     """The two pencils of conics on the surface."""
     if kind == "D1":
@@ -272,14 +285,12 @@ def pencils(kind: str):
             Pencil(((X2, X3), (X4, X1))),
             Pencil(((X2, X4), (X3, X1))),
         )
-    if kind in ("D2", "D3"):
-        e0 = X0 if kind == "D2" else ZERO
-        core = e0 + X2 + X4
-        return (
-            Pencil(((X3, core), (X4, X1))),
-            Pencil(((core, X1), (X3, X4))),
-        )
-    raise ValueError(f"unknown surface {_quoted(kind)}")
+    e0 = X0 if kind == "D2" else ZERO
+    core = e0 + X2 + X4
+    return (
+        Pencil(((X3, core), (X4, X1))),
+        Pencil(((core, X1), (X3, X4))),
+    )
 
 
 def aut_d1(lam=LAM, mu=MU):
@@ -485,7 +496,7 @@ _FAMILIES = {
 def recover_params(m: ProjMap, kind: str):
     """Match a map against the printed family of the given kind and
     return its parameters, or None if it is not in the family."""
-    if kind not in _FAMILIES:
+    if not isinstance(kind, str) or kind not in _FAMILIES:
         raise ValueError(f"unknown family {_quoted(kind)}")
     family, (row, col), where = _FAMILIES[kind]
     scale = m.coords[row].coefficient_of(col)

@@ -135,7 +135,7 @@ class CurveClass:
 
     def __post_init__(self):
         check_ints(char=self.char)
-        if (self.char, self.j) not in _CLASSES:
+        if not isinstance(self.j, str) or (self.char, self.j) not in _CLASSES:
             raise ValueError(f"unknown curve class (char {self.char}, j {_quoted(self.j)})")
 
 

@@ -5,8 +5,9 @@ pairwise products f_i.f_j = 1 (see `lattice.IsotropicSequence`).  The
 search picks members one at a time; each new member v must satisfy
 v.f = 1 for every member f so far.  Those linear constraints are kept in
 integer reduced echelon form with late pivots, one elimination step per
-new member (`_echelon`): a pivot coordinate is computed from the
-coordinates chosen before it, not branched on.  The isotropy q(v) = 0 is
+new member (`_echelon`): a pivot coordinate is solved from the fixed
+coordinates of its row, not branched on, and a branch ends where that
+solution is not an integer or leaves the box.  The isotropy q(v) = 0 is
 pruned by branch and bound on the E8 block (`_e8_bound`).
 
 `lattice.search_sequences` is the entry point; it loads this module on
@@ -17,7 +18,6 @@ module attribute, so that a wrapper put on it sees these calls too.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 
 from . import check_ints, lattice
 from .lattice import BASIS, GRAM, RANK, IsotropicSequence, _reduce
@@ -90,25 +90,21 @@ def _candidates(pivots, bound):
 
     Coordinates are chosen in the order (a, b, x8, ..., x1) so that the
     partial sums of SCALE q(x) give monotone integer lower bounds on
-    SCALE 2ab (branch-and-bound).  A pivot coordinate is computed from
-    the coordinates before it, never branched on, and a free coordinate
-    runs through 0, 1, -1, 2, -2, ... while each row can still reach its
-    right-hand side within the box.  So the vectors come in the
-    lexicographic order of that value order, deterministically.
+    SCALE 2ab (branch-and-bound).  A free coordinate runs through 0, 1,
+    -1, 2, -2, ...; a pivot coordinate is never branched on but solved
+    from the coordinates of its row that are already fixed, and a
+    remainder or a value outside the box ends the branch.  So the vectors
+    come in the lexicographic order of that value order,
+    deterministically.
     """
-    rows = list(pivots.values())
-    rhs = [r[RANK] for r in rows]
-    # reach[c][step]: the most the positions from step on can add to row c
-    reach = [list(accumulate((bound * abs(x) for x in reversed(r[:RANK])), initial=0))[::-1] for r in rows]
-    # per position: the (row, pivot) that fixes it, if any, and the (row, coefficient) pairs it moves
+    # per position: (pivot, right-hand side, (lattice index, coefficient) at earlier positions) of its row
     solve = [None] * RANK
-    for c, (pos, r) in enumerate(pivots.items()):
-        solve[pos] = (c, r[pos])
-    moves = [tuple((c, r[step]) for c, r in enumerate(rows) if r[step]) for step in range(RANK)]
+    for pos, r in pivots.items():
+        solve[pos] = (r[pos], r[RANK], tuple((_ORDER[j], r[j]) for j in range(pos) if r[j]))
     vals = _value_order(bound)
     coords = [0] * RANK
 
-    def rec(step, partial, qpart, target):
+    def rec(step, qpart, target):
         if step == RANK:
             if qpart == target and any(coords):
                 yield tuple(coords)
@@ -116,31 +112,20 @@ def _candidates(pivots, bound):
         idx = _ORDER[step]
         values = vals
         if solve[step] is not None:
-            c, d = solve[step]
-            val, rem = divmod(rhs[c] - partial[c], d)
+            d, rest, fixed = solve[step]
+            for i, c in fixed:
+                rest -= c * coords[i]
+            val, rem = divmod(rest, d)
             if rem or abs(val) > bound:
                 return
             values = (val,)
         for val in values:
             coords[idx] = val
-            ok = True
-            newpartial = list(partial)
-            for c, coef in moves[step]:
-                p = partial[c] + val * coef
-                if abs(rhs[c] - p) > reach[c][step + 1]:
-                    ok = False
-                    break
-                newpartial[c] = p
-            if not ok:
-                coords[idx] = 0
-                continue
             if step == 1:
                 # a, b fixed: the E8 part must satisfy q(x) = 2ab >= 0
                 t = 2 * coords[0] * coords[1]
-                if t < 0:
-                    coords[idx] = 0
-                    continue
-                yield from rec(2, newpartial, 0, _E8_SCALE * t)
+                if t >= 0:
+                    yield from rec(2, 0, _E8_SCALE * t)
             elif step >= 2:
                 # the E8 term of this coordinate reads only coordinates already fixed
                 k = idx - 2
@@ -149,12 +134,12 @@ def _candidates(pivots, bound):
                     term += c * coords[i]
                 q = qpart + _E8_WEIGHTS[k] * term * term
                 if q <= target:
-                    yield from rec(step + 1, newpartial, q, target)
+                    yield from rec(step + 1, q, target)
             else:
-                yield from rec(step + 1, newpartial, qpart, target)
+                yield from rec(step + 1, qpart, target)
         coords[idx] = 0
 
-    yield from rec(0, [0] * len(rows), 0, None)
+    yield from rec(0, 0, None)
 
 
 def search_sequences(n, bound, cap):

@@ -38,7 +38,7 @@ class GroupTag:
     structure: str
 
     def __post_init__(self):
-        if self.structure not in GROUPS:
+        if not isinstance(self.structure, str) or self.structure not in GROUPS:
             raise ValueError(f"unknown group tag {_quoted(self.structure)}")
 
     @property
