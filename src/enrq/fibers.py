@@ -41,25 +41,26 @@ singular points) and w_c = free slots for a tame one.  So
 as a product and the values as a Minkowski sum of per-component sets.
 A component's count and set depend only on its shape (the branch counts
 at its fixed points, whether all its points are fixed, the allowed cycle
-lengths), so each shape is tallied once.  Each permutation's value is
-checked against the Lefschetz number
+lengths), so each shape is tallied once, from the options of the one
+enumerator `_component_options`.  Each permutation's value is checked
+against the Lefschetz number
 L(g) = 2 * #components - sum over fixed points p of (branches(p) - 1).
 `admissible_actions` and `fixed_euler` materialize the actions one by
 one and are the oracle for the aggregate.
 
-The order enters each of these three calls once: the model's `_layout`
-(its point groups, incidence lists and room, the longest cycle it can
-hold) is looked up, and the order is reduced to the allowed cycle
-lengths, its divisors d >= 2 up to the room.  The cached helpers are
-keyed by those lengths, never by the order, so orders such as 101 and
-1,000,003 share every entry.
+The order enters each of these three calls once: `FiberModel.layout`
+(the point groups, incidence lists and room, the longest cycle the model
+can hold; built on first use and kept on the model) is read, and the
+order is reduced to the allowed cycle lengths, its divisors d >= 2 up to
+the room.  The cached helpers are keyed by those lengths, never by the
+order, so orders such as 101 and 1,000,003 share every entry.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import permutations, product
 from math import gcd
 from types import MappingProxyType
@@ -119,6 +120,24 @@ class FiberModel:
                 if c1 != c2:
                     gram[pos[c1]][pos[c2]] += p.local_mult * b1 * b2
         return gram
+
+    @cached_property  # on the instance, so no lookup hashes the model
+    def layout(self):
+        """(groups, incidence, room): the point ids grouped by signature,
+        each group sorted; for each component, in model order, its
+        incidence list ((point id, branches of the component there), ...)
+        with the points in model order; and the longest cycle the model has
+        room for, its largest group or the most branches one component has
+        at one point."""
+        groups, counts = {}, {cid: {} for cid, _ in self.components}
+        for p in self.points:
+            groups.setdefault(p.signature(), []).append(p.id)
+            for cid, cnt in p.branches:
+                counts[cid][p.id] = counts[cid].get(p.id, 0) + cnt
+        groups = _shared(tuple(_shared(tuple(sorted(ids))) for ids in groups.values()))
+        incidence = tuple(tuple(map(_shared, pts.items())) for pts in counts.values())
+        room = max([*map(len, groups), *(b for inc in incidence for _, b in inc)], default=0)
+        return groups, incidence, room
 
 
 def euler(model: FiberModel) -> int:
@@ -286,11 +305,13 @@ class ComponentAction:
 
 @dataclass(frozen=True)
 class FiberAction:
-    """A tame automorphism germ on a fiber: no component is permuted."""
+    """A tame automorphism germ on a fiber: no component is permuted.
+    `admissible_actions` lists `components` in model order; `fixed_euler`
+    reads it as a mapping, so any order is accepted."""
 
     order: int
     point_perm: tuple  # sorted ((point_id, image_id), ...)
-    components: tuple  # sorted ((component_id, ComponentAction), ...)
+    components: tuple  # ((component_id, ComponentAction), ...)
 
     def __post_init__(self):
         _check_order(self.order, 1)
@@ -320,25 +341,6 @@ def _cycle_lengths(perm):
             yield ln
 
 
-@cache
-def _layout(model: FiberModel):
-    """(groups, incidence, room) of a model: the point ids grouped by
-    signature, each group sorted; for each component, in model order, its
-    incidence list ((point id, branches of the component there), ...)
-    with the points in model order; and the longest cycle the model has
-    room for, its largest group or the most branches one component has
-    at one point."""
-    groups, counts = {}, {cid: {} for cid, _ in model.components}
-    for p in model.points:
-        groups.setdefault(p.signature(), []).append(p.id)
-        for cid, cnt in p.branches:
-            counts[cid][p.id] = counts[cid].get(p.id, 0) + cnt
-    groups = _shared(tuple(_shared(tuple(sorted(ids))) for ids in groups.values()))
-    incidence = tuple(tuple(map(_shared, pts.items())) for pts in counts.values())
-    room = max([*map(len, groups), *(b for inc in incidence for _, b in inc)], default=0)
-    return groups, incidence, room
-
-
 def _allowed_lengths(order, room):
     """The cycle lengths above 1 that an automorphism of this order allows
     where no cycle is longer than `room`: the divisors d >= 2 of the order
@@ -358,7 +360,7 @@ def _can_split_into_cycles(count, lengths):
 @cache  # read-only values, so every caller can share them
 def _group_perms(groups, lengths):
     """The incidence-preserving permutations of the singular points, as
-    read-only mappings: a cycle stays inside one group of `_layout` and
+    read-only mappings: a cycle stays inside one group of the layout and
     its length is 1 or in `lengths`.  Models with the same groups, and
     orders with the same allowed lengths, share one cached entry."""
     per_group = []
@@ -368,12 +370,19 @@ def _group_perms(groups, lengths):
     return tuple(MappingProxyType({k: v for p in combo for k, v in p.items()}) for combo in product(*per_group))
 
 
-def _component_options(incidence, perm, lengths):
-    """The admissible ComponentActions on one component, given its
-    incidence list, the point permutation and the allowed cycle lengths."""
-    fixed = [(pid, b) for pid, b in incidence if perm[pid] == pid]
-    options = [ComponentAction("identity")] if len(fixed) == len(incidence) else []
-    # tame: choose how many branch slots stay fixed at each fixed point
+def _fixed_part(incidence, perm):
+    """A component's fixed points ((point id, branches), ...) and whether all its points are."""
+    fixed = tuple((pid, b) for pid, b in incidence if perm[pid] == pid)
+    return fixed, len(fixed) == len(incidence)
+
+
+def _component_options(fixed, all_fixed, lengths):
+    """The admissible ComponentActions on one component with these fixed
+    points ((point id, branches), ...) under the allowed cycle lengths: a
+    tame one fixes k of the b slots at each fixed point and lets the other
+    b - k cycle, the k summing to at most 2; the identity only when every
+    point of the component is fixed (`all_fixed`)."""
+    options = [ComponentAction("identity")] if all_fixed else []
     per_point = [[(pid, k) for k in range(b, -1, -1) if _can_split_into_cycles(b - k, lengths)] for pid, b in fixed]
     for combo in product(*per_point):
         k_total = sum(k for _, k in combo)
@@ -392,13 +401,11 @@ def admissible_actions(model: FiberModel, order: int):
     """
     _check_order(order, 2)
     actions = []
-    groups, incidence, room = _layout(model)
+    groups, incidence, room = model.layout
     lengths = _allowed_lengths(order, room)
     cids = [cid for cid, _ in model.components]
     for perm in _group_perms(groups, lengths):
-        opts = [_component_options(inc, perm, lengths) for inc in incidence]
-        if any(not o for o in opts):
-            continue
+        opts = [_component_options(*_fixed_part(inc, perm), lengths) for inc in incidence]
         perm_t = tuple(sorted(perm.items()))
         for combo in product(*opts):
             actions.append(FiberAction(order, perm_t, tuple(zip(cids, combo))))
@@ -416,11 +423,11 @@ def fixed_euler(model: FiberModel, action: FiberAction) -> int:
     `_group_perms`, each component action from `_component_options`.
     """
     perm, order, comp = action.perm(), action.order, action.component_map()
-    groups, incidence, room = _layout(model)
+    groups, incidence, room = model.layout
     lengths = _allowed_lengths(order, room)
     cids = [cid for cid, _ in model.components]
     if (perm not in _group_perms(groups, lengths) or comp.keys() != set(cids)
-            or any(comp[cid] not in _component_options(inc, perm, lengths)
+            or any(comp[cid] not in _component_options(*_fixed_part(inc, perm), lengths)
                    for cid, inc in zip(cids, incidence))):
         raise ValueError(f"action of order {order} is not admissible on the model")
     return _fixed_euler(model, action)
@@ -455,18 +462,10 @@ def _component_tally(fixed_branches, all_fixed, lengths):
     """(number, weight set) of the options `_component_options` gives a
     component whose fixed points carry `fixed_branches` (sorted branch
     counts), with every point fixed or not, under the allowed cycle
-    lengths.  A tame option fixes k of the b slots at each fixed point
-    and lets the other b - k cycle, the k summing to at most 2, and
-    weighs 2 - sum k; the identity, possible when every point is fixed,
-    weighs 2 - deg."""
-    ways = [1, 0, 0]  # tame choices by number of fixed branch slots
-    for b in fixed_branches:
-        ks = [k for k in range(min(b, 2) + 1) if _can_split_into_cycles(b - k, lengths)]
-        ways = [sum(ways[t - k] for k in ks if k <= t) for t in range(3)]
-    weights = {2 - t for t in range(3) if ways[t]}
-    if all_fixed:
-        weights.add(2 - sum(fixed_branches))
-    return sum(ways) + all_fixed, frozenset(weights)
+    lengths: a tame option weighs its free slots, the identity 2 - deg."""
+    options = _component_options(tuple(enumerate(fixed_branches)), all_fixed, lengths)
+    deg = sum(fixed_branches)
+    return len(options), frozenset(2 - deg if ca.kind == "identity" else ca.free_slots for ca in options)
 
 
 def _perm_tallies(model: FiberModel, order: int):
@@ -477,7 +476,7 @@ def _perm_tallies(model: FiberModel, order: int):
     _fixed_euler and a moved point adds nothing, hence the split.  Each
     component shape is tallied once, by `_component_tally`.
     """
-    groups, incidence, room = _layout(model)
+    groups, incidence, room = model.layout
     lengths = _allowed_lengths(order, room)
     for perm in _group_perms(groups, lengths):
         count, values = 1, {sum(perm[p.id] == p.id for p in model.points)}

@@ -32,7 +32,7 @@ import operator
 from functools import cache
 from itertools import product
 
-from . import check_ints
+from . import _quoted, check_ints
 
 FIELD_CAP = 1 << 20  # the largest p^k that GF accepts
 
@@ -261,7 +261,7 @@ class GF:
 
     def find_root(self, poly):
         """First root (in element order) of a polynomial with prime-field
-        coefficients, or None.
+        coefficients, a list or tuple of ints from low to high, or None.
 
         A root of a degree-d polynomial over GF(p) has a minimal polynomial
         of degree e <= d with e | k, so every root lies in GF(p^m) for
@@ -270,6 +270,9 @@ class GF:
         first root, 0, is in every subfield); for m = k it is the whole
         field, with step 1.
         """
+        if not isinstance(poly, (list, tuple)):
+            raise ValueError(f"poly must be a list or tuple of ints, not {_quoted(poly)}")
+        check_ints(**{f"poly[{i}]": c for i, c in enumerate(poly)})
         coeffs = [self.from_int(c) for c in poly]
         d = max((i for i, c in enumerate(coeffs) if c), default=0)
         m = math.lcm(*(e for e in range(1, d + 1) if self.k % e == 0))

@@ -155,6 +155,8 @@ def _reduce(gram):
     was needed, x.G.x is the sum over k of (U_k.x)^2 / (D_k D_{k+1})
     (Bareiss 1968).
     """
+    if not (isinstance(gram, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in gram)):
+        raise ValueError(f"Gram matrix must be a list or tuple of list or tuple rows, not {_quoted(gram)}")
     m = [list(row) for row in gram]
     n = len(m)
     if any(len(row) != n for row in m) or any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):

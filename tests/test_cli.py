@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import enrq
-from enrq import cli, configs, delpezzo, ecaut, lattice, report, tables
+from enrq import cli, configs, delpezzo, ecaut, gf, lattice, report, tables
 from enrq.cli import RunConfig, run
 
 
@@ -63,19 +63,19 @@ def body_sha256(suite, fmt, tmp_path):
 def clear_caches():
     from enrq import fibers
 
-    for cached in (cli._selfcheck_draw, fibers._layout, fibers._group_perms, fibers._component_tally,
-                   configs._model, configs._isomorphisms):
+    for cached in (cli._selfcheck_draw, fibers._group_perms, fibers._component_tally, configs._model,
+                   configs._isomorphisms):
         cached.cache_clear()
     fibers._SHARED.clear()
 
 
-def test_clear_caches_empties_the_fiber_layouts():
+def test_clear_caches_empties_the_fiber_caches():
     from enrq import fibers
 
     fibers.lefschetz_check("I2", 2)
-    assert fibers._layout.cache_info().currsize >= 1
+    assert fibers._group_perms.cache_info().currsize >= 1
     clear_caches()
-    assert fibers._layout.cache_info().currsize == fibers._group_perms.cache_info().currsize == 0
+    assert fibers._group_perms.cache_info().currsize == fibers._component_tally.cache_info().currsize == 0
 
 
 def test_clear_caches_empties_the_overlay_caches():
@@ -177,6 +177,8 @@ QUOTING_SITES = {
     "CurveClass": lambda v: ecaut.CurveClass(2, v),
     "AutMap": lambda v: ecaut.AutMap(u=v),
     "lattice.reflection": lattice.reflection,
+    "lattice.exact_det": lattice.exact_det,
+    "GF.find_root": lambda v: gf.GF(2, 2).find_root(v),
     "Report.render": lambda v: report.Report().render(v),
     "GroupTag": tables.GroupTag,
 }
@@ -187,7 +189,7 @@ def test_a_quoted_value_keeps_the_message_short(site):
     # a short value is quoted whole, a long one by the first 40
     # characters of its repr and "..."
     values = ["X" * 20, "X" * 5000, "3" * 5000]
-    if site != "bielliptic_pair_check":  # whose tags are given as a list
+    if site not in ("bielliptic_pair_check", "GF.find_root"):  # whose tags and coefficients are lists
         # a ValueError too, not the TypeError of a failed dict or cache lookup
         values += [["X"], {"X": 1}, ["X"] * 5000, dict.fromkeys(range(5000))]
     for value in values:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import permutations, product
 
@@ -535,7 +536,7 @@ def uncached_point_perms(model, order):
 
 def point_perms(model, order):
     """The cached point permutations that the generators use at this order."""
-    groups, _, room = fibers._layout(model)
+    groups, _, room = model.layout
     return fibers._group_perms(groups, fibers._allowed_lengths(order, room))
 
 
@@ -552,7 +553,7 @@ def test_cached_point_perms_and_incidence_are_read_only():
     model = fibers.catalog("I2").model
     perms = point_perms(model, 2)
     assert len(perms) == 2 and isinstance(perms, tuple)
-    layout = fibers._layout(model)
+    layout = model.layout
     with pytest.raises(TypeError):
         perms[0]["p0"] = "p1"
     assert layout == ((("p0", "p1"),), ((("p0", 1), ("p1", 1)),) * 2, 2)
@@ -564,10 +565,10 @@ def test_cached_point_perms_and_incidence_are_read_only():
 def test_layout_room_is_the_longest_cycle_the_model_holds():
     # I1: two branches of one component at the node; I2: two points of one
     # signature; I3: every point and every branch on its own
-    assert [fibers._layout(fibers.catalog(t).model)[2] for t in ("I1", "I2", "I3", "II*")] == [2, 2, 1, 1]
-    assert fibers._layout(NON_CATALOG["2I2"])[2] == 2
+    assert [fibers.catalog(t).model.layout[2] for t in ("I1", "I2", "I3", "II*")] == [2, 2, 1, 1]
+    assert NON_CATALOG["2I2"].layout[2] == 2
     triple_node = fibers.FiberModel((("c0", 1),), (fibers.Point("t", (("c0", 3),)),))
-    assert fibers._layout(triple_node)[2] == 3
+    assert triple_node.layout[2] == 3
     assert fibers._allowed_lengths(12, 4) == (2, 3, 4)
     assert fibers._allowed_lengths(1_000_003, 4) == fibers._allowed_lengths(12, 1) == ()
 
@@ -576,7 +577,7 @@ def test_lefschetz_check_caches_stay_bounded_over_many_orders():
     # the caches are keyed by the allowed cycle lengths, never by the order
     # itself: 200 primes above every room add no entry to what orders 2, 3,
     # 5, 7 and 101 leave (about 1,000 tally entries when keyed by the order)
-    caches = (fibers._component_tally, fibers._group_perms, fibers._layout)
+    caches = (fibers._component_tally, fibers._group_perms)
     for cached in caches:
         cached.cache_clear()
     tags = fibers.standard_tags(9)
@@ -593,8 +594,16 @@ def test_lefschetz_check_caches_stay_bounded_over_many_orders():
     assert fibers._component_tally.cache_info().currsize <= 8
 
 
-def test_lefschetz_check_hashes_its_model_once(monkeypatch):
-    fibers._layout.cache_clear()
+def test_layout_is_no_field_of_the_model():
+    # the layout is kept on the model but takes no part in its value
+    model = fibers.catalog("I3*").model
+    fresh, laid_out = (fibers.FiberModel(model.components, model.points) for _ in range(2))
+    assert laid_out.layout == model.layout and "layout" in vars(laid_out) and "layout" not in vars(fresh)
+    assert laid_out == fresh and hash(laid_out) == hash(fresh) and repr(laid_out) == repr(fresh)
+    assert "layout" not in {f.name for f in dataclasses.fields(fibers.FiberModel)}
+
+
+def test_lefschetz_check_hashes_no_model(monkeypatch):
     model_hash = fibers.FiberModel.__hash__
     hashed = []
 
@@ -604,10 +613,10 @@ def test_lefschetz_check_hashes_its_model_once(monkeypatch):
 
     monkeypatch.setattr(fibers.FiberModel, "__hash__", counting_hash)
     for tag in ("I2", "I9*", "II*"):
+        vars(fibers.catalog(tag).model).pop("layout", None)
         for _ in range(2):  # a cold and a warm call
-            hashed.clear()
             assert fibers.lefschetz_check(tag, 2)["ok"], tag
-            assert hashed == [fibers.catalog(tag).model], tag
+    assert hashed == []
 
 
 def _materialized_by_perm(model, order):
@@ -690,8 +699,10 @@ def test_component_tally_matches_the_options_oracle():
                 fixed = tuple(sorted(b for b, m in zip(branches, moved) if not m))
                 for order in (*range(2, 13), 101):
                     lengths = fibers._allowed_lengths(order, max(branches))
-                    options = fibers._component_options(incidence, perm, lengths)
-                    assert options == options_oracle(incidence, perm, order), (branches, moved, order)
+                    options = options_oracle(incidence, perm, order)
+                    fixed_points = tuple((pid, b) for (pid, b), m in zip(incidence, moved) if not m)
+                    got = fibers._component_options(fixed_points, not any(moved), lengths)
+                    assert got == options, (branches, moved, order)
                     weights = {2 - sum(branches) if ca.kind == "identity" else ca.free_slots for ca in options}
                     got = fibers._component_tally(fixed, not any(moved), lengths)
                     assert got == (len(options), weights), (branches, moved, order)

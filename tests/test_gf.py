@@ -244,6 +244,14 @@ def test_tables_are_built_on_first_use_and_shared():
     assert out.stdout.strip() == "0"  # importing builds no field
 
 
+@pytest.mark.parametrize("poly", ["ab", [1.5], None, (1, True), {1: 1}])
+def test_find_root_rejects_a_poly_that_is_not_ints(poly):
+    # a one-line ValueError, not the TypeError of `%` or of iterating None
+    with pytest.raises(ValueError, match="poly") as exc:
+        GF(2, 2).find_root(poly)
+    assert "\n" not in str(exc.value)
+
+
 def test_check_ints_is_the_package_rule():
     # one definition at the package root; gf.check_ints still names it
     import enrq

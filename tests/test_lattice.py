@@ -112,12 +112,15 @@ def test_det_and_inertia_match_exact_oracles():
     [[2, 1.0], [1.0, 2]],
     [[True]],  # a bool is not an integer entry
     [[-2, False], [False, -2]],
+    None,  # not a list of rows: a ValueError too, not a TypeError
+    5,
+    [5],
 ])
 def test_det_and_signature_reject_non_symmetric_or_non_integer(matrix):
-    with pytest.raises(ValueError):
-        lattice.exact_det(matrix)
-    with pytest.raises(ValueError):
-        lattice.signature(matrix)
+    for call in (lattice.exact_det, lattice.signature):
+        with pytest.raises(ValueError) as exc:
+            call(matrix)
+        assert "\n" not in str(exc.value)
 
 
 def test_inner_matches_the_gram_double_sum():
