@@ -16,7 +16,7 @@ print(f"{'tag':>5} {'Dynkin':>6} {'m':>3} {'e':>3} {'kind':>15}  multiplicities"
 for tag in fibers.standard_tags(4):
     ent = fibers.catalog(tag)
     mults = sorted(m for _, m in ent.model.components)
-    print(f"{tag:>5} {fibers.dynkin_label(tag):>6} {ent.m:>3} {ent.euler_tame:>3} {ent.kind:>15}  {mults}")
+    print(f"{tag:>5} {ent.dynkin:>6} {ent.m:>3} {ent.euler_tame:>3} {ent.kind:>15}  {mults}")
 
 print()
 big = fibers.catalog("II*")

@@ -12,7 +12,7 @@ imports):
 * fibers   - Kodaira fiber types: incidence models, Euler numbers,
   2-connectedness, tame actions and fixed-locus Euler characteristics
 * configs  - singular-fiber configurations of genus-one pencils: the
-  Euler budget, extremality, bielliptic filters, shared-components
+  Euler budget, extremality, realizable pairs, shared-components
   overlay search
 * gf       - table-driven finite fields GF(p^k)
 * ecaut    - elliptic-curve automorphism groups and fixed-point counts

@@ -1,7 +1,8 @@
 """Enumeration and filtering of singular-fiber configurations of genus-one
 pencils on Enriques surfaces: the Euler budget e(S) = 12, the Shioda-Tate
-room sum(m_D - 1) <= 8, extremality, the numerically-trivial bielliptic
-filters, and the shared-eight-components overlay arithmetic.
+room sum(m_D - 1) <= 8, extremality, the realizable pairs, the odd-order
+configurations with a smooth fixed member, and the shared-eight-components
+overlay arithmetic.
 
 Overlay search normalization.  `shared_eight_search` looks for two
 additive nine-component fibers F, F' (one per pencil) sharing eight
@@ -64,7 +65,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 from operator import mul
 
-from . import _quoted, check_ints, fibers
+from . import check_ints, fibers
 from .lattice import exact_det
 
 
@@ -117,7 +118,7 @@ class Configuration:
         return tuple(sorted(self.tags()))
 
     def label(self):
-        return " + ".join(fibers.dynkin_label(e.tag) + (f" (wild {e.wild})" if e.wild else "") for e in self.entries)
+        return " + ".join(fibers.catalog(e.tag).dynkin + (f" (wild {e.wild})" if e.wild else "") for e in self.entries)
 
 
 def enumerate_pairs():
@@ -198,43 +199,6 @@ def odd_order_smooth_case(order: int):
         else:
             configs.append(Configuration((FiberEntry(tag, double=False, wild=12 - ent.euler_tame),)))
     return configs
-
-
-def bielliptic_pair_check(tags, shared_components: int, connector_mults):
-    """Necessary conditions for the bielliptic involution of a pair of
-    pencils to be numerically trivial.
-
-    `tags` lists the reducible fiber types carrying the shared
-    components, `shared_components` the declared number of common
-    (-2)-curves, `connector_mults` the multiplicity of the one
-    non-shared component per fiber.  The connector C satisfies
-    m * (C.F2) = 2 against the other half-fiber, so m must be 1 or 2;
-    multiplicative fibers with more than two components are excluded.
-    """
-    if not isinstance(tags, (tuple, list)):
-        raise ValueError(f"tags must be a tuple or list of fiber tags, not {_quoted(tags)}")
-    tags = tuple(tags)
-    if not tags:
-        raise ValueError("need at least one fiber type")
-    if isinstance(connector_mults, int):
-        connector_mults = (connector_mults,) * len(tags)
-    if not isinstance(connector_mults, (tuple, list)) or len(connector_mults) != len(tags):
-        raise ValueError("one connector multiplicity per fiber")
-    check_ints(shared_components=shared_components)
-    for m in connector_mults:
-        check_ints(connector_mult=m)
-    reasons = []
-    total = sum(fibers.catalog(t).m - 1 for t in tags)
-    if total != 8:
-        reasons.append(f"extremality deficit: sum(m-1) = {total} != 8")
-    if shared_components != 8:
-        reasons.append(f"extremality deficit: {shared_components} shared components != 8")
-    for t, m in zip(tags, connector_mults):
-        if m not in (1, 2):
-            reasons.append(f"connector multiplicity {m} on {t}: m*(C.F2) = 2 forces m in {{1, 2}}")
-        if fibers.catalog(t).kind == fibers.MULTIPLICATIVE and fibers.catalog(t).m > 2:
-            reasons.append(f"{t}: multiplicative with more than two components")
-    return (not reasons, reasons)
 
 
 # ---------------------------------------------------------------------------

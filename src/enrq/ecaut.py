@@ -107,11 +107,6 @@ J0 = "0"
 SPECIAL = "special"
 
 
-# The curve classes: (char, j) -> ((a, b), unit-group generators in
-# doubled coordinates, structure tag of Aut(E)).  char 0 stands for any
-# characteristic > 3.  In characteristics 2 and 3 the special class
-# (j = 0) is exactly the supersingular one and the generic class is
-# ordinary.
 _CLASSES = {
     (0, GENERIC): ((-1, -1), ((-2, 0, 0, 0),), "Z/2"),
     (0, J1728): ((-1, -1), ((0, 2, 0, 0),), "Z/4"),
@@ -123,6 +118,11 @@ _CLASSES = {
     # Hurwitz units: Q8 extended by w = (-1 + i + j + k)/2
     (2, SPECIAL): ((-1, -1), ((0, 2, 0, 0), (0, 0, 2, 0), (-1, 1, 1, 1)), "Q8:Z/3"),
 }
+"""The curve classes: (char, j) -> ((a, b), unit-group generators in
+doubled coordinates, structure tag of Aut(E)).  char 0 stands for any
+characteristic > 3.  In characteristics 2 and 3 the special class
+(j = 0) is exactly the supersingular one and the generic class is
+ordinary."""
 
 
 @dataclass(frozen=True)
@@ -139,15 +139,10 @@ class CurveClass:
             raise ValueError(f"unknown curve class (char {self.char}, j {_quoted(self.j)})")
 
 
-def _group_data(c: CurveClass):
-    """((a, b), unit-group generators) of the class, from `_CLASSES`."""
-    return _CLASSES[(c.char, c.j)][:2]
-
-
 @cache
 def _unit_group(c: CurveClass):
     """(elements, a, b, {element: order}) for the class, built once."""
-    (a, b), gens = _group_data(c)
+    (a, b), gens, _ = _CLASSES[(c.char, c.j)]
     elems = tuple(_closure(gens, a, b))
     return elems, a, b, {x: _element_order(x, a, b) for x in elems}
 
@@ -182,13 +177,9 @@ def fixed_count(c: CurveClass, order: int) -> int:
     """
     check_ints(order=order)
     elems, a, b, orders = _unit_group(c)
-    of_order = [x for x in elems if orders[x] == order]
-    if not of_order:
+    norms = {quat_norm(tuple(o - gi for o, gi in zip(QUAT_ONE, g)), a, b) for g in elems if orders[g] == order}
+    if not norms:
         raise ValueError(f"no automorphism of order {order} in class {c}")
-    norms = set()
-    for g in of_order:
-        n = quat_norm(tuple(o - gi for o, gi in zip(QUAT_ONE, g)), a, b)
-        norms.add(n)
     assert len(norms) == 1, "norm must not depend on the primitive element"
     n = norms.pop()
     p = c.char
@@ -231,7 +222,7 @@ class AutMap:
     of prime-field coefficients of a polynomial in an auxiliary algebraic
     constant w, low degree first: (1, 1) is 1 + w and () is 0.  w is a
     root of the prime-field polynomial `sym_poly` (coefficient list, low
-    degree first), e.g. (1, 1, 1) for w^2 + w + 1 = 0.
+    degree first, irreducible mod p), e.g. (1, 1, 1) for w^2 + w + 1 = 0.
     """
 
     u: tuple = (1,)
@@ -253,11 +244,12 @@ class AutMap:
 
 
 def _constants(aut: AutMap, fld: GF):
-    """(u, r, s, t) as elements of fld, with w the first root of sym_poly."""
+    """(w, u, r, s, t) as elements of fld, with w the first root of sym_poly
+    (0 without a sym_poly)."""
     w = fld.find_root(aut.sym_poly) if aut.sym_poly else fld.zero
     if w is None:
-        raise ValueError("extension field does not contain the map's coefficients")
-    return tuple(fld._evaluate([fld.from_int(c) for c in coeffs], w) for coeffs in (aut.u, aut.r, aut.s, aut.t))
+        raise ValueError(f"AutMap sym_poly {_quoted(aut.sym_poly)} has no root in GF({fld.p}^{fld.k})")
+    return w, *[fld._evaluate([fld.from_int(c) for c in coeffs], w) for coeffs in (aut.u, aut.r, aut.s, aut.t)]
 
 
 def _substitution_preserves(curve: Weierstrass, fld: GF, u, r, s, t) -> bool:
@@ -293,10 +285,18 @@ def _substitution_preserves(curve: Weierstrass, fld: GF, u, r, s, t) -> bool:
 def check_preserves(curve: Weierstrass, aut: AutMap) -> bool:
     """Whether the map carries the curve to itself, by Table 3.1 over the
     smallest field that contains w (see `_substitution_preserves`): its
-    degree is that of sym_poly mod p, trailing zeros aside."""
-    degree = max((i for i, c in enumerate(aut.sym_poly) if c % curve.p), default=0)
-    fld = GF(curve.p, max(1, degree))
-    return _substitution_preserves(curve, fld, *_constants(aut, fld))
+    degree d is that of sym_poly mod p, trailing zeros aside.  For d >= 2
+    sym_poly must be irreducible mod p, so that w lies in no proper
+    subfield GF(p^e), e < d, and every root of sym_poly gives a conjugate
+    map; a reducible one raises ValueError."""
+    p = curve.p
+    degree = max((i for i, c in enumerate(aut.sym_poly) if c % p), default=0)
+    fld = GF(p, max(1, degree))
+    w, *constants = _constants(aut, fld)
+    for e in range(1, degree):  # a root in GF(p^e) is a root of a factor of degree <= e
+        if fld.pow(w, p**e) == w:
+            raise ValueError(f"AutMap sym_poly {_quoted(aut.sym_poly)} is reducible mod {p}")
+    return _substitution_preserves(curve, fld, *constants)
 
 
 def _fixed_over(curve: Weierstrass, fld: GF, u3):
@@ -355,7 +355,7 @@ def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int) -> int:
     if not check_preserves(curve, aut):
         raise ValueError("map does not preserve the curve")
     fld = GF(curve.p, ext_degree)
-    u, r, s, t = _constants(aut, fld)
+    _, u, r, s, t = _constants(aut, fld)
     u2 = fld.mul(u, u)
     fixed_over = _fixed_over(curve, fld, fld.mul(u2, u))
     d = fld.sub(fld.one, u2)

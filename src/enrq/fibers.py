@@ -2,8 +2,8 @@
 and tame automorphism actions with their fixed-locus Euler characteristics.
 
 Fiber types are named by Kodaira symbols ("I1", "I5", "II", "III", "IV",
-"I0*", "IV*", "III*", "II*"); `dynkin_label` translates to the affine
-Dynkin names (A~0*, A~4, D~4, E~8, ...).  A fiber is modeled by its
+"I0*", "IV*", "III*", "II*"); each `catalog` entry also carries the affine
+Dynkin name (A~0*, A~4, D~4, E~8, ...).  A fiber is modeled by its
 rational components with multiplicities plus its singular points, each
 point carrying the incident branches per component and a local
 intersection multiplicity (2 for the tangency of type III).  `catalog`
@@ -92,14 +92,14 @@ class FiberModel:
     points: tuple  # (Point, ...)
 
     def __post_init__(self):
-        ids = [c for c, _ in self.components]
+        ids = [c for c, _ in _check_type(self.components, tuple, "components")]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate component id")
         if any(m < 1 for _, m in self.components):
             raise ValueError("multiplicities must be positive")
         idset = set(ids)
-        for p in self.points:
-            if p.local_mult < 1 or any(cid not in idset or cnt < 1 for cid, cnt in p.branches):
+        for p in _check_type(self.points, tuple, "points"):
+            if _check_type(p, Point, "a point").local_mult < 1 or any(cid not in idset or cnt < 1 for cid, cnt in p.branches):
                 raise ValueError(f"bad incidence data at point {p.id}")
         if self.reducible():
             mults = [m for _, m in self.components]
@@ -138,6 +138,13 @@ class FiberModel:
         incidence = tuple(tuple(map(_shared, pts.items())) for pts in counts.values())
         room = max([*map(len, groups), *(b for inc in incidence for _, b in inc)], default=0)
         return groups, incidence, room
+
+
+def _check_type(value, kind, name):
+    """value, or a one-line ValueError unless it is a `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, not {_quoted(value)}")
+    return value
 
 
 def euler(model: FiberModel) -> int:
@@ -202,11 +209,6 @@ class CatalogEntry:
     kind: str  # multiplicative | additive
 
 
-def dynkin_label(tag: str) -> str:
-    """Affine Dynkin name of a Kodaira fiber type (A~0* for I1, etc.)."""
-    return catalog(tag).dynkin
-
-
 def catalog(tag: str) -> CatalogEntry:
     """Canonical incidence model and invariants for a singular fiber type:
     one of `_FIXED`, an I_n cycle or an I_n* chain with two tails per end."""
@@ -269,7 +271,7 @@ def two_connected_min(model: FiberModel) -> int:
     1), every proper D1 has -D1^2 >= 2, attained by one component.
     Otherwise a connected part, or F/gcd, is a proper D1 with D1^2 = 0.
     """
-    if not model.reducible():
+    if not _check_type(model, FiberModel, "model").reducible():
         raise ValueError("2-connectedness split needs a reducible model")
     n_plus, _, n_zero = lattice.signature(model.component_gram())
     assert n_plus == 0, "F.C = 0 forces a negative semi-definite form"
@@ -315,12 +317,8 @@ class FiberAction:
 
     def __post_init__(self):
         _check_order(self.order, 1)
-
-    def perm(self):
-        return dict(self.point_perm)
-
-    def component_map(self):
-        return dict(self.components)
+        _check_type(self.point_perm, tuple, "point_perm")
+        _check_type(self.components, tuple, "components")
 
 
 def _check_order(order, least):
@@ -401,14 +399,13 @@ def admissible_actions(model: FiberModel, order: int):
     """
     _check_order(order, 2)
     actions = []
-    groups, incidence, room = model.layout
+    groups, incidence, room = _check_type(model, FiberModel, "model").layout
     lengths = _allowed_lengths(order, room)
     cids = [cid for cid, _ in model.components]
     for perm in _group_perms(groups, lengths):
         opts = [_component_options(*_fixed_part(inc, perm), lengths) for inc in incidence]
         perm_t = tuple(sorted(perm.items()))
-        for combo in product(*opts):
-            actions.append(FiberAction(order, perm_t, tuple(zip(cids, combo))))
+        actions += (FiberAction(order, perm_t, tuple(zip(cids, combo))) for combo in product(*opts))
     return actions
 
 
@@ -422,32 +419,24 @@ def fixed_euler(model: FiberModel, action: FiberAction) -> int:
     `admissible_actions` yield for its order: the point permutation from
     `_group_perms`, each component action from `_component_options`.
     """
-    perm, order, comp = action.perm(), action.order, action.component_map()
-    groups, incidence, room = model.layout
+    _check_type(action, FiberAction, "action")
+    perm, order, comp = dict(action.point_perm), action.order, dict(action.components)
+    groups, incidence, room = _check_type(model, FiberModel, "model").layout
     lengths = _allowed_lengths(order, room)
     cids = [cid for cid, _ in model.components]
     if (perm not in _group_perms(groups, lengths) or comp.keys() != set(cids)
             or any(comp[cid] not in _component_options(*_fixed_part(inc, perm), lengths)
                    for cid, inc in zip(cids, incidence))):
         raise ValueError(f"action of order {order} is not admissible on the model")
-    return _fixed_euler(model, action)
-
-
-def _fixed_euler(model, action):
-    """fixed_euler for an action already known to be admissible."""
-    perm = action.perm()
-    comp = action.component_map()
     id_comps = {c for c, ca in comp.items() if ca.kind == "identity"}
-    sub_e = 2 * len(id_comps)
-    isolated = 0
+    e = 2 * len(id_comps) + sum(ca.free_slots for ca in comp.values() if ca.kind == "tame")
     for p in model.points:
         b_id = sum(cnt for c, cnt in p.branches if c in id_comps)
-        if b_id >= 1:
-            sub_e -= b_id - 1
+        if b_id:
+            e -= b_id - 1
         elif perm[p.id] == p.id:
-            isolated += 1
-    isolated += sum(ca.free_slots for ca in comp.values() if ca.kind == "tame")
-    return sub_e + isolated
+            e += 1
+    return e
 
 
 def _lefschetz_number(model, perm):
@@ -473,7 +462,7 @@ def _perm_tallies(model: FiberModel, order: int):
     admissible actions, their fixed-locus Euler numbers), from the
     per-component split of the module docstring, without building the
     actions.  A fixed point p adds 1 - (identity branches at p) to
-    _fixed_euler and a moved point adds nothing, hence the split.  Each
+    fixed_euler and a moved point adds nothing, hence the split.  Each
     component shape is tallied once, by `_component_tally`.
     """
     groups, incidence, room = model.layout

@@ -197,6 +197,11 @@ class GF:
         self.one = 1
 
     def from_int(self, n):
+        """n mod p, for an int n (a bool is not)."""
+        # check_ints' rule inline, a plain int tested first: this runs per
+        # constant of every curve check, where a call would cost more
+        if type(n) is not int and (not isinstance(n, int) or isinstance(n, bool)):
+            raise ValueError(f"n must be an int, not {_quoted(n)}")
         return n % self.p
 
     def add(self, a, b):
@@ -273,7 +278,7 @@ class GF:
         if not isinstance(poly, (list, tuple)):
             raise ValueError(f"poly must be a list or tuple of ints, not {_quoted(poly)}")
         check_ints(**{f"poly[{i}]": c for i, c in enumerate(poly)})
-        coeffs = [self.from_int(c) for c in poly]
+        coeffs = [c % self.p for c in poly]  # checked above
         d = max((i for i, c in enumerate(coeffs) if c), default=0)
         m = math.lcm(*(e for e in range(1, d + 1) if self.k % e == 0))
         step = (self.q - 1) // (self.p**m - 1)

@@ -62,10 +62,6 @@ def inner(u, v) -> int:
     )
 
 
-def neg(v):
-    return tuple(-a for a in v)
-
-
 def reflection(r):
     """The reflection in the hyperplane orthogonal to the root r, as a map.
 
@@ -125,15 +121,6 @@ class IsotropicSequence:
         object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
         if not validate_sequence(self.vectors):
             raise ValueError("not an isotropic sequence with pairwise product 1")
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def to_json(self):
-        return [list(v) for v in self.vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +198,6 @@ def signature(matrix):
     _, minors, nullity = _reduce(matrix)
     pos = sum((a > 0) == (b > 0) for a, b in zip(minors, minors[1:]))
     return (pos, len(minors) - 1 - pos, nullity)
-
-
-def gram_determinant() -> int:
-    return exact_det(GRAM)
-
-
-def gram_signature():
-    return signature(GRAM)
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,8 @@ def test_criterion_7_surface_symbolics():
 
 
 def test_criterion_8_lattice_selfcheck(time_limit):
-    ok = lattice.gram_determinant() in (1, -1)
-    ok = ok and lattice.gram_signature() == (1, 9, 0)
+    ok = lattice.exact_det(lattice.GRAM) in (1, -1)
+    ok = ok and lattice.signature(lattice.GRAM) == (1, 9, 0)
     rng = random.Random(8)
     base = [lattice.BASIS[i] for i in range(2, 10)]
     for _ in range(1000):

@@ -90,15 +90,6 @@ def test_configuration_validation():
 BAD_INPUTS = {
     "search tag int": (lambda: configs.shared_eight_search(5, "II*"), "fiber tag must be a str, not 5"),
     "search tag list": (lambda: configs.shared_eight_search("II*", ["II*"]), r"fiber tag must be a str, not \['II\*'\]"),
-    "pair check tags str": (lambda: configs.bielliptic_pair_check("II*", 8, 1), "tags must be a tuple or list"),
-    "pair check tag int": (lambda: configs.bielliptic_pair_check((9,), 8, 1), "fiber tag must be a str, not 9"),
-    "pair check shared float": (lambda: configs.bielliptic_pair_check(["II*"], 8.0, 1),
-                                "shared_components must be an int, not 8.0"),
-    "pair check mult bool": (lambda: configs.bielliptic_pair_check(["II*"], 8, True),
-                             "connector_mult must be an int, not True"),
-    "pair check mult float": (lambda: configs.bielliptic_pair_check(["II*"], 8, (1.0,)),
-                              "connector_mult must be an int, not 1.0"),
-    "pair check mult str": (lambda: configs.bielliptic_pair_check(["II*"], 8, "1"), "one connector multiplicity per fiber"),
     "entry wild float": (lambda: configs.FiberEntry("II", wild=1.5), "wild must be an int, not 1.5"),
     "entry wild bool": (lambda: configs.FiberEntry("II", wild=True), "wild must be an int, not True"),
     "entry tag int": (lambda: configs.FiberEntry(2), "fiber tag must be a str, not 2"),
@@ -133,25 +124,12 @@ def test_an_over_long_tag_is_quoted_by_a_bounded_prefix(entry, tag, message):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: configs.FiberEntry("II", wild=[1] * 5000), f"wild must be an int, not [{'1, ' * 13}..."),
-    (lambda: configs.bielliptic_pair_check("X" * 5000, 8, 1),
-     f"tags must be a tuple or list of fiber tags, not '{'X' * 39}..."),
     (lambda: configs.odd_order_smooth_case("3" * 5000), f"order must be an int, not '{'3' * 39}..."),
-], ids=["wild of 5000 ints", "tags of 5000 letters", "order of 5000 digits"])
+], ids=["wild of 5000 ints", "order of 5000 digits"])
 def test_an_over_long_argument_is_quoted_by_a_bounded_prefix(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
-
-
-def test_bielliptic_pair_check():
-    ok, reasons = configs.bielliptic_pair_check(("I0*", "I0*"), 8, 2)
-    assert ok and not reasons
-    ok, reasons = configs.bielliptic_pair_check(("I9",), 8, 1)
-    assert not ok and any("multiplicative" in r for r in reasons)
-    ok, reasons = configs.bielliptic_pair_check(("I0*", "I0*"), 7, 2)
-    assert not ok and any("extremality deficit" in r for r in reasons)
-    ok, reasons = configs.bielliptic_pair_check(("I0*", "I0*"), 8, (3, 1))
-    assert not ok and any("connector multiplicity" in r for r in reasons)
 
 
 def det_oracle(matrix):

@@ -150,6 +150,10 @@ BAD_INPUTS = {
     "GF p str": (lambda: GF("2", 3), "p must be an int, not '2'"),
     "GF k bool": (lambda: GF(2, True), "k must be an int, not True"),
     "GF k float": (lambda: GF(2, 2.0), "k must be an int, not 2.0"),
+    # from_int used to return 1.5 and 1, and to raise a TypeError on a str
+    "from_int float": (lambda: GF(2, 2).from_int(1.5), "n must be an int, not 1.5"),
+    "from_int bool": (lambda: GF(2, 2).from_int(True), "n must be an int, not True"),
+    "from_int str": (lambda: GF(2, 2).from_int("a"), "n must be an int, not 'a'"),
     "class char float": (lambda: CurveClass(2.0, SPECIAL), "char must be an int, not 2.0"),
     "class char bool": (lambda: CurveClass(False, J0), "char must be an int, not False"),
     "order float": (lambda: ecaut.fixed_count(CurveClass(2, SPECIAL), 3.0), "order must be an int, not 3.0"),
@@ -365,7 +369,7 @@ def scanned_count(curve, aut, ext_degree):
     if not ecaut.check_preserves(curve, aut):
         raise ValueError("map does not preserve the curve")
     fld = GF(curve.p, ext_degree)
-    u, r, s, t = ecaut._constants(aut, fld)
+    _, u, r, s, t = ecaut._constants(aut, fld)
     u2 = fld.mul(u, u)
     fixed_over = ecaut._fixed_over(curve, fld, fld.mul(u2, u))
     count = 1
@@ -432,6 +436,25 @@ def test_counts_over_the_large_fields_enumerate_no_field(monkeypatch):
     assert sorted(r.order for r in rows) == [3, 3, 4, 4, 6]
     for row in rows:
         assert ecaut.brute_force_count(row.curve, row.aut, degrees[row.curve.p]) == row.expected, row
+
+
+# w^3 + 1 = (w + 1)(w^2 + w + 1) over F2: w = 1 in GF(8), w = t in GF(4),
+# so the one map y -> y + w was checked as y -> y + 1 and counted as
+# y -> y + t, and u = w was the identity in GF(8) and of order 3 in GF(4);
+# (w^2 + w + 1)(w^3 + w + 1) has no root in GF(32)
+@pytest.mark.parametrize("aut, message", [
+    (AutMap(t=(0, 1), sym_poly=(1, 0, 0, 1)), r"sym_poly \(1, 0, 0, 1\) is reducible mod 2"),
+    (AutMap(u=(0, 1), sym_poly=(1, 0, 0, 1)), r"sym_poly \(1, 0, 0, 1\) is reducible mod 2"),
+    (AutMap(t=(1,), sym_poly=(1, 0, 0, 0, 1, 1)), r"sym_poly \(1, 0, 0, 0, 1, 1\) has no root in GF\(2\^5\)"),
+    (AutMap(t=(1,), sym_poly=(1, 0, 1)), r"sym_poly \(1, 0, 1\) is reducible mod 2"),  # (w + 1)^2
+    (AutMap(t=(1,), sym_poly=(0, 1, 1)), r"sym_poly \(0, 1, 1\) is reducible mod 2"),  # w (w + 1): w = 0
+], ids=["t=w, w^3+1", "u=w, w^3+1", "quintic without a root", "square", "root zero"])
+def test_a_reducible_sym_poly_is_rejected(aut, message):
+    curve = Weierstrass(2, a3=1)
+    for call in (lambda: ecaut.check_preserves(curve, aut), lambda: ecaut.brute_force_count(curve, aut, 2)):
+        with pytest.raises(ValueError, match=message) as exc:
+            call()
+        assert "\n" not in str(exc.value)
 
 
 def test_check_preserves_ignores_trailing_zeros_of_sym_poly():
@@ -540,7 +563,7 @@ ALL_CLASSES = [CurveClass(0, GENERIC), CurveClass(0, J1728), CurveClass(0, J0), 
 
 def uncached_fixed_count(cls, order):
     # the norm engine from scratch: closure, orders and N(1 - g), no cache
-    (a, b), gens = ecaut._group_data(cls)
+    (a, b), gens, _ = ecaut._CLASSES[(cls.char, cls.j)]
     elems = ecaut._closure(gens, a, b)
     norms = {ecaut.quat_norm(tuple(o - gi for o, gi in zip(ecaut.QUAT_ONE, g)), a, b)
              for g in elems if ecaut._element_order(g, a, b) == order}
@@ -602,7 +625,7 @@ def _fraction_norm(x, a, b):
 FRACTION_ONE = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
 
-def _fraction_group_data(c):
+def _fraction_algebra_and_generators(c):
     half = Fraction(1, 2)
     i = (0, 1, 0, 0)
     if c.char == 0:
@@ -647,7 +670,7 @@ def _fraction_order(x, a, b):
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: f"char{c.char}-{c.j}")
 def test_doubled_units_match_fraction_oracle(cls):
-    (a, b), gens = _fraction_group_data(cls)
+    (a, b), gens = _fraction_algebra_and_generators(cls)
     oracle = _fraction_closure(gens, a, b)
     elems, a2, b2, _ = ecaut._unit_group(cls)
     assert (a2, b2) == (a, b)

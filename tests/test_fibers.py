@@ -39,10 +39,10 @@ def test_catalog_entries():
 
 def test_dynkin_labels_round_trip():
     tags = fibers.standard_tags(9)
-    assert len({fibers.dynkin_label(tag) for tag in tags}) == len(tags)
-    assert fibers.dynkin_label("I1") == "A~0*"
-    assert fibers.dynkin_label("I0*") == "D~4"
-    assert fibers.dynkin_label("II*") == "E~8"
+    assert len({fibers.catalog(tag).dynkin for tag in tags}) == len(tags)
+    assert fibers.catalog("I1").dynkin == "A~0*"
+    assert fibers.catalog("I0*").dynkin == "D~4"
+    assert fibers.catalog("II*").dynkin == "E~8"
 
 
 @pytest.mark.parametrize("tag", [5, None, True, ["II*"], ("II*",), b"II*"])
@@ -57,8 +57,6 @@ def test_catalog_rejects_bad_tags():
     for tag in ("SMOOTH", "I0", "V", "I01", "I007", "I00*", "I1\n", "I", "I*", "II**"):
         with pytest.raises(ValueError):
             fibers.catalog(tag)
-        with pytest.raises(ValueError):
-            fibers.dynkin_label(tag)
 
 
 @pytest.mark.parametrize("tag, match", [
@@ -245,10 +243,10 @@ def test_admissible_actions_i2_orders():
 def test_admissible_actions_ii_order_two():
     model = fibers.catalog("II").model
     acts = fibers.admissible_actions(model, 2)
-    kinds = {a.component_map()["c0"].kind for a in acts}
+    kinds = {dict(a.components)["c0"].kind for a in acts}
     assert kinds == {"identity", "tame"}
     for a in acts:
-        ca = a.component_map()["c0"]
+        ca = dict(a.components)["c0"]
         if ca.kind == "tame":
             # the cusp is the only singular point and must be fixed
             assert dict(a.point_perm)["cusp"] == "cusp"
@@ -377,7 +375,7 @@ def _cycle_length(perm, start):
 def admissible_oracle(model, action):
     """The admissibility rules checked one by one, an independent route to
     the generators behind admissible_actions and fixed_euler."""
-    perm = action.perm()
+    perm = dict(action.point_perm)
     ids = sorted(p.id for p in model.points)
     if sorted(perm) != ids or sorted(perm.values()) != ids:
         return False  # not a permutation of the singular points
@@ -386,7 +384,7 @@ def admissible_oracle(model, action):
         return False  # does not preserve incidence
     if any(action.order % _cycle_length(perm, pid) for pid in perm):
         return False  # a point cycle length does not divide the order
-    comp = action.component_map()
+    comp = dict(action.components)
     if sorted(comp) != sorted(c for c, _ in model.components):
         return False  # the component map does not cover the components
     for cid, ca in comp.items():
@@ -411,6 +409,21 @@ def admissible_oracle(model, action):
         else:
             return False  # unknown component action
     return True
+
+
+def fixed_euler_oracle(model, action):
+    """e(F^g) of an action known to be admissible, without fixed_euler's
+    admissibility test: the identity components with their points (2 per
+    component, minus b - 1 at a point of b identity branches), plus the
+    other fixed points, the fixed singular points off them and the free
+    slots of the tame components."""
+    perm, comp = dict(action.point_perm), dict(action.components)
+    identity = {cid for cid, ca in comp.items() if ca.kind == "identity"}
+    value = 2 * len(identity) + sum(ca.free_slots for ca in comp.values() if ca.kind == "tame")
+    for p in model.points:
+        on = sum(n for cid, n in p.branches if cid in identity)
+        value += 1 - on if on else int(perm[p.id] == p.id)
+    return value
 
 
 def _random_action(rng, model):
@@ -443,11 +456,13 @@ def test_fixed_euler_matches_admissible_oracle():
         action = _random_action(rng, model)
         want = admissible_oracle(model, action)
         try:
-            fibers.fixed_euler(model, action)
+            value = fibers.fixed_euler(model, action)
             got = True
         except ValueError:
             got = False
         assert got == want, action
+        if got:
+            assert value == fixed_euler_oracle(model, action), action
         accepted += got
     assert accepted > 100
 
@@ -492,7 +507,7 @@ def test_lefschetz_check_builds_no_action(monkeypatch):
         raise AssertionError("the aggregate must not materialize actions")
 
     monkeypatch.setattr(fibers, "FiberAction", fail)
-    monkeypatch.setattr(fibers, "_fixed_euler", fail)
+    monkeypatch.setattr(fibers, "fixed_euler", fail)
     for tag in ("I2", "I4*", "II*"):
         assert fibers.lefschetz_check(tag, 2)["ok"], tag
 
@@ -517,6 +532,35 @@ def test_order_must_be_an_int(order):
         with pytest.raises(ValueError, match="order must be an int") as exc:
             call()
         assert "\n" not in str(exc.value), name
+
+
+I2_MODEL = fibers.catalog("I2").model
+I2_IDENTITY = fibers.FiberAction(2, I2_FIXED, (("c0", fibers.ComponentAction("identity")),) * 2)
+
+# a model or action of the wrong type used to raise AttributeError or
+# TypeError from deep inside the call
+WRONG_TYPES = {
+    "admissible_actions model": (lambda: fibers.admissible_actions(None, 2), "model must be a FiberModel, not None"),
+    "two_connected_min model": (lambda: fibers.two_connected_min(None), "model must be a FiberModel, not None"),
+    "fixed_euler model": (lambda: fibers.fixed_euler("I2", I2_IDENTITY), "model must be a FiberModel, not 'I2'"),
+    "fixed_euler action": (lambda: fibers.fixed_euler(I2_MODEL, None), "action must be a FiberAction, not None"),
+    "FiberModel components": (lambda: fibers.FiberModel(None, None), "components must be a tuple, not None"),
+    "FiberModel points": (lambda: fibers.FiberModel(I2_MODEL.components, list(I2_MODEL.points)),
+                          "points must be a tuple, not [Point(id='p0', branches=(('c0', 1), ('c..."),
+    "FiberModel point": (lambda: fibers.FiberModel(I2_MODEL.components, (None,)), "a point must be a Point, not None"),
+    "FiberAction point_perm": (lambda: fibers.fixed_euler(I2_MODEL, fibers.FiberAction(2, None, None)),
+                               "point_perm must be a tuple, not None"),
+    "FiberAction components": (lambda: fibers.FiberAction(2, I2_FIXED, dict(I2_IDENTITY.components)),
+                               "components must be a tuple, not {'c0': ComponentAction(kind='identity', ..."),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_TYPES)
+def test_a_value_of_the_wrong_type_raises_a_one_line_value_error(name):
+    build, message = WRONG_TYPES[name]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def uncached_point_perms(model, order):
@@ -625,7 +669,7 @@ def _materialized_by_perm(model, order):
     by_perm = {}
     for action in fibers.admissible_actions(model, order):
         count, values = by_perm.get(action.point_perm, (0, set()))
-        by_perm[action.point_perm] = (count + 1, values | {fibers._fixed_euler(model, action)})
+        by_perm[action.point_perm] = (count + 1, values | {fixed_euler_oracle(model, action)})
     return by_perm
 
 

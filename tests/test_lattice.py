@@ -32,7 +32,7 @@ def det_by_fraction_elimination(matrix):
 
 
 def test_gram_determinant_unimodular():
-    det = lattice.gram_determinant()
+    det = lattice.exact_det(lattice.GRAM)
     assert det == det_by_fraction_elimination(lattice.GRAM)
     assert det in (1, -1)
 
@@ -56,7 +56,7 @@ def sign_changes(coeffs):
 
 
 def test_gram_signature_hyperbolic():
-    assert lattice.gram_signature() == (1, 9, 0)
+    assert lattice.signature(lattice.GRAM) == (1, 9, 0)
     # a symmetric matrix has a real-rooted characteristic polynomial, so
     # Descartes' rule of signs counts its positive and negative roots exactly
     coeffs = charpoly_by_faddeev_leverrier(lattice.GRAM)
@@ -152,7 +152,7 @@ def test_e8_block_is_negated_cartan():
 
 def test_reflect_negates_root():
     r = lattice.BASIS[2]
-    assert lattice.reflect(r, r) == lattice.neg(r)
+    assert lattice.reflect(r, r) == tuple(-c for c in r)
 
 
 def test_reflect_fixes_orthogonal_vectors():
@@ -237,7 +237,7 @@ def test_reflection_rejects_a_root_that_is_not_ten_ints(root):
 def test_reflection_accepts_a_root_given_as_a_list():
     root = lattice.BASIS[2]
     assert lattice.reflection(list(root))(lattice.F) == lattice.reflection(root)(lattice.F)
-    assert lattice.reflection(list(root))(root) == lattice.neg(root)
+    assert lattice.reflection(list(root))(root) == tuple(-c for c in root)
 
 
 def test_validate_sequence_basics():
@@ -247,7 +247,7 @@ def test_validate_sequence_basics():
     assert not lattice.validate_sequence([lattice.BASIS[2]])
     # isotropic, but the pair products are 2 and -1
     assert not lattice.validate_sequence([lattice.E, tuple(2 * a for a in lattice.F)])
-    assert not lattice.validate_sequence([lattice.E, lattice.F, lattice.neg(lattice.F)])
+    assert not lattice.validate_sequence([lattice.E, lattice.F, tuple(-c for c in lattice.F)])
 
 
 def test_search_small_bounds(time_limit):
@@ -275,11 +275,11 @@ def test_search_finds_full_ten_sequence_within_bound_six(time_limit):
         found = lattice.search_sequences(10, 6, cap=1)
     assert len(found) == 1
     seq = found[0]
-    assert len(seq) == 10
+    assert len(seq.vectors) == 10
     assert lattice.validate_sequence(seq.vectors)
-    assert all(abs(c) <= 6 for v in seq for c in v)
+    assert all(abs(c) <= 6 for v in seq.vectors for c in v)
     # the detail of the lattice-selfcheck row at the default bound 6
-    assert "; ".join(str(v) for v in seq) == (
+    assert "; ".join(str(v) for v in seq.vectors) == (
         "(0, 1, 0, 0, 0, 0, 0, 0, 0, 0); (1, 0, 0, 0, 0, 0, 0, 0, 0, 0); (1, 1, 1, 0, 0, 0, 0, 0, 0, 0); "
         "(1, 1, 1, 0, 1, 0, 0, 0, 0, 0); (1, 1, 1, 0, 1, 1, 0, 0, 0, 0); (1, 1, 1, 1, 1, 1, 0, 0, 0, 0); "
         "(1, 1, 0, -1, -1, -2, -2, -1, 0, 0); (1, 1, 0, -1, -1, -2, -2, -1, -1, 0); "
@@ -317,9 +317,11 @@ def test_search_is_deterministic(time_limit):
     assert [s.vectors for s in a] == [s.vectors for s in b]
 
 
-def test_sequence_to_json():
-    seq = lattice.IsotropicSequence((lattice.E, lattice.F))
-    assert seq.to_json() == [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0]]
+def test_sequence_holds_its_vectors_as_tuples():
+    # the lattice-selfcheck row prints each vector's str, so a list given in
+    # must print as a tuple
+    seq = lattice.IsotropicSequence([list(lattice.E), list(lattice.F)])
+    assert seq.vectors == (lattice.E, lattice.F)
 
 
 def test_isotropic_sequence_validates_on_construction():
@@ -373,7 +375,7 @@ def test_candidates_match_the_full_box_at_bound_one():
 
 
 def sequences_digest(found):
-    return hashlib.sha256(json.dumps([s.to_json() for s in found]).encode()).hexdigest()
+    return hashlib.sha256(json.dumps([s.vectors for s in found]).encode()).hexdigest()
 
 
 # the first ten 10-sequences are the same at bounds 4, 5 and 6 (perfbench/expected.json)
@@ -386,11 +388,11 @@ def test_search_output_pinned_and_fano_polarized(time_limit):
     assert sequences_digest(found) == TEN_SEQUENCES_DIGEST
     for seq in found:
         # Fano polarization: sum f_i = 3 Delta with Delta^2 = 10 and Delta.f_i = 3
-        total = [sum(c) for c in zip(*seq)]
+        total = [sum(c) for c in zip(*seq.vectors)]
         assert all(c % 3 == 0 for c in total)
         delta = tuple(c // 3 for c in total)
         assert lattice.inner(delta, delta) == 10
-        assert all(lattice.inner(delta, f) == 3 for f in seq)
+        assert all(lattice.inner(delta, f) == 3 for f in seq.vectors)
 
 
 @pytest.mark.parametrize("bound", [5, 6])
