@@ -23,8 +23,9 @@ imports):
 * report   - deterministic report rendering (markdown, CSV, JSON)
 * cli      - deterministic verification reports (the `enrq` command)
 
-`check_ints` is the one integer rule of the public entry points, and
-`_quoted` the one way their ValueErrors quote a caller's value.
+`check_ints` is the one integer rule of the public entry points,
+`_check_type` their one rule for a value of a given class, and `_quoted`
+the one way their ValueErrors quote a caller's value.
 """
 
 __version__ = "0.1.0"
@@ -37,6 +38,14 @@ def check_ints(**values):
     for name, value in values.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, not {_quoted(value)}")
+
+
+def _check_type(value, kind, name):
+    """value, or a one-line ValueError unless it is a `kind`."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, not {_quoted(value)}")
+    return value
 
 
 def _quoted(value):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, wraps
 from operator import add
 
-from . import _quoted
+from . import _check_type, _quoted
 
 NAMES = (
     "x0", "x1", "x2", "x3", "x4",
@@ -380,7 +380,7 @@ def verify_preserves(m: ProjMap, kind: str):
     the basis (g1, g2) by `_solve`.
     Returns (True, ((c11, c12), (c21, c22))) or (False, None).
     """
-    if not m.is_invertible():
+    if not _check_type(m, ProjMap, "map").is_invertible():
         raise ValueError("map is not invertible")
     quad = surface(kind)
     basis = (_x_coefficients(quad.g1), _x_coefficients(quad.g2))
@@ -401,6 +401,8 @@ def pencil_action(m: ProjMap, pencil: Pencil):
     the 2x2 parameter matrix sending (a, b) to (a', b'), normalized, or
     NOT_PRESERVED when no consistent solution exists.
     """
+    _check_type(m, ProjMap, "map")
+    _check_type(pencil, Pencil, "pencil")
     rows = []
     for i in range(2):
         sol = _solve(pencil.basis, pullback(pencil.member(i), m))
@@ -479,7 +481,8 @@ IDENTITY_ACTION = ((ONE, ZERO), (ZERO, ONE))
 
 def compose(m1: ProjMap, m2: ProjMap) -> ProjMap:
     """The map applying m2 first, then m1 (coordinatewise substitution)."""
-    coords = tuple(pullback(c, m2) for c in m1.coords)
+    _check_type(m2, ProjMap, "map")
+    coords = tuple(pullback(c, m2) for c in _check_type(m1, ProjMap, "map").coords)
     return ProjMap(coords)
 
 
@@ -499,7 +502,7 @@ def recover_params(m: ProjMap, kind: str):
     if not isinstance(kind, str) or kind not in _FAMILIES:
         raise ValueError(f"unknown family {_quoted(kind)}")
     family, (row, col), where = _FAMILIES[kind]
-    scale = m.coords[row].coefficient_of(col)
+    scale = _check_type(m, ProjMap, "map").coords[row].coefficient_of(col)
     if not scale.is_unit():
         return None
     inv = scale.unit_inverse()

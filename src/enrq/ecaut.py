@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 
-from . import _quoted
+from . import _check_type, _quoted
 from .gf import FIELD_CAP, GF, check_field, check_ints
 
 # ---------------------------------------------------------------------------
@@ -149,11 +149,11 @@ def _unit_group(c: CurveClass):
 
 def aut_group(c: CurveClass):
     """(order, structure tag) of Aut(E) for a curve of the given class."""
-    return len(_unit_group(c)[0]), _CLASSES[(c.char, c.j)][2]
+    return len(_unit_group(_check_type(c, CurveClass, "curve class"))[0]), _CLASSES[(c.char, c.j)][2]
 
 
 def element_orders(c: CurveClass):
-    return sorted(set(_unit_group(c)[3].values()))
+    return sorted(set(_unit_group(_check_type(c, CurveClass, "curve class"))[3].values()))
 
 
 # separable degrees for the inseparable cases, cross-validated by the
@@ -176,7 +176,7 @@ def fixed_count(c: CurveClass, order: int) -> int:
     is separable and the norm is still the count.
     """
     check_ints(order=order)
-    elems, a, b, orders = _unit_group(c)
+    elems, a, b, orders = _unit_group(_check_type(c, CurveClass, "curve class"))
     norms = {quat_norm(tuple(o - gi for o, gi in zip(QUAT_ONE, g)), a, b) for g in elems if orders[g] == order}
     if not norms:
         raise ValueError(f"no automorphism of order {order} in class {c}")
@@ -289,7 +289,8 @@ def check_preserves(curve: Weierstrass, aut: AutMap) -> bool:
     sym_poly must be irreducible mod p, so that w lies in no proper
     subfield GF(p^e), e < d, and every root of sym_poly gives a conjugate
     map; a reducible one raises ValueError."""
-    p = curve.p
+    p = _check_type(curve, Weierstrass, "curve").p
+    _check_type(aut, AutMap, "map")
     degree = max((i for i, c in enumerate(aut.sym_poly) if c % p), default=0)
     fld = GF(p, max(1, degree))
     w, *constants = _constants(aut, fld)

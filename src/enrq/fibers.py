@@ -65,7 +65,7 @@ from itertools import permutations, product
 from math import gcd
 from types import MappingProxyType
 
-from . import _quoted, check_ints, lattice
+from . import _check_type, _quoted, check_ints, lattice
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -92,14 +92,17 @@ class FiberModel:
     points: tuple  # (Point, ...)
 
     def __post_init__(self):
-        ids = [c for c, _ in _check_type(self.components, tuple, "components")]
+        ids = [c for c, _ in _check_pairs(self.components, "components", int)]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate component id")
         if any(m < 1 for _, m in self.components):
             raise ValueError("multiplicities must be positive")
         idset = set(ids)
         for p in _check_type(self.points, tuple, "points"):
-            if _check_type(p, Point, "a point").local_mult < 1 or any(cid not in idset or cnt < 1 for cid, cnt in p.branches):
+            _check_pairs(_check_type(p, Point, "a point").branches, "branches", int)
+            _check_type(p.id, str, "a point id")
+            check_ints(local_mult=p.local_mult)
+            if p.local_mult < 1 or any(cid not in idset or cnt < 1 for cid, cnt in p.branches):
                 raise ValueError(f"bad incidence data at point {p.id}")
         if self.reducible():
             mults = [m for _, m in self.components]
@@ -140,10 +143,13 @@ class FiberModel:
         return groups, incidence, room
 
 
-def _check_type(value, kind, name):
-    """value, or a one-line ValueError unless it is a `kind`."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, not {_quoted(value)}")
+def _check_pairs(value, name, kind):
+    """value, or a one-line ValueError unless it is a tuple of (str id,
+    `kind`) pairs; a bool is not an int."""
+    for pair in _check_type(value, tuple, name):
+        if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
+                and isinstance(pair[1], kind) and not isinstance(pair[1], bool)):
+            raise ValueError(f"{name} must hold (str, {kind.__name__}) pairs, not {_quoted(pair)}")
     return value
 
 
@@ -317,8 +323,8 @@ class FiberAction:
 
     def __post_init__(self):
         _check_order(self.order, 1)
-        _check_type(self.point_perm, tuple, "point_perm")
-        _check_type(self.components, tuple, "components")
+        _check_pairs(self.point_perm, "point_perm", str)
+        _check_pairs(self.components, "components", ComponentAction)
 
 
 def _check_order(order, least):

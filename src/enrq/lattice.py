@@ -51,15 +51,27 @@ BASIS = tuple(tuple(1 if j == i else 0 for j in range(RANK)) for i in range(RANK
 
 def inner(u, v) -> int:
     """Intersection product u.v in the fixed Gram basis: the hyperbolic
-    pair, -2 on the E8 diagonal and the seven E8 edges of _E8_EDGES."""
+    pair, -2 on the E8 diagonal and the seven E8 edges of _E8_EDGES.
+
+    On the E8 tree, -2 sum u_i v_i + sum over edges (u_a v_b + u_b v_a)
+    = -sum over edges (u_a - u_b)(v_a - v_b) + sum (deg i - 2) u_i v_i,
+    and only nodes 1, 2, 8 (degree 1) and 4 (degree 3) have deg i != 2.
+    """
     ue, uf, u1, u2, u3, u4, u5, u6, u7, u8 = u
     ve, vf, v1, v2, v3, v4, v5, v6, v7, v8 = v
     return (
-        ue * vf + uf * ve
-        - 2 * (u1 * v1 + u2 * v2 + u3 * v3 + u4 * v4 + u5 * v5 + u6 * v6 + u7 * v7 + u8 * v8)
-        + u1 * v3 + u3 * v1 + u3 * v4 + u4 * v3 + u2 * v4 + u4 * v2 + u4 * v5 + u5 * v4
-        + u5 * v6 + u6 * v5 + u6 * v7 + u7 * v6 + u7 * v8 + u8 * v7
+        ue * vf + uf * ve + u4 * v4 - u1 * v1 - u2 * v2 - u8 * v8
+        - (u1 - u3) * (v1 - v3) - (u3 - u4) * (v3 - v4) - (u2 - u4) * (v2 - v4) - (u4 - u5) * (v4 - v5)
+        - (u5 - u6) * (v5 - v6) - (u6 - u7) * (v6 - v7) - (u7 - u8) * (v7 - v8)
     )
+
+
+def dual(v):
+    """The row G v, whose entry i is v.BASIS[i], from the nonzero entries
+    of each Gram row (one to four per row)."""
+    ve, vf, v1, v2, v3, v4, v5, v6, v7, v8 = v
+    return (vf, ve, v3 - 2 * v1, v4 - 2 * v2, v1 + v4 - 2 * v3, v2 + v3 + v5 - 2 * v4,
+            v4 + v6 - 2 * v5, v5 + v7 - 2 * v6, v6 + v8 - 2 * v7, v7 - 2 * v8)
 
 
 def reflection(r):
@@ -68,22 +80,22 @@ def reflection(r):
     Checks once, when the map is built, that r is 10 ints with r.r = -2;
     anything else raises ValueError.  The map x -> x + (x.r) r is then an
     isometry of the lattice and an involution.  It takes x.r from the
-    nonzero entries of the dual row G r (2 to 5 for a root near a simple
-    one), not from the full product of `inner`.
+    nonzero entries of the dual row `dual(r)` (2 to 5 for a root near a
+    simple one), not from the full product of `inner`.
     """
     if not (isinstance(r, (tuple, list)) and len(r) == RANK
             and all(isinstance(c, int) and not isinstance(c, bool) for c in r)):
         raise ValueError(f"a root must be {RANK} ints, not {_quoted(r)}")
     if inner(r, r) != -2:
         raise ValueError("reflection vector must have self-intersection -2")
-    dual = [(i, d) for i, row in enumerate(GRAM) if (d := sum(g * c for g, c in zip(row, r)))]
+    row = [(i, d) for i, d in enumerate(dual(r)) if d]
     support = [(i, c) for i, c in enumerate(r) if c]
 
     def apply(x):
         if len(x) != RANK:
             raise ValueError(f"a lattice vector has {RANK} coordinates, not {len(x)}")
         k = 0
-        for i, d in dual:
+        for i, d in row:
             k += d * x[i]
         if not k:
             return x

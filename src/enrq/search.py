@@ -8,11 +8,14 @@ integer reduced echelon form with late pivots, one elimination step per
 new member (`_echelon`): a pivot coordinate is solved from the fixed
 coordinates of its row, not branched on, and a branch ends where that
 solution is not an integer or leaves the box.  The isotropy q(v) = 0 is
-pruned by branch and bound on the E8 block (`_e8_bound`).
+pruned by branch and bound on the E8 block (`_e8_bound`): one generator
+frame solves a run of pivot positions in place and recurses only at a
+free position, where the bound cuts the coordinate to an interval.
 
 `lattice.search_sequences` is the entry point; it loads this module on
-its first call.  Intersection products go through `lattice.inner` as a
-module attribute, so that a wrapper put on it sees these calls too.
+its first call.  The row G v of each new member comes from `lattice.dual`,
+and the results are checked with `lattice.inner`; both are called as
+module attributes, so that a wrapper put on them sees these calls too.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 
 from . import check_ints, lattice
-from .lattice import BASIS, GRAM, RANK, IsotropicSequence, _reduce
+from .lattice import GRAM, RANK, IsotropicSequence, _reduce
 
 
 def _e8_bound():
@@ -39,6 +42,8 @@ def _e8_bound():
 
 
 _E8_SCALE, _E8_WEIGHTS, _E8_ROWS = _e8_bound()
+# per E8 position k: (W_k, the pivot c0 of U_k, U_k's other (lattice index, coefficient) pairs)
+_E8_TERMS = tuple((w, row[0][1], row[1:]) for w, row in zip(_E8_WEIGHTS, _E8_ROWS))
 
 
 _ORDER = (0, 1, 9, 8, 7, 6, 5, 4, 3, 2)  # search positions: a, b, x8, ..., x1
@@ -96,50 +101,75 @@ def _candidates(pivots, bound):
     remainder or a value outside the box ends the branch.  So the vectors
     come in the lexicographic order of that value order,
     deterministically.
+
+    One frame solves a run of pivot positions in a loop and recurses only
+    at a free position.  The E8 term of position k is c0 x + rest, with
+    c0 > 0 the pivot of U_k (a leading minor of -E8) and rest read from
+    the coordinates already fixed.  The slack SCALE 2ab minus the terms so
+    far is >= 0 on entry, so a free x keeps W_k term^2 <= slack iff
+    |term| <= isqrt(slack // W_k): its values are the value order cut to
+    an interval, not tested one by one.
     """
     # per position: (pivot, right-hand side, (lattice index, coefficient) at earlier positions) of its row
     solve = [None] * RANK
     for pos, r in pivots.items():
         solve[pos] = (r[pos], r[RANK], tuple((_ORDER[j], r[j]) for j in range(pos) if r[j]))
     vals = _value_order(bound)
-    coords = [0] * RANK
+    coords = [0] * RANK  # a path sets each coordinate before it reads it, so none is reset
 
-    def rec(step, qpart, target):
-        if step == RANK:
-            if qpart == target and any(coords):
-                yield tuple(coords)
-            return
-        idx = _ORDER[step]
-        values = vals
-        if solve[step] is not None:
+    def rec(step, slack):
+        # slack = SCALE 2ab minus the E8 terms so far, from step 2 on
+        while step < RANK and solve[step] is not None:
             d, rest, fixed = solve[step]
             for i, c in fixed:
                 rest -= c * coords[i]
             val, rem = divmod(rest, d)
             if rem or abs(val) > bound:
                 return
-            values = (val,)
-        for val in values:
+            idx = _ORDER[step]
             coords[idx] = val
-            if step == 1:
-                # a, b fixed: the E8 part must satisfy q(x) = 2ab >= 0
-                t = 2 * coords[0] * coords[1]
-                if t >= 0:
-                    yield from rec(2, 0, _E8_SCALE * t)
-            elif step >= 2:
-                # the E8 term of this coordinate reads only coordinates already fixed
-                k = idx - 2
-                term = 0
-                for i, c in _E8_ROWS[k]:
+            if step >= 2:
+                weight, c0, row = _E8_TERMS[idx - 2]
+                term = c0 * val
+                for i, c in row:
                     term += c * coords[i]
-                q = qpart + _E8_WEIGHTS[k] * term * term
-                if q <= target:
-                    yield from rec(step + 1, q, target)
-            else:
-                yield from rec(step + 1, qpart, target)
-        coords[idx] = 0
+                slack -= weight * term * term
+            elif step:
+                slack = 2 * _E8_SCALE * coords[0] * val
+            if slack < 0:
+                return
+            step += 1
+        if step == RANK:
+            if not slack and any(coords):
+                yield tuple(coords)
+            return
+        idx = _ORDER[step]
+        if step >= 2:
+            weight, c0, row = _E8_TERMS[idx - 2]
+            rest = 0
+            for i, c in row:
+                rest += c * coords[i]
+            room = math.isqrt(slack // weight)
+            # -room <= c0 val + rest <= room
+            lo, hi = -((room + rest) // c0), (room - rest) // c0
+            for val in vals[:2 * max(hi, -lo) + 1]:
+                if lo <= val <= hi:
+                    coords[idx] = val
+                    term = c0 * val + rest
+                    yield from rec(step + 1, slack - weight * term * term)
+        elif step:
+            a = coords[0]
+            for val in vals:
+                # a, b fixed: the E8 part must satisfy q(x) = 2ab >= 0
+                if a * val >= 0:
+                    coords[1] = val
+                    yield from rec(2, 2 * _E8_SCALE * a * val)
+        else:
+            for val in vals:
+                coords[0] = val
+                yield from rec(1, 0)
 
-    yield from rec(0, 0, None)
+    yield from rec(0, 0)
 
 
 def search_sequences(n, bound, cap):
@@ -168,7 +198,7 @@ def search_sequences(n, bound, cap):
                 results.append(IsotropicSequence(tuple(chosen)))
                 go_on = len(results) != cap
             else:
-                form = _echelon(pivots, [lattice.inner(v, b) for b in BASIS])
+                form = _echelon(pivots, lattice.dual(v))
                 go_on = form is None or extend(form)
             chosen.pop()
             if not go_on:

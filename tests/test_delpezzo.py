@@ -555,3 +555,22 @@ def test_recover_params_rejects_maps_outside_the_families():
     assert dp.recover_params(dp.aut_d1(LAM.unit_inverse(), MU), "D1") == {"lam": LAM.unit_inverse(), "mu": MU}
     with pytest.raises(ValueError):
         dp.recover_params(dp.identity_map(), "D4")
+
+
+# a map or pencil of the wrong type used to raise AttributeError from
+# deep inside the call
+WRONG_TYPES = {
+    "verify_preserves map": (lambda: dp.verify_preserves(None, "D1"), "map must be a ProjMap, not None"),
+    "pencil_action map": (lambda: dp.pencil_action(None, dp.pencils("D1")[0]), "map must be a ProjMap, not None"),
+    "pencil_action pencil": (lambda: dp.pencil_action(dp.aut_d1(), "P1"), "pencil must be a Pencil, not 'P1'"),
+    "compose map": (lambda: dp.compose(dp.aut_d1(), "D1"), "map must be a ProjMap, not 'D1'"),
+    "recover_params map": (lambda: dp.recover_params(None, "D1"), "map must be a ProjMap, not None"),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_TYPES)
+def test_a_value_of_the_wrong_type_raises_a_one_line_value_error(name):
+    build, message = WRONG_TYPES[name]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

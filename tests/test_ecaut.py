@@ -170,6 +170,12 @@ BAD_INPUTS = {
     "map u int": (lambda: AutMap(u=8), "AutMap u must be a tuple of ints, not 8"),
     "map u float": (lambda: AutMap(u=(1.0,)), r"AutMap u\[0\] must be an int, not 1.0"),
     "map sym_poly list": (lambda: AutMap(sym_poly=[1, 1, 1]), r"AutMap sym_poly must be a tuple of ints"),
+    # a curve, map or class of the wrong type used to raise AttributeError
+    "curve None": (lambda: ecaut.brute_force_count(None, None, 2), "curve must be a Weierstrass, not None"),
+    "map None": (lambda: ecaut.check_preserves(Weierstrass(2, a3=1), None), "map must be an AutMap, not None"),
+    "class None": (lambda: ecaut.fixed_count(None, 2), "curve class must be a CurveClass, not None"),
+    "class tuple": (lambda: ecaut.aut_group((2, SPECIAL)), r"curve class must be a CurveClass, not \(2, "),
+    "class str": (lambda: ecaut.element_orders(SPECIAL), "curve class must be a CurveClass, not '"),
 }
 
 

@@ -552,6 +552,23 @@ WRONG_TYPES = {
                                "point_perm must be a tuple, not None"),
     "FiberAction components": (lambda: fibers.FiberAction(2, I2_FIXED, dict(I2_IDENTITY.components)),
                                "components must be a tuple, not {'c0': ComponentAction(kind='identity', ..."),
+    # the contents of the containers too
+    "FiberModel multiplicity": (lambda: fibers.FiberModel((("c0", None),), ()),
+                                "components must hold (str, int) pairs, not ('c0', None)"),
+    "FiberModel component id": (lambda: fibers.FiberModel(((["c0"], 1),), ()),
+                                "components must hold (str, int) pairs, not (['c0'], 1)"),
+    "Point branches": (lambda: fibers.FiberModel((("c0", 1),), (fibers.Point("p", None),)),
+                       "branches must be a tuple, not None"),
+    "Point branch count": (lambda: fibers.FiberModel((("c0", 1),), (fibers.Point("p", (("c0", True),)),)),
+                           "branches must hold (str, int) pairs, not ('c0', True)"),
+    "Point id": (lambda: fibers.FiberModel((("c0", 1),), (fibers.Point(["p"], (("c0", 2),)),)),
+                 "a point id must be a str, not ['p']"),
+    "Point local_mult": (lambda: fibers.FiberModel((("c0", 1),), (fibers.Point("p", (("c0", 2),), 1.0),)),
+                         "local_mult must be an int, not 1.0"),
+    "FiberAction point_perm entry": (lambda: fibers.fixed_euler(I2_MODEL, fibers.FiberAction(2, (None,), ())),
+                                     "point_perm must hold (str, str) pairs, not None"),
+    "FiberAction component action": (lambda: fibers.FiberAction(2, I2_FIXED, (("c0", "identity"),)),
+                                     "components must hold (str, ComponentAction) pairs, not ('c0', 'identity')"),
 }
 
 

@@ -8,7 +8,7 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enrq import fibers, lattice, search
+from enrq import cli, fibers, lattice, search
 
 
 def det_by_fraction_elimination(matrix):
@@ -132,6 +132,13 @@ def test_inner_matches_the_gram_double_sum():
         assert lattice.inner(u, v) == want, (u, v)
 
 
+def test_dual_is_the_dense_gram_product():
+    rng = random.Random(53)
+    vectors = list(lattice.BASIS) + [tuple(rng.randint(-9, 9) for _ in range(lattice.RANK)) for _ in range(300)]
+    for v in vectors:
+        assert lattice.dual(v) == tuple(sum(g * c for g, c in zip(row, v)) for row in lattice.GRAM), v
+
+
 def test_inner_normalizations():
     assert lattice.inner(lattice.E, lattice.F) == 1
     assert lattice.inner(lattice.E, lattice.E) == 0
@@ -201,6 +208,15 @@ def test_reflection_map_agrees_with_reflect_and_the_matrix(seed, x):
     got = lattice.reflection(r)(x)
     assert got == lattice.reflect(r, x)
     assert got == tuple(sum(s * c for s, c in zip(row, x)) for row in reflection_matrix(r))
+
+
+def test_reflection_is_the_matrix_on_the_selfcheck_roots():
+    roots = cli._selfcheck_draw(lattice.GRAM)[0]
+    assert len(roots) == 39
+    for r in roots:
+        # the images of the basis vectors are the columns of S
+        columns = [lattice.reflection(r)(b) for b in lattice.BASIS]
+        assert [list(row) for row in zip(*columns)] == reflection_matrix(r), r
 
 
 def test_reflection_rejects_non_root_when_built():
@@ -340,6 +356,14 @@ def test_e8_bound_is_the_scaled_form():
         assert sum(w * t * t for w, t in zip(search._E8_WEIGHTS, terms)) == 120 * -lattice.inner(x, x)
 
 
+def test_e8_terms_split_off_a_positive_pivot():
+    # the interval bound of a free E8 coordinate divides by the pivot c0
+    for k, (weight, c0, rest) in enumerate(search._E8_TERMS):
+        assert c0 > 0 and weight > 0
+        assert ((2 + k, c0),) + rest == search._E8_ROWS[k]
+        assert all(i > 2 + k for i, _ in rest)
+
+
 def form_of(duals):
     # the echelon form of the constraints v.f = 1, one search._echelon step per row
     form = {}
@@ -400,6 +424,22 @@ def test_search_output_pinned_at_bounds_five_and_six(time_limit, bound):
     with time_limit():
         found = lattice.search_sequences(10, bound, cap=10)
     assert sequences_digest(found) == TEN_SEQUENCES_DIGEST
+
+
+# (n, bound, cap): (count, sha256 of the sequences in order) of search_sequences
+SEARCH_PINS = {
+    (2, 1, None): (4452, "4c5c0dc80a974f3025a6d20b54a59624a35345210c679c42c8f770b820f4a49d"),
+    (4, 2, 2000): (2000, "2a572e789b370358fae1fc5cbe3604fddde83ec5e619d41a6e384704380221ec"),
+    (10, 6, 300): (300, "1039a94cb7d796369c8474a0068a482f700293ab309e9081e5390e3db6a6db07"),
+    (5, 8, 500): (500, "034cf2a118c758224984a02619856ee28641db12ecb5c0d88bba051391d02257"),
+}
+
+
+@pytest.mark.parametrize("n, bound, cap", SEARCH_PINS)
+def test_search_output_pinned_on_longer_runs(time_limit, n, bound, cap):
+    with time_limit():
+        found = lattice.search_sequences(n, bound, cap=cap)
+    assert (len(found), sequences_digest(found)) == SEARCH_PINS[n, bound, cap]
 
 
 def candidates_dfs_oracle(prefix_duals, bound):
