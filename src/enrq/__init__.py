@@ -23,9 +23,11 @@ imports):
 * report   - deterministic report rendering (markdown, CSV, JSON)
 * cli      - deterministic verification reports (the `enrq` command)
 
-`check_ints` is the one integer rule of the public entry points,
-`_check_type` their one rule for a value of a given class, and `_quoted`
-the one way their ValueErrors quote a caller's value.
+Input is checked once, at the public boundary (README, "Input rule"), by
+one helper per input shape: `check_ints`, `_check_int_tuple`,
+`_check_pairs`, `_check_tag` and `_check_type`.  Code inside the
+boundary trusts its caller; `_quoted` is the one way the helpers'
+ValueErrors quote a value.
 """
 
 __version__ = "0.1.0"
@@ -33,11 +35,48 @@ __version__ = "0.1.0"
 _SUBMODULES = ("cli", "configs", "delpezzo", "ecaut", "fibers", "gf", "lattice", "report", "search", "tables")
 
 
+def _is_int(value):  # the int rule; a plain int is tested first
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_ints(**values):
     """Raise a one-line ValueError unless every value is an int (a bool is not)."""
     for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ValueError(f"{name} must be an int, not {_quoted(value)}")
+
+
+def _check_int_tuple(value, name, kinds=(tuple,), length=None):
+    """value, or a one-line ValueError unless it is one of `kinds` of ints.
+    Given a length, any bad value is quoted whole ("r must be 10 ints");
+    else a bad entry i is named "<name>[i]", only once it has failed."""
+    if isinstance(value, kinds) and (length is None or len(value) == length):
+        for i, c in enumerate(value):
+            if type(c) is not int and not _is_int(c):
+                if length is None:
+                    check_ints(**{f"{name}[{i}]": c})
+                break
+        else:
+            return value
+    shape = f"{length} ints" if length else f"a {' or '.join(k.__name__ for k in kinds)} of ints"
+    raise ValueError(f"{name} must be {shape}, not {_quoted(value)}")
+
+
+def _check_pairs(value, name, kind):
+    """value, or a one-line ValueError unless it is a tuple of (str id, `kind`) pairs."""
+    for pair in _check_type(value, tuple, name):
+        if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
+                and (_is_int(pair[1]) if kind is int else isinstance(pair[1], kind))):
+            raise ValueError(f"{name} must hold (str, {kind.__name__}) pairs, not {_quoted(pair)}")
+    return value
+
+
+# the str test comes first, so a list or dict never reaches a dict or cache lookup
+def _check_tag(value, known, what, hint=""):
+    """value, or a one-line ValueError "unknown <what> <value><hint>" unless it is a str in `known`."""
+    if isinstance(value, str) and value in known:
+        return value
+    raise ValueError(f"unknown {what} {_quoted(value)}{hint}")
 
 
 def _check_type(value, kind, name):

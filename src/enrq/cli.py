@@ -18,7 +18,7 @@ import time
 from functools import cache
 from itertools import chain, islice
 
-from . import _quoted, check_ints
+from . import _check_tag, check_ints
 from .report import Report
 
 
@@ -44,10 +44,8 @@ class RunConfig:
         self.bound = bound
         self.ext_degree = ext_degree
         self.order = order
-        if self.suite not in SUITES:
-            raise ValueError(f"unknown suite {_quoted(self.suite)}")
-        if self.fmt not in ("markdown", "csv", "json"):
-            raise ValueError(f"unknown format {_quoted(self.fmt)}")
+        _check_tag(self.suite, SUITES, "suite")
+        _check_tag(self.fmt, ("markdown", "csv", "json"), "format")
         check_ints(bound=self.bound, ext_degree=self.ext_degree, order=self.order)
         if not BOUND_MIN <= self.bound <= BOUND_CAP:
             raise ValueError(f"bound {self.bound}: use {BOUND_MIN} to {BOUND_CAP} "

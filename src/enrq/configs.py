@@ -60,12 +60,13 @@ about a result, and every list and dict a call returns is new.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations_with_replacement
 from operator import mul
 
-from . import check_ints, fibers
+from . import _check_type, check_ints, fibers
 from .lattice import exact_det
 
 
@@ -152,8 +153,8 @@ def realizable_filter(pairs):
     rejects (consistent arithmetic, no extremal rational model)."""
     allow = {tuple(sorted(p)) for p in REALIZABLE_PAIRS}
     realizable, rejected = [], []
-    for cfg in pairs:
-        if cfg.sorted_tags() in allow:
+    for cfg in _check_type(pairs, Iterable, "pairs"):
+        if _check_type(cfg, Configuration, "a pair").sorted_tags() in allow:
             realizable.append(cfg)
         else:
             rejected.append((cfg, "numerically consistent, not realizable on an extremal rational fibration"))

@@ -39,10 +39,10 @@ coefficients, with polynomial right-hand sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, wraps
+from functools import cache, cached_property
 from operator import add
 
-from . import _check_type, _quoted
+from . import _check_tag, _check_type
 
 NAMES = (
     "x0", "x1", "x2", "x3", "x4",
@@ -134,10 +134,8 @@ ONE = ParamPoly(frozenset({(0,) * NVARS}))
 
 
 def var(name):
-    if not isinstance(name, str) or name not in _IDX:
-        raise ValueError(f"unknown variable {_quoted(name)}: use one of {', '.join(NAMES)}")
     mon = [0] * NVARS
-    mon[_IDX[name]] = 1
+    mon[_IDX[_check_tag(name, _IDX, "variable", f": use one of {', '.join(NAMES)}")]] = 1
     return ParamPoly(frozenset({tuple(mon)}))
 
 
@@ -223,7 +221,7 @@ def _proportional(e1, e2) -> bool:
 def proj_equal(m1: ProjMap, m2: ProjMap) -> bool:
     """Equality of projective maps: coordinates proportional by a common
     factor."""
-    return _proportional(m1.coords, m2.coords)
+    return _proportional(_check_type(m1, ProjMap, "map").coords, _check_type(m2, ProjMap, "map").coords)
 
 
 @dataclass(frozen=True)
@@ -250,47 +248,31 @@ class Pencil:
         return tuple(_x_coefficients(f) for pair in self.forms for f in pair)
 
 
-def _by_kind(build):
-    """`functools.cache` on a surface kind D1, D2 or D3, checked before the
-    lookup: a list or dict would fail in the cache's own hashing, and a
-    tuple's membership test hashes nothing."""
-    cached = cache(build)
-
-    @wraps(build)
-    def lookup(kind):
-        if kind not in ("D1", "D2", "D3"):
-            raise ValueError(f"unknown surface {_quoted(kind)}")
-        return cached(kind)
-
-    return lookup
-
-
-@_by_kind
-def surface(kind: str) -> QuadricPair:
-    """Defining quadric pair: D1 (classical cover image), D2 (ordinary,
-    e = 1), D3 (supersingular, e = 0)."""
+@cache
+def _kinds():
+    """Each surface kind -> (its defining quadric pair, its two pencils of
+    conics): D1 (classical cover image), D2 (ordinary, e = 1), D3
+    (supersingular, e = 0).  Built on first use."""
     g1 = X0 * X0 + X1 * X2
-    if kind == "D1":
-        return QuadricPair(g1, X0 * X0 + X3 * X4)
-    if kind == "D2":
-        return QuadricPair(g1, X1 * X3 + X4 * (X0 + X2 + X4))
-    return QuadricPair(g1, X1 * X3 + X4 * (X2 + X4))
+    table = {"D1": (QuadricPair(g1, X0 * X0 + X3 * X4),
+                    (Pencil(((X2, X3), (X4, X1))), Pencil(((X2, X4), (X3, X1)))))}
+    for kind, e0 in (("D2", X0), ("D3", ZERO)):
+        core = e0 + X2 + X4
+        table[kind] = (QuadricPair(g1, X1 * X3 + X4 * core),
+                       (Pencil(((X3, core), (X4, X1))), Pencil(((core, X1), (X3, X4)))))
+    return table
 
 
-@_by_kind
+def surface(kind: str) -> QuadricPair:
+    """The defining quadric pair of surface D1, D2 or D3 (see `_kinds`)."""
+    table = _kinds()
+    return table[_check_tag(kind, table, "surface")][0]
+
+
 def pencils(kind: str):
-    """The two pencils of conics on the surface."""
-    if kind == "D1":
-        return (
-            Pencil(((X2, X3), (X4, X1))),
-            Pencil(((X2, X4), (X3, X1))),
-        )
-    e0 = X0 if kind == "D2" else ZERO
-    core = e0 + X2 + X4
-    return (
-        Pencil(((X3, core), (X4, X1))),
-        Pencil(((core, X1), (X3, X4))),
-    )
+    """The two pencils of conics on surface D1, D2 or D3."""
+    table = _kinds()
+    return table[_check_tag(kind, table, "surface")][1]
 
 
 def aut_d1(lam=LAM, mu=MU):
@@ -339,9 +321,10 @@ def aut_d3_torus(lam=LAM):
 def pullback(poly, m: ProjMap):
     """Substitute the map's coordinates for x0..x4.  Each monomial's
     parameter part is kept as it is."""
+    _check_type(m, ProjMap, "map")
     powers = {}
     out = ZERO
-    for mon in poly.monomials:
+    for mon in _check_type(poly, ParamPoly, "poly").monomials:
         term = ParamPoly(frozenset({(0,) * 5 + mon[5:]}))
         for i in X_VARS:
             e = mon[i]
@@ -499,9 +482,7 @@ _FAMILIES = {
 def recover_params(m: ProjMap, kind: str):
     """Match a map against the printed family of the given kind and
     return its parameters, or None if it is not in the family."""
-    if not isinstance(kind, str) or kind not in _FAMILIES:
-        raise ValueError(f"unknown family {_quoted(kind)}")
-    family, (row, col), where = _FAMILIES[kind]
+    family, (row, col), where = _FAMILIES[_check_tag(kind, _FAMILIES, "family")]
     scale = _check_type(m, ProjMap, "map").coords[row].coefficient_of(col)
     if not scale.is_unit():
         return None

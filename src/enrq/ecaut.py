@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 
-from . import _check_type, _quoted
+from . import _check_int_tuple, _check_type, _quoted
 from .gf import FIELD_CAP, GF, check_field, check_ints
 
 # ---------------------------------------------------------------------------
@@ -233,10 +233,7 @@ class AutMap:
 
     def __post_init__(self):
         for name in ("u", "r", "s", "t", "sym_poly"):
-            coeffs = getattr(self, name)
-            if not isinstance(coeffs, tuple):
-                raise ValueError(f"AutMap {name} must be a tuple of ints, not {_quoted(coeffs)}")
-            check_ints(**{f"AutMap {name}[{i}]": c for i, c in enumerate(coeffs)})
+            _check_int_tuple(getattr(self, name), f"AutMap {name}")
         if not any(self.u):
             raise ValueError("AutMap needs u != 0: with u = 0 the substitution is not invertible")
         if not self.sym_poly and any(any(c[1:]) for c in (self.u, self.r, self.s, self.t)):
@@ -249,7 +246,7 @@ def _constants(aut: AutMap, fld: GF):
     w = fld.find_root(aut.sym_poly) if aut.sym_poly else fld.zero
     if w is None:
         raise ValueError(f"AutMap sym_poly {_quoted(aut.sym_poly)} has no root in GF({fld.p}^{fld.k})")
-    return w, *[fld._evaluate([fld.from_int(c) for c in coeffs], w) for coeffs in (aut.u, aut.r, aut.s, aut.t)]
+    return w, *[fld._evaluate([c % fld.p for c in coeffs], w) for coeffs in (aut.u, aut.r, aut.s, aut.t)]
 
 
 def _substitution_preserves(curve: Weierstrass, fld: GF, u, r, s, t) -> bool:
@@ -260,9 +257,9 @@ def _substitution_preserves(curve: Weierstrass, fld: GF, u, r, s, t) -> bool:
     where the coefficients a_i' of W' satisfy Silverman's Table 3.1; the
     curve is preserved iff u != 0 and a_i' = a_i for i = 1, 2, 3, 4, 6.
     """
-    mul, neg = fld.mul, fld.neg
-    a1, a2, a3, a4, a6 = (fld.from_int(a) for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
-    two, three = fld.from_int(2), fld.from_int(3)
+    mul, neg, p = fld.mul, fld.neg, fld.p
+    a1, a2, a3, a4, a6 = (a % p for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    two, three = 2 % p, 3 % p
     u2 = mul(u, u)
     u3 = mul(u2, u)
     r2 = mul(r, r)
@@ -312,10 +309,10 @@ def _fixed_over(curve: Weierstrass, fld: GF, u3):
     absolute trace of rhs / c^2 is 0 and none if it is 1.
     """
     p, mul, add = curve.p, fld.mul, fld.add
-    a1, a2, a3, a4, a6 = (fld.from_int(a) for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    a1, a2, a3, a4, a6 = (a % p for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
     one_minus_u3 = fld.sub(fld.one, u3)
     inv = fld.inv(one_minus_u3) if one_minus_u3 else None
-    four = fld.from_int(4)
+    four = 4 % p
 
     def count(x, shift):
         rhs = add(mul(add(mul(add(x, a2), x), a4), x), a6)

@@ -65,7 +65,7 @@ from itertools import permutations, product
 from math import gcd
 from types import MappingProxyType
 
-from . import _check_type, _quoted, check_ints, lattice
+from . import _check_pairs, _check_type, _quoted, check_ints, lattice
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -143,16 +143,6 @@ class FiberModel:
         return groups, incidence, room
 
 
-def _check_pairs(value, name, kind):
-    """value, or a one-line ValueError unless it is a tuple of (str id,
-    `kind`) pairs; a bool is not an int."""
-    for pair in _check_type(value, tuple, name):
-        if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
-                and isinstance(pair[1], kind) and not isinstance(pair[1], bool)):
-            raise ValueError(f"{name} must hold (str, {kind.__name__}) pairs, not {_quoted(pair)}")
-    return value
-
-
 def euler(model: FiberModel) -> int:
     """Euler characteristic from the incidence model (see module docstring)."""
     return 2 * len(model.components) - sum(p.total_branches() - 1 for p in model.points)
@@ -218,9 +208,7 @@ class CatalogEntry:
 def catalog(tag: str) -> CatalogEntry:
     """Canonical incidence model and invariants for a singular fiber type:
     one of `_FIXED`, an I_n cycle or an I_n* chain with two tails per end."""
-    if not isinstance(tag, str):
-        raise ValueError(f"fiber tag must be a str, not {_quoted(tag)}")
-    return _entry(tag)
+    return _entry(_check_type(tag, str, "fiber tag"))
 
 
 @cache  # entries are frozen, so one instance per tag can be shared
@@ -306,9 +294,11 @@ class ComponentAction:
     free_slots: int = 0
 
     def __post_init__(self):
+        _check_type(self.kind, str, "kind")
+        check_ints(free_slots=self.free_slots)
+        pairs = _check_pairs(self.fixed_branches, "fixed_branches", int)
         # one form per action, so equal actions compare equal
-        canonical = tuple(sorted((pid, k) for pid, k in self.fixed_branches if k))
-        object.__setattr__(self, "fixed_branches", canonical)
+        object.__setattr__(self, "fixed_branches", tuple(sorted((pid, k) for pid, k in pairs if k)))
 
 
 @dataclass(frozen=True)
@@ -458,7 +448,7 @@ def _component_tally(fixed_branches, all_fixed, lengths):
     component whose fixed points carry `fixed_branches` (sorted branch
     counts), with every point fixed or not, under the allowed cycle
     lengths: a tame option weighs its free slots, the identity 2 - deg."""
-    options = _component_options(tuple(enumerate(fixed_branches)), all_fixed, lengths)
+    options = _component_options(tuple((str(i), b) for i, b in enumerate(fixed_branches)), all_fixed, lengths)
     deg = sum(fixed_branches)
     return len(options), frozenset(2 - deg if ca.kind == "identity" else ca.free_slots for ca in options)
 

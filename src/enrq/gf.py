@@ -32,7 +32,7 @@ import operator
 from functools import cache
 from itertools import product
 
-from . import _quoted, check_ints
+from . import _check_int_tuple, check_ints
 
 FIELD_CAP = 1 << 20  # the largest p^k that GF accepts
 
@@ -198,10 +198,7 @@ class GF:
 
     def from_int(self, n):
         """n mod p, for an int n (a bool is not)."""
-        # check_ints' rule inline, a plain int tested first: this runs per
-        # constant of every curve check, where a call would cost more
-        if type(n) is not int and (not isinstance(n, int) or isinstance(n, bool)):
-            raise ValueError(f"n must be an int, not {_quoted(n)}")
+        check_ints(n=n)
         return n % self.p
 
     def add(self, a, b):
@@ -275,10 +272,7 @@ class GF:
         first root, 0, is in every subfield); for m = k it is the whole
         field, with step 1.
         """
-        if not isinstance(poly, (list, tuple)):
-            raise ValueError(f"poly must be a list or tuple of ints, not {_quoted(poly)}")
-        check_ints(**{f"poly[{i}]": c for i, c in enumerate(poly)})
-        coeffs = [c % self.p for c in poly]  # checked above
+        coeffs = [c % self.p for c in _check_int_tuple(poly, "poly", (list, tuple))]
         d = max((i for i, c in enumerate(coeffs) if c), default=0)
         m = math.lcm(*(e for e in range(1, d + 1) if self.k % e == 0))
         step = (self.q - 1) // (self.p**m - 1)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import _quoted
+from . import _check_int_tuple, _quoted
 
 RANK = 10
 
@@ -83,10 +83,7 @@ def reflection(r):
     nonzero entries of the dual row `dual(r)` (2 to 5 for a root near a
     simple one), not from the full product of `inner`.
     """
-    if not (isinstance(r, (tuple, list)) and len(r) == RANK
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in r)):
-        raise ValueError(f"a root must be {RANK} ints, not {_quoted(r)}")
-    if inner(r, r) != -2:
+    if inner(_check_int_tuple(r, "a root", (tuple, list), RANK), r) != -2:
         raise ValueError("reflection vector must have self-intersection -2")
     row = [(i, d) for i, d in enumerate(dual(r)) if d]
     support = [(i, c) for i, c in enumerate(r) if c]
@@ -108,8 +105,9 @@ def reflection(r):
 
 
 def reflect(r, x):
-    """Reflection of x in the hyperplane orthogonal to the root r (r.r = -2)."""
-    return reflection(r)(x)
+    """Reflection of x in the hyperplane orthogonal to the root r (r.r = -2);
+    x, like r, must be 10 ints."""
+    return reflection(r)(_check_int_tuple(x, "x", (tuple, list), RANK))
 
 
 def validate_sequence(seq) -> bool:
@@ -160,8 +158,7 @@ def _reduce(gram):
     n = len(m)
     if any(len(row) != n for row in m) or any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
         raise ValueError("Gram matrix must be square and symmetric")
-    if not all(isinstance(x, int) and not isinstance(x, bool) for row in m for x in row):
-        raise ValueError("Gram matrix entries must be integers")
+    _check_int_tuple([x for row in m for x in row], "Gram matrix entries", (list,))
 
     def swap(a, b):
         m[a], m[b] = m[b], m[a]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-from . import _quoted, configs, ecaut
+from . import _check_tag, configs, ecaut
 
 # structure: (order, element orders)
 GROUPS = {
@@ -38,8 +38,7 @@ class GroupTag:
     structure: str
 
     def __post_init__(self):
-        if not isinstance(self.structure, str) or self.structure not in GROUPS:
-            raise ValueError(f"unknown group tag {_quoted(self.structure)}")
+        _check_tag(self.structure, GROUPS, "group tag")
 
     @property
     def order(self):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import enrq
-from enrq import cli, configs, delpezzo, ecaut, gf, lattice, report, tables
+from enrq import cli, configs, delpezzo, ecaut, fibers, gf, lattice, report, tables
 from enrq.cli import RunConfig, run
 
 
@@ -201,6 +201,82 @@ def test_a_quoted_value_keeps_the_message_short(site):
         assert quoted in message and len(message) <= 160 and "\n" not in message, message
 
 
+def boundary_calls():
+    """Every callable at the input boundary with a valid argument tuple:
+    the QUOTING_SITES with one argument, then the entry points the demos
+    call, with all their positions."""
+    i2 = fibers.catalog("I2").model
+    action = fibers.admissible_actions(i2, 2)[0]
+    d1 = delpezzo.aut_d1()
+    curve, aut = ecaut.Weierstrass(2, a3=1), ecaut.AutMap(u=(0, 1), sym_poly=(1, 1, 1))
+    cls = ecaut.CurveClass(2, ecaut.SPECIAL)
+    calls = [(name, site, ("X",)) for name, site in QUOTING_SITES.items()]
+    calls += [
+        ("RunConfig", RunConfig, ("lefschetz", "csv", None, 6, 0, 2)),
+        ("GF", gf.GF, (2, 2)),
+        ("ComponentAction", fibers.ComponentAction, ("tame", (("p0", 1),), 1)),
+        ("FiberAction", fibers.FiberAction, (action.order, action.point_perm, action.components)),
+        ("FiberModel", fibers.FiberModel, (i2.components, i2.points)),
+        ("catalog", fibers.catalog, ("I2",)),
+        ("standard_tags", fibers.standard_tags, (2,)),
+        ("admissible_actions", fibers.admissible_actions, (i2, 2)),
+        ("two_connected_min", fibers.two_connected_min, (i2,)),
+        ("fixed_euler", fibers.fixed_euler, (i2, action)),
+        ("lefschetz_check", fibers.lefschetz_check, ("I2", 2)),
+        ("pullback", delpezzo.pullback, (delpezzo.X1, d1)),
+        ("proj_equal", delpezzo.proj_equal, (d1, d1)),
+        ("compose", delpezzo.compose, (d1, d1)),
+        ("pencil_action", delpezzo.pencil_action, (d1, delpezzo.pencils("D1")[0])),
+        ("verify_preserves", delpezzo.verify_preserves, (d1, "D1")),
+        ("recover_params", delpezzo.recover_params, (d1, "D1")),
+        ("reflect", lattice.reflect, (lattice.BASIS[2], lattice.F)),
+        ("signature", lattice.signature, (lattice.GRAM,)),
+        ("search_sequences", lattice.search_sequences, (2, 1, 3)),
+        ("FiberEntry", configs.FiberEntry, ("II", None, 0)),
+        ("realizable_filter", configs.realizable_filter, (configs.enumerate_pairs(),)),
+        ("odd_order_smooth_case", configs.odd_order_smooth_case, (3,)),
+        ("shared_eight_search", configs.shared_eight_search, ("I4*", "II*")),
+        ("aut_group", ecaut.aut_group, (cls,)),
+        ("element_orders", ecaut.element_orders, (cls,)),
+        ("fixed_count", ecaut.fixed_count, (cls, 3)),
+        ("Weierstrass", ecaut.Weierstrass, (2, 0, 0, 1, 0, 0)),
+        ("AutMap", ecaut.AutMap, ((0, 1), (), (), (), (1, 1, 1))),
+        ("check_preserves", ecaut.check_preserves, (curve, aut)),
+        ("brute_force_count", ecaut.brute_force_count, (curve, aut, 2)),
+    ]
+    return calls
+
+
+BAD_VALUES = (None, True, 1.5, "x", [], {}, "x" * 5000, (None,))
+
+
+def test_the_input_boundary_raises_only_one_line_value_errors(time_limit):
+    # each position of each boundary call gets each bad value in turn, then
+    # seeded draws put bad values in two positions at once; a call may
+    # return (None is a valid cap, [] a valid poly or matrix), but it may
+    # raise only a short one-line ValueError, never a TypeError or
+    # AttributeError from deep inside
+    calls = boundary_calls()
+    rng = random.Random(17)
+    trials = [(name, site, args, (i,), (bad,)) for name, site, args in calls
+              for i in range(len(args)) for bad in BAD_VALUES]
+    for _ in range(100):
+        name, site, args = rng.choice([c for c in calls if len(c[2]) > 1])
+        positions = rng.sample(range(len(args)), 2)
+        trials.append((name, site, args, positions, [rng.choice(BAD_VALUES) for _ in positions]))
+    with time_limit():
+        for name, site, args, positions, values in trials:
+            args = list(args)
+            for i, bad in zip(positions, values):
+                args[i] = bad
+            try:
+                site(*args)
+            except Exception as exc:  # the type is what is asserted
+                message = str(exc)
+                assert type(exc) is ValueError, (name, positions, values, repr(exc))
+                assert len(message) <= 160 and "\n" not in message, (name, message)
+
+
 @pytest.mark.parametrize("flag, value", [("--bound", "4.5"), ("--ext-degree", "2.0"), ("--order", "2.5")])
 def test_cli_non_int_setting_exits_two(flag, value, capsys):
     with pytest.raises(SystemExit) as stop:
@@ -377,6 +453,15 @@ def test_lazy_import_contract():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "lazy imports ok\n"
+
+
+def test_module_token_cap():
+    # CI's "Module size" step, here too: a module past the cap pays the
+    # compile-memory step on every run without a bytecode cache
+    script = Path(__file__).with_name("check_module_tokens.py")
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout
+    assert "module tokens ok" in proc.stdout
 
 
 def test_import_profile_lists_every_loaded_module():

@@ -44,6 +44,17 @@ def test_realizable_filter_split():
         assert "numerically consistent" in why
 
 
+@pytest.mark.parametrize("pairs, message", [
+    (None, "pairs must be an Iterable, not None"),
+    ([("II*", "II")], "a pair must be a Configuration, not ('II*', 'II')"),
+], ids=["None", "a tag pair"])
+def test_realizable_filter_rejects_what_is_not_configurations(pairs, message):
+    # None used to raise TypeError, a tag pair AttributeError
+    with pytest.raises(ValueError) as exc:
+        configs.realizable_filter(pairs)
+    assert str(exc.value) == message
+
+
 def test_odd_order_smooth_case_three():
     got = {c.tags() for c in configs.odd_order_smooth_case(3)}
     assert got == {("I9", "I1", "I1", "I1"), ("I3*",), ("III*",)}

@@ -565,6 +565,10 @@ WRONG_TYPES = {
     "pencil_action pencil": (lambda: dp.pencil_action(dp.aut_d1(), "P1"), "pencil must be a Pencil, not 'P1'"),
     "compose map": (lambda: dp.compose(dp.aut_d1(), "D1"), "map must be a ProjMap, not 'D1'"),
     "recover_params map": (lambda: dp.recover_params(None, "D1"), "map must be a ProjMap, not None"),
+    "pullback map": (lambda: dp.pullback(dp.X0, None), "map must be a ProjMap, not None"),
+    "pullback poly": (lambda: dp.pullback(None, dp.aut_d1()), "poly must be a ParamPoly, not None"),
+    "proj_equal map": (lambda: dp.proj_equal(None, None), "map must be a ProjMap, not None"),
+    "proj_equal second map": (lambda: dp.proj_equal(dp.aut_d1(), "D1"), "map must be a ProjMap, not 'D1'"),
 }
 
 

@@ -569,6 +569,12 @@ WRONG_TYPES = {
                                      "point_perm must hold (str, str) pairs, not None"),
     "FiberAction component action": (lambda: fibers.FiberAction(2, I2_FIXED, (("c0", "identity"),)),
                                      "components must hold (str, ComponentAction) pairs, not ('c0', 'identity')"),
+    # ComponentAction used to raise TypeError on these, or to keep free_slots=None
+    "ComponentAction kind": (lambda: fibers.ComponentAction(None), "kind must be a str, not None"),
+    "ComponentAction fixed_branches": (lambda: fibers.ComponentAction("tame", None),
+                                       "fixed_branches must be a tuple, not None"),
+    "ComponentAction free_slots": (lambda: fibers.ComponentAction("tame", (("p0", 1),), None),
+                                   "free_slots must be an int, not None"),
 }
 
 

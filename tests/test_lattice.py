@@ -250,6 +250,14 @@ def test_reflection_rejects_a_root_that_is_not_ten_ints(root):
     assert "\n" not in str(exc.value)
 
 
+@pytest.mark.parametrize("x", [None, "0100000000", (0, 1.0, 0, 0, 0, 0, 0, 0, 0, 0), lattice.F[:9]])
+def test_reflect_rejects_an_x_that_is_not_ten_ints(x):
+    # None used to raise TypeError from len()
+    with pytest.raises(ValueError) as exc:
+        lattice.reflect(lattice.BASIS[2], x)
+    assert str(exc.value).startswith("x must be 10 ints, not ")
+
+
 def test_reflection_accepts_a_root_given_as_a_list():
     root = lattice.BASIS[2]
     assert lattice.reflection(list(root))(lattice.F) == lattice.reflection(root)(lattice.F)
