@@ -1,5 +1,6 @@
 """Batch driver: every verification suite as a subcommand, deterministic
-reports in markdown, CSV or JSON.
+reports in markdown, CSV or JSON, from one `RunConfig` (the only
+defaults, checked once and fixed; `main` passes it the flags given).
 
 Exit status is 0 when every assertion in the selected suite passes, 1 on
 an assertion failure (a partial report is still written), 2 on usage
@@ -15,6 +16,7 @@ import json
 import random
 import sys
 import time
+from collections import namedtuple
 from functools import cache
 from itertools import chain, islice
 
@@ -30,22 +32,21 @@ class OutputError(OSError):
 # is explored again); its cost grows with the bound, and 6 already finds the
 # sequence that 1000 finds
 BOUND_MIN, BOUND_CAP = 4, 1000
+FORMATS = ("markdown", "csv", "json")
 
 
-class RunConfig:
-    """One run's settings, checked when built (ValueError on a bad one):
-    bound, ext_degree and order are ints.  ext_degree 0 means the per-row
-    sufficient degrees, order 0 the tame orders 2, 3, 5, 7."""
+class RunConfig(namedtuple("RunConfig", "suite fmt out bound ext_degree order",
+                           defaults=("all", "markdown", None, 6, 0, 0))):
+    """One run's settings, checked when built (ValueError on a bad one) and
+    fixed from then on: bound, ext_degree and order are ints.  ext_degree 0
+    means `ecaut.EXT_DEGREE`, order 0 the tame orders 2, 3, 5, 7."""
 
-    def __init__(self, suite="all", fmt="markdown", out=None, bound=6, ext_degree=0, order=0):
-        self.suite = suite
-        self.fmt = fmt
-        self.out = out
-        self.bound = bound
-        self.ext_degree = ext_degree
-        self.order = order
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_tag(self.suite, SUITES, "suite")
-        _check_tag(self.fmt, ("markdown", "csv", "json"), "format")
+        _check_tag(self.fmt, FORMATS, "format")
         check_ints(bound=self.bound, ext_degree=self.ext_degree, order=self.order)
         if not BOUND_MIN <= self.bound <= BOUND_CAP:
             raise ValueError(f"bound {self.bound}: use {BOUND_MIN} to {BOUND_CAP} "
@@ -56,22 +57,24 @@ class RunConfig:
             from . import ecaut
 
             if self.ext_degree not in ecaut.TABLE_EXT_DEGREES:
-                raise ValueError(f"ext degree {self.ext_degree}: use 0 (per-row degrees) "
+                raise ValueError(f"ext degree {self.ext_degree}: use 0 (degree {ecaut.EXT_DEGREE}) "
                                  f"or one of {ecaut.TABLE_EXT_DEGREES}")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks too
 
 
 def _selfcheck_samples(lattice):
-    """The 1000 samples (r, x, y) of the randomized reflection rows, from
-    the fixed seed: r is a uniform simple root of E8(-1) moved by 0 to 3
-    uniform simple reflections, x and y have coordinates uniform in
-    [-5, 5].  The draw is made once per process (`_selfcheck_draw`); each
-    call yields the same samples afresh, equal roots as one object."""
+    """The 1000 samples (i, x, y) of the randomized reflection rows, from
+    the fixed seed: root i of `_selfcheck_draw(lattice.GRAM)[0]` is a uniform
+    simple root of E8(-1) moved by 0 to 3 uniform simple reflections, x and
+    y have coordinates uniform in [-5, 5].  The draw is made once per
+    process; each call yields the same samples afresh."""
     from struct import iter_unpack
 
-    roots, picks, coords = _selfcheck_draw(lattice.GRAM)
+    _, picks, coords = _selfcheck_draw(lattice.GRAM)
     vectors = chain.from_iterable(iter_unpack("10b", chunk) for chunk in coords)
-    for i, x, y in zip(picks, vectors, vectors):
-        yield roots[i], x, y
+    return zip(picks, vectors, vectors)
 
 
 @cache
@@ -118,11 +121,9 @@ def suite_lattice_selfcheck(s, cfg):
     inner = lattice.inner
     ok_inv = ok_iso = True
     # one reflection per distinct sampled root: r.r = -2 is checked once per root
-    reflections = {}
-    for r, x, y in _selfcheck_samples(lattice):
-        refl = reflections.get(r)
-        if refl is None:
-            refl = reflections[r] = lattice.reflection(r)
+    reflections = [lattice.reflection(r) for r in _selfcheck_draw(lattice.GRAM)[0]]
+    for i, x, y in _selfcheck_samples(lattice):
+        refl = reflections[i]
         rx = refl(x)
         if refl(rx) != x:
             ok_inv = False
@@ -225,7 +226,7 @@ def suite_configs_shared8(s, cfg):
 def suite_ecaut_tables(s, cfg):
     from . import ecaut
 
-    rows = ecaut.classification_report(cfg.ext_degree or None)
+    rows = ecaut.classification_report(cfg.ext_degree)
     for r in rows:
         s.add(
             f"char {r['char']}, j {r['j']}, {r['group']}, order {r['order']}",
@@ -247,7 +248,7 @@ def suite_delpezzo_verify(s, cfg):
         ok, cert = delpezzo.verify_preserves(m, kind)
         detail = ""
         if cert:
-            detail = "certificate rows " + "; ".join(f"({c1}, {c2})" for c1, c2 in (tuple(map(str, row)) for row in cert))
+            detail = "certificate rows " + "; ".join(f"({c1}, {c2})" for c1, c2 in cert)
         s.add(f"{kind} {label} preserves the quadric pair", ok, detail)
     ok, _ = delpezzo.verify_preserves(delpezzo.aut_d2(), "D3")
     s.add("negative control: D2 family on D3 fails", not ok)
@@ -257,8 +258,8 @@ def suite_delpezzo_verify(s, cfg):
             if act == delpezzo.NOT_PRESERVED:
                 s.add(f"{kind} {label} on pencil {i}", False, "not preserved")
             else:
-                mat = [[str(e) for e in row] for row in act]
-                s.add(f"{kind} {label} on pencil {i}", True, f"(a : b) -> ({mat[0][0]}a + {mat[0][1]}b : {mat[1][0]}a + {mat[1][1]}b)")
+                (a1, b1), (a2, b2) = act
+                s.add(f"{kind} {label} on pencil {i}", True, f"(a : b) -> ({a1}a + {b1}b : {a2}a + {b2}b)")
     tor = delpezzo.pencil_action(delpezzo.aut_d3_torus(), delpezzo.pencils("D3")[0])
     nontrivial = not delpezzo.action_equal(tor, delpezzo.IDENTITY_ACTION)
     s.add("D3 torus acts nontrivially on the pencil base for lam != 1", nontrivial,
@@ -327,18 +328,20 @@ def run(cfg: RunConfig):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="enrq", description="verification suites for the Enriques char-2 toolkit")
-    parser.add_argument("--suite", choices=SUITES, default="all")
-    parser.add_argument("--format", dest="fmt", choices=("markdown", "csv", "json"), default="markdown")
-    parser.add_argument("--out", default=None, help="write the report body to this path")
-    parser.add_argument("--bound", type=int, default=6, help="coordinate bound for the lattice search")
-    parser.add_argument("--ext-degree", type=int, default=0,
-                        help="override extension degree for point counting: 0 (per-row) or a degree "
-                             "that serves every table row; a bad value is rejected with the list")
-    parser.add_argument("--order", type=int, default=0, help="restrict the lefschetz suite to one order >= 2 (0: 2,3,5,7)")
+    # a flag left out is left out of args, so RunConfig's default applies
+    parser = argparse.ArgumentParser(prog="enrq", description="verification suites for the Enriques char-2 toolkit",
+                                     argument_default=argparse.SUPPRESS)
+    parser.add_argument("--suite", choices=SUITES)
+    parser.add_argument("--format", dest="fmt", choices=FORMATS)
+    parser.add_argument("--out", help="write the report body to this path")
+    parser.add_argument("--bound", type=int, help="coordinate bound for the lattice search")
+    parser.add_argument("--ext-degree", type=int,
+                        help="override extension degree for point counting: 0 (the table rows' degree) or a "
+                             "degree that serves every table row; a bad value is rejected with the list")
+    parser.add_argument("--order", type=int, help="restrict the lefschetz suite to one order >= 2 (0: 2,3,5,7)")
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(args.suite, args.fmt, args.out, args.bound, args.ext_degree, args.order)
+        cfg = RunConfig(**vars(args))
     except ValueError as exc:
         parser.error(str(exc))
     try:

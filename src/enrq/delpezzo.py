@@ -116,8 +116,8 @@ class ParamPoly:
     def coefficient_of(self, var_index):
         """Coefficient of the degree-1 part in one variable (the monomials
         with exponent exactly 1 there, with that variable removed)."""
-        return ParamPoly(frozenset(
-            m[:var_index] + (0,) + m[var_index + 1:] for m in self.monomials if m[var_index] == 1))
+        monomials = frozenset(m[:var_index] + (0,) + m[var_index + 1:] for m in self.monomials if m[var_index] == 1)
+        return ParamPoly(monomials) if monomials else ZERO
 
     def __str__(self):
         if not self.monomials:
@@ -158,7 +158,7 @@ class QuadricPair:
 
     def __post_init__(self):
         for g in (self.g1, self.g2):
-            if g.x_degrees() != {2} or not g.is_param_free():
+            if _check_type(g, ParamPoly, "quadric").x_degrees() != {2} or not g.is_param_free():
                 raise ValueError("defining quadrics must be parameter-free of degree 2")
         if self.g1 == self.g2:
             raise ValueError("quadrics must be linearly independent")
@@ -169,14 +169,14 @@ class ProjMap:
     coords: tuple  # five ParamPoly, linear in x
 
     def __post_init__(self):
-        if len(self.coords) != 5:
+        if len(_check_type(self.coords, tuple, "map coordinates")) != 5:
             raise ValueError("five coordinates required")
         for c in self.coords:
-            if c.x_degrees() - {1}:
+            if _check_type(c, ParamPoly, "map coordinate").x_degrees() - {1}:
                 raise ValueError("coordinates must be homogeneous linear in x")
 
-    def matrix(self):
-        return [_x_linear_parts(c) for c in self.coords]
+    def matrix(self):  # entry (i, j): the coefficient of x_j in coordinate i
+        return [[c.coefficient_of(j) for j in X_VARS] for c in self.coords]
 
     def det(self):
         """Cofactor expansion along the rows (char 2: no signs).  The minor
@@ -232,9 +232,9 @@ class Pencil:
     forms: tuple  # ((A1, B1), (A2, B2))
 
     def __post_init__(self):
-        for pair in self.forms:
-            for f in pair:
-                if f.x_degrees() - {1} or not f.is_param_free():
+        for pair in _check_type(self.forms, tuple, "pencil forms"):
+            for f in _check_type(pair, tuple, "pencil form pair"):
+                if _check_type(f, ParamPoly, "pencil form").x_degrees() - {1} or not f.is_param_free():
                     raise ValueError("pencil basis forms must be linear and parameter-free")
 
     def member(self, i):
@@ -343,16 +343,6 @@ def _x_coefficients(poly):
     for mon in poly.monomials:
         out.setdefault(mon[:5], set()).add((0,) * 5 + mon[5:])
     return {k: ParamPoly(frozenset(v)) for k, v in out.items()}
-
-
-_X_UNITS = tuple(tuple(int(i == j) for i in X_VARS) for j in X_VARS)  # the x-parts of x0..x4
-
-
-def _x_linear_parts(poly):
-    """The coefficients of x0..x4 in a polynomial linear in x, read from
-    its `_x_coefficients` split."""
-    split = _x_coefficients(poly)
-    return [split.get(unit, ZERO) for unit in _X_UNITS]
 
 
 def verify_preserves(m: ProjMap, kind: str):

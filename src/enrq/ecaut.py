@@ -23,7 +23,8 @@ Fixed points are counted two independent ways:
   extension field: one x, none, or every x when u^2 = 1 and r = 0.  Over
   each fixed x the fixed y solve another, and those on the curve are
   counted without solving the curve for y.  With the extension chosen
-  large enough that ker(1 - g) is rational, this is the geometric count.
+  large enough that ker(1 - g) is rational (`EXT_DEGREE` for every
+  classification row), this is the geometric count.
 
 When the characteristic divides the order of g the map 1 - g can be
 inseparable and the fixed-point count is the separable degree; those
@@ -199,7 +200,7 @@ def fixed_count(c: CurveClass, order: int) -> int:
 
 @dataclass(frozen=True)
 class Weierstrass:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_p."""
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_p, each a_i stored mod p."""
 
     p: int
     a1: int = 0
@@ -211,6 +212,8 @@ class Weierstrass:
     def __post_init__(self):
         check_ints(a1=self.a1, a2=self.a2, a3=self.a3, a4=self.a4, a6=self.a6)
         check_field(self.p, 1)
+        for name in ("a1", "a2", "a3", "a4", "a6"):  # once, so readers take them as they are
+            object.__setattr__(self, name, getattr(self, name) % self.p)
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,7 @@ def _substitution_preserves(curve: Weierstrass, fld: GF, u, r, s, t) -> bool:
     curve is preserved iff u != 0 and a_i' = a_i for i = 1, 2, 3, 4, 6.
     """
     mul, neg, p = fld.mul, fld.neg, fld.p
-    a1, a2, a3, a4, a6 = (a % p for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
     two, three = 2 % p, 3 % p
     u2 = mul(u, u)
     u3 = mul(u2, u)
@@ -309,7 +312,7 @@ def _fixed_over(curve: Weierstrass, fld: GF, u3):
     absolute trace of rhs / c^2 is 0 and none if it is 1.
     """
     p, mul, add = curve.p, fld.mul, fld.add
-    a1, a2, a3, a4, a6 = (a % p for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
     one_minus_u3 = fld.sub(fld.one, u3)
     inv = fld.inv(one_minus_u3) if one_minus_u3 else None
     four = 4 % p
@@ -378,7 +381,6 @@ class TableRow:
     expected: int  # |E^g| from the classification
     curve: Weierstrass
     aut: AutMap
-    ext_degree: int  # sufficient extension: all of ker(1 - g) is rational
 
 
 def _rows():
@@ -388,54 +390,51 @@ def _rows():
     # with u = 8, (3x, y) with u = 1/3 = 9 and (3x, -y) with u = 4.
     c = Weierstrass(13, a4=1, a6=1)
     neg = AutMap(u=(12,))
-    rows.append(TableRow(CurveClass(0, GENERIC), 2, 4, c, neg, 2))
+    rows.append(TableRow(CurveClass(0, GENERIC), 2, 4, c, neg))
     c = Weierstrass(13, a4=1)
-    rows.append(TableRow(CurveClass(0, J1728), 2, 4, c, neg, 2))
-    rows.append(TableRow(CurveClass(0, J1728), 4, 2, c, AutMap(u=(8,)), 2))
+    rows.append(TableRow(CurveClass(0, J1728), 2, 4, c, neg))
+    rows.append(TableRow(CurveClass(0, J1728), 4, 2, c, AutMap(u=(8,))))
     c = Weierstrass(13, a6=1)
-    rows.append(TableRow(CurveClass(0, J0), 2, 4, c, neg, 2))
-    rows.append(TableRow(CurveClass(0, J0), 3, 3, c, AutMap(u=(9,)), 2))
-    rows.append(TableRow(CurveClass(0, J0), 6, 1, c, AutMap(u=(4,)), 2))
+    rows.append(TableRow(CurveClass(0, J0), 2, 4, c, neg))
+    rows.append(TableRow(CurveClass(0, J0), 3, 3, c, AutMap(u=(9,))))
+    rows.append(TableRow(CurveClass(0, J0), 6, 1, c, AutMap(u=(4,))))
     # characteristic 3: ordinary rep y^2 = x^3 + x^2 + 1 (j = 2 != 0),
     # supersingular rep y^2 = x^3 - x; maps (x, -y), (x + 1, y) and
     # (-x, -w y) with w^2 = -1, u = w
     c = Weierstrass(3, a2=1, a6=1)
     neg3 = AutMap(u=(2,))
-    rows.append(TableRow(CurveClass(3, GENERIC), 2, 4, c, neg3, 2))
+    rows.append(TableRow(CurveClass(3, GENERIC), 2, 4, c, neg3))
     c = Weierstrass(3, a4=2)
-    rows.append(TableRow(CurveClass(3, SPECIAL), 2, 4, c, neg3, 2))
-    rows.append(TableRow(CurveClass(3, SPECIAL), 3, 1, c, AutMap(r=(1,)), 2))
-    rows.append(TableRow(CurveClass(3, SPECIAL), 4, 2, c, AutMap(u=(0, 1), sym_poly=(1, 0, 1)), 2))
+    rows.append(TableRow(CurveClass(3, SPECIAL), 2, 4, c, neg3))
+    rows.append(TableRow(CurveClass(3, SPECIAL), 3, 1, c, AutMap(r=(1,))))
+    rows.append(TableRow(CurveClass(3, SPECIAL), 4, 2, c, AutMap(u=(0, 1), sym_poly=(1, 0, 1))))
     # characteristic 2: ordinary rep y^2 + xy = x^3 + 1, supersingular
     # rep y^2 + y = x^3 (w is a cube root of unity, w^2 + w + 1 = 0); maps
     # (x, y + x), (x, y + 1), (w x, y) with u = w^2 = 1 + w, (x + 1, y + x + w)
     c = Weierstrass(2, a1=1, a6=1)
-    rows.append(TableRow(CurveClass(2, GENERIC), 2, 2, c, AutMap(s=(1,)), 2))
+    rows.append(TableRow(CurveClass(2, GENERIC), 2, 2, c, AutMap(s=(1,))))
     c = Weierstrass(2, a3=1)
     w3 = (1, 1, 1)
-    rows.append(TableRow(CurveClass(2, SPECIAL), 2, 1, c, AutMap(t=(1,)), 2))
-    rows.append(TableRow(CurveClass(2, SPECIAL), 3, 3, c, AutMap(u=(1, 1), sym_poly=w3), 2))
-    rows.append(TableRow(CurveClass(2, SPECIAL), 4, 1, c, AutMap(r=(1,), s=(1,), t=(0, 1), sym_poly=w3), 2))
+    rows.append(TableRow(CurveClass(2, SPECIAL), 2, 1, c, AutMap(t=(1,))))
+    rows.append(TableRow(CurveClass(2, SPECIAL), 3, 3, c, AutMap(u=(1, 1), sym_poly=w3)))
+    rows.append(TableRow(CurveClass(2, SPECIAL), 4, 1, c, AutMap(r=(1,), s=(1,), t=(0, 1), sym_poly=w3)))
     return rows
 
 
 TABLE_ROWS = tuple(_rows())
-# extension degrees that serve every row: a multiple of each row's
-# sufficient degree, with every row's field p^d within FIELD_CAP
-TABLE_EXT_DEGREES = tuple(
-    d
-    for d in range(1, FIELD_CAP.bit_length())
-    if all(d % row.ext_degree == 0 and row.curve.p**d <= FIELD_CAP for row in TABLE_ROWS)
-)
+EXT_DEGREE = 2  # sufficient for every row: all of ker(1 - g) is rational over GF(p^2)
+# the degrees that serve every row: multiples of EXT_DEGREE with each row's p^d within FIELD_CAP
+TABLE_EXT_DEGREES = tuple(d for d in range(EXT_DEGREE, FIELD_CAP.bit_length(), EXT_DEGREE)
+                          if all(row.curve.p**d <= FIELD_CAP for row in TABLE_ROWS))
 
 
-def classification_report(ext_degree: int | None = None):
-    """All classification rows with the norm-engine and brute-force
-    columns computed side by side; `match` flags exact agreement."""
+def classification_report(ext_degree: int = 0):
+    """All classification rows with the norm-engine and brute-force columns
+    (over GF(p^ext_degree), 0: EXT_DEGREE) side by side; `match` flags exact agreement."""
     out = []
     for row in TABLE_ROWS:
         norm_val = fixed_count(row.cls, row.order)
-        oracle = brute_force_count(row.curve, row.aut, ext_degree or row.ext_degree)
+        oracle = brute_force_count(row.curve, row.aut, ext_degree or EXT_DEGREE)
         out.append(
             {
                 "char": "p>3" if row.cls.char == 0 else str(row.cls.char),

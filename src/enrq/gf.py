@@ -116,9 +116,9 @@ def _is_irreducible(f, p):
 
 def _find_irreducible(p, k):
     if k == 1:
-        return [0, 1]
+        return (0, 1)
     for lower in product(range(p), repeat=k):
-        f = list(lower) + [1]
+        f = (*lower, 1)
         if f[0] == 0:
             continue
         if _is_irreducible(f, p):
@@ -130,7 +130,9 @@ def _find_irreducible(p, k):
 def _tables(p, k):
     """(modulus, exp, log, zech, order) for GF(p^k); see the module docstring.
 
-    `order` lists the elements in iteration order.  zech is None for p = 2.
+    The modulus is a tuple, so no caller can change the one all GF(p, k)
+    share.  `order` lists the elements in iteration order.  zech is None
+    for p = 2.
     """
     modulus = _find_irreducible(p, k)
     q = p**k

@@ -128,9 +128,13 @@ class IsotropicSequence:
     vectors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
-        if not validate_sequence(self.vectors):
-            raise ValueError("not an isotropic sequence with pairwise product 1")
+        try:  # a value of the wrong type or length fails in here; the try costs nothing otherwise
+            object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
+            if validate_sequence(self.vectors):
+                return
+        except (TypeError, ValueError):
+            pass
+        raise ValueError("not an isotropic sequence with pairwise product 1")
 
 
 # ---------------------------------------------------------------------------

@@ -60,29 +60,31 @@ def body_sha256(suite, fmt, tmp_path):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def clear_caches():
-    from enrq import fibers
-
-    for cached in (cli._selfcheck_draw, fibers._group_perms, fibers._component_tally, configs._model,
-                   configs._isomorphisms):
-        cached.cache_clear()
-    fibers._SHARED.clear()
-
-
-def test_clear_caches_empties_the_fiber_caches():
-    from enrq import fibers
-
+def test_clear_caches_empties_the_fiber_caches(clear_caches):
     fibers.lefschetz_check("I2", 2)
     assert fibers._group_perms.cache_info().currsize >= 1
     clear_caches()
     assert fibers._group_perms.cache_info().currsize == fibers._component_tally.cache_info().currsize == 0
+    assert not fibers._SHARED
 
 
-def test_clear_caches_empties_the_overlay_caches():
+def test_clear_caches_empties_the_overlay_caches(clear_caches):
     configs.shared_eight_search("I4*", "II*")
     assert configs._model.cache_info().currsize == 2
     clear_caches()
     assert configs._model.cache_info().currsize == configs._isomorphisms.cache_info().currsize == 0
+
+
+def test_clear_caches_finds_every_cache(tmp_path, clear_caches, time_limit):
+    # the caches an `all` run fills, found by the helper rather than listed by hand
+    with time_limit():
+        run(RunConfig(suite="all", out=str(tmp_path / "r.md")))
+    named = (cli._selfcheck_draw, gf._tables, fibers._entry, ecaut._unit_group, tables._load, delpezzo._kinds)
+    assert all(cached.cache_info().currsize for cached in named)
+    clear_caches()
+    for module in (getattr(enrq, name) for name in enrq._SUBMODULES):
+        for cached in (v for v in vars(module).values() if hasattr(v, "cache_info")):
+            assert cached.cache_info().currsize == 0, (module.__name__, cached)
 
 
 def test_run_all_three_times_in_one_process(tmp_path, time_limit):
@@ -93,7 +95,7 @@ def test_run_all_three_times_in_one_process(tmp_path, time_limit):
 
 
 @pytest.mark.parametrize("suite, fmt", SUITE_BODY_SHA256)
-def test_cached_suites_are_pinned_cold_and_warm(suite, fmt, tmp_path, time_limit):
+def test_cached_suites_are_pinned_cold_and_warm(suite, fmt, tmp_path, time_limit, clear_caches):
     with time_limit():
         warm = body_sha256(suite, fmt, tmp_path)
         clear_caches()
@@ -150,6 +152,26 @@ def test_config_validation():
     # multiples of every table row's degree whose fields stay enumerable
     assert ecaut.TABLE_EXT_DEGREES == (2, 4)
     assert all(RunConfig(ext_degree=d).ext_degree == d for d in (0, 2, 4))
+
+
+def test_a_built_run_config_cannot_change():
+    # a setting changed after the check could name a missing suite or a bound that never ends
+    cfg = RunConfig()
+    for name, value in (("suite", "nope"), ("bound", 1), ("order", 1)):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, value)
+    assert cfg == RunConfig() == ("all", "markdown", None, 6, 0, 0)
+    with pytest.raises(ValueError, match="bound 1:"):
+        cfg._replace(bound=1)
+
+
+def test_main_passes_only_the_flags_given(monkeypatch):
+    # the defaults are RunConfig's alone: argparse leaves a missing flag out
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: (seen.append(cfg), (0, None))[1])
+    assert cli.main([]) == 0
+    assert cli.main(["--format", "csv", "--bound", "5", "--out", "r.csv"]) == 0
+    assert seen == [RunConfig(), RunConfig(fmt="csv", bound=5, out="r.csv")]
 
 
 @pytest.mark.parametrize("name, value", [
@@ -210,6 +232,7 @@ def boundary_calls():
     d1 = delpezzo.aut_d1()
     curve, aut = ecaut.Weierstrass(2, a3=1), ecaut.AutMap(u=(0, 1), sym_poly=(1, 1, 1))
     cls = ecaut.CurveClass(2, ecaut.SPECIAL)
+    quadrics = delpezzo.surface("D1")
     calls = [(name, site, ("X",)) for name, site in QUOTING_SITES.items()]
     calls += [
         ("RunConfig", RunConfig, ("lefschetz", "csv", None, 6, 0, 2)),
@@ -232,6 +255,10 @@ def boundary_calls():
         ("reflect", lattice.reflect, (lattice.BASIS[2], lattice.F)),
         ("signature", lattice.signature, (lattice.GRAM,)),
         ("search_sequences", lattice.search_sequences, (2, 1, 3)),
+        ("IsotropicSequence", lattice.IsotropicSequence, ((lattice.E, lattice.F),)),
+        ("ProjMap", delpezzo.ProjMap, (d1.coords,)),
+        ("Pencil", delpezzo.Pencil, (delpezzo.pencils("D1")[0].forms,)),
+        ("QuadricPair", delpezzo.QuadricPair, (quadrics.g1, quadrics.g2)),
         ("FiberEntry", configs.FiberEntry, ("II", None, 0)),
         ("realizable_filter", configs.realizable_filter, (configs.enumerate_pairs(),)),
         ("odd_order_smooth_case", configs.odd_order_smooth_case, (3,)),
@@ -378,7 +405,7 @@ def test_cli_rejects_bad_order_and_ext_degree(flag):
 
 
 # argument lists a user may type, with the exit status each must give;
-# {missing} is a path in a missing directory, {out} a writable path
+# {missing} is a path in a missing directory, {out} a writable path, {dir} a directory
 CLI_SWEEP = {
     "unknown suite": (["--suite", "bogus"], 2),
     "unknown format": (["--format", "yaml"], 2),
@@ -396,26 +423,41 @@ CLI_SWEEP = {
     "json to a file": (["--suite", "configs-shared8", "--format", "json", "--out", "{out}"], 0),
     "one lefschetz order": (["--suite", "lefschetz", "--order", "4"], 0),
     "help": (["--help"], 0),
+    "unknown flag": (["--no-such-flag"], 2),
+    "out is a directory": (["--suite", "tables-consistency", "--out", "{dir}"], 2),
 }
+# the value zoo for every flag that takes a checked value
+VALUE_ZOO = {"empty": "", "1.5": "1.5", "5000 digits": "9" * 5000, "5000 chars": "x" * 5000}
+for _flag in ("--bound", "--ext-degree", "--order", "--suite", "--format"):
+    for _kind, _value in VALUE_ZOO.items():
+        CLI_SWEEP[f"{_flag[2:].replace('-', ' ')} {_kind}"] = ([_flag, _value], 2)
 
 
 @pytest.mark.parametrize("name", CLI_SWEEP)
-def test_cli_sweep_exits_cleanly(name, tmp_path, time_limit):
+def test_cli_sweep_exits_cleanly(name, tmp_path, time_limit, capsys):
     args, status = CLI_SWEEP[name]
     if "/dev/full" in args and not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full")
-    paths = {"missing": str(tmp_path / "missing" / "r.md"), "out": str(tmp_path / "r.json")}
+    paths = {"missing": str(tmp_path / "missing" / "r.md"), "out": str(tmp_path / "r.json"), "dir": str(tmp_path)}
     args = [a.format(**paths) for a in args]
+    if status:
+        # in this process, so that the sweep costs no interpreter start per case
+        with time_limit(), pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == status
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("enrq: error: ")]
+        assert captured.out == "" and len(errors) == 1, captured.err
+        assert captured.err.strip().splitlines()[-1] == errors[0]
+        if "--out" in args:  # a write error names the path it could not write
+            assert f"cannot write {args[args.index('--out') + 1]}" in errors[0]
+        return
     src = Path(cli.__file__).parents[1]
     with time_limit():
         proc = subprocess.run([sys.executable, "-m", "enrq.cli", *args], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == status, proc.stderr
     assert "Traceback" not in proc.stderr
-    if status:
-        assert proc.stderr.strip().splitlines()[-1].startswith("enrq: error: ")
-    if "--out" in args and status:  # a write error names the path it could not write
-        assert f"cannot write {args[args.index('--out') + 1]}" in proc.stderr
 
 
 @pytest.mark.parametrize("bound", ["0", "1", "2", "3", "1001", "10000000"])
@@ -496,10 +538,16 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def selfcheck_samples():
+    """The samples (r, x, y), each root index mapped back to its root."""
+    roots = cli._selfcheck_draw(lattice.GRAM)[0]
+    return [(roots[i], x, y) for i, x, y in cli._selfcheck_samples(lattice)]
+
+
 def test_selfcheck_samples():
-    samples = list(cli._selfcheck_samples(lattice))
+    samples = selfcheck_samples()
     assert len(samples) == 1000
-    assert samples == list(cli._selfcheck_samples(lattice))
+    assert samples == selfcheck_samples()
     roots = {r for r, _, _ in samples}
     assert all(lattice.inner(r, r) == -2 for r in roots)
     assert set(SIMPLE_ROOTS) <= roots
@@ -544,8 +592,8 @@ def test_reflection_kernel_matches_the_formula_on_reachable_roots():
 def test_selfcheck_draw_is_compact_and_shared():
     samples = list(cli._selfcheck_samples(lattice))
     roots, picks, coords = cli._selfcheck_draw(lattice.GRAM)
-    assert len(roots) == len({r for r, _, _ in samples}) == 39
-    assert {id(r) for r, _, _ in samples} == {id(r) for r in roots}  # equal roots are one object
+    assert len(roots) == len(set(roots)) == 39
+    assert {i for i, _, _ in samples} == set(range(39))  # every distinct root is drawn
     assert (type(picks), len(picks)) == (bytes, 1000)
     assert {(type(chunk), len(chunk)) for chunk in coords} == {(bytes, 400)} and len(coords) == 50
     assert cli._selfcheck_draw.cache_info().currsize == 1
@@ -553,7 +601,7 @@ def test_selfcheck_draw_is_compact_and_shared():
 
 def test_selfcheck_samples_are_pinned():
     # a faster sampler must not change which samples the randomized rows check
-    samples = json.dumps(list(cli._selfcheck_samples(lattice))).encode()
+    samples = json.dumps(selfcheck_samples()).encode()
     assert hashlib.sha256(samples).hexdigest() == "5ed7bfa572a6fb1e94e6f088295dc5ebc9224aaa8654e1f525e7ecf6b5c483d4"
 
 
@@ -569,7 +617,7 @@ def test_broken_reflection_fails_both_randomized_rows(monkeypatch, tmp_path, tim
     assert rows["Gram determinant"] == "pass"
 
 
-def test_broken_reflection_does_not_poison_a_later_run(monkeypatch, tmp_path, time_limit):
+def test_broken_reflection_does_not_poison_a_later_run(monkeypatch, tmp_path, time_limit, clear_caches):
     # the broken run fills the sample cache; the clean run after it must not
     # read roots that the broken map walked
     clear_caches()

@@ -424,12 +424,7 @@ def test_cached_remainders_match_the_oracle(tag):
         assert all(len(a) <= 1 for a in before)
 
 
-def clear_caches():
-    configs._model.cache_clear()
-    configs._isomorphisms.cache_clear()
-
-
-def test_fiber_condition_checked_once_per_diagram(monkeypatch):
+def test_fiber_condition_checked_once_per_diagram(monkeypatch, clear_caches):
     ids, mult, gram = configs._diagram("II*")
     monkeypatch.setattr(configs, "_diagram", lambda tag: (ids, mult[:-1] + [mult[-1] + 1], gram))
     clear_caches()
@@ -440,7 +435,7 @@ def test_fiber_condition_checked_once_per_diagram(monkeypatch):
         clear_caches()
 
 
-def test_cold_call_equals_warm_call():
+def test_cold_call_equals_warm_call(clear_caches):
     warm = {pair: configs.shared_eight_search(*pair) for pair in OVERLAY_PAIRS}
     clear_caches()
     cold = {pair: configs.shared_eight_search(*pair) for pair in OVERLAY_PAIRS}
@@ -461,7 +456,7 @@ def test_diagram_is_indexed_by_catalog_position():
     assert gram == [[-2 if a == b else dw.get((a, b), 0) for b in ids] for a in ids]
 
 
-def test_warm_call_runs_no_determinant_and_no_graph_search(monkeypatch):
+def test_warm_call_runs_no_determinant_and_no_graph_search(monkeypatch, clear_caches):
     calls = []
     monkeypatch.setattr(configs, "exact_det", lambda gram: calls.append("exact_det") or exact_det(gram))
     search = configs._forest_isos

@@ -432,17 +432,6 @@ def test_mul_matches_oracle_on_random_polynomials():
         assert p * q == mul_oracle(p, q), (str(p), str(q))
 
 
-def test_x_linear_parts_match_coefficient_of():
-    # _x_linear_parts takes input linear in x, as its caller ProjMap.matrix passes
-    rng = random.Random(20260817)
-    polys = [_random_param_poly(rng) for _ in range(100)]
-    polys += [c for m in FAMILY_MAPS + COMPOSED_MAPS for c in m.coords]
-    linear = [poly for poly in polys if not poly.x_degrees() - {1}]
-    assert len(linear) >= len(FAMILY_MAPS + COMPOSED_MAPS) * 5
-    for poly in linear:
-        assert dp._x_linear_parts(poly) == [poly.coefficient_of(j) for j in dp.X_VARS], str(poly)
-
-
 def test_pencil_basis_is_the_split_of_each_form():
     # A1, B1, A2, B2 are parameter-free and linear: each split maps the
     # x-part of every x_j in the form to 1

@@ -273,8 +273,8 @@ TABLE_CURVES = sorted({row.curve for row in ecaut.TABLE_ROWS}, key=repr)
 
 @pytest.mark.parametrize("row", ecaut.TABLE_ROWS, **ROW_IDS)
 def test_filtered_count_matches_every_point_oracle(row):
-    assert ecaut.brute_force_count(row.curve, row.aut, row.ext_degree) == row.expected
-    assert every_point_fixed_count(row.curve, row.aut, row.ext_degree) == row.expected
+    assert ecaut.brute_force_count(row.curve, row.aut, ecaut.EXT_DEGREE) == row.expected
+    assert every_point_fixed_count(row.curve, row.aut, ecaut.EXT_DEGREE) == row.expected
 
 
 @pytest.mark.parametrize("degree", (1, 2))
@@ -549,7 +549,7 @@ def test_classification_report_at_ext_degree_four():
 def test_counts_stabilize_under_field_growth(row):
     # the sufficient degree and its double give the same count, evidence
     # that ker(1 - g) is already rational at the chosen degree
-    k = row.ext_degree
+    k = ecaut.EXT_DEGREE
     small = ecaut.brute_force_count(row.curve, row.aut, k)
     big = ecaut.brute_force_count(row.curve, row.aut, 2 * k)
     assert small == big == row.expected

@@ -213,13 +213,20 @@ def test_zero_and_exponent_edge_cases():
 
 
 def test_modulus_and_construction():
-    assert GF(2, 2).modulus == [1, 1, 1]
-    assert GF(3, 8).modulus == [1, 0, 0, 0, 0, 1, 1, 0, 1]
+    assert GF(2, 2).modulus == (1, 1, 1)
+    assert GF(3, 8).modulus == (1, 0, 0, 0, 0, 1, 1, 0, 1)
     assert GF(2, 3).from_int(5) == 1
     assert GF(13, 2).from_int(-1) == 12
     for p, k in ((2, 0), (4, 1), (9, 2), (1, 3), (0, 1)):
         with pytest.raises(ValueError):
             GF(p, k)
+
+
+def test_modulus_is_not_shared_mutable_state():
+    # every GF(2, 4) reads the one cached modulus, so no caller may change it
+    with pytest.raises(AttributeError):
+        GF(2, 4).modulus.append(7)
+    assert GF(2, 4).modulus == (1, 0, 0, 1, 1)
 
 
 def test_fields_above_the_cap_are_rejected_before_any_work(monkeypatch):
