@@ -16,12 +16,7 @@ for kind in ("D1", "D2", "D3"):
     print(f"{' ' * len(kind)}  g2 = {quad.g2}")
 print()
 
-families = [
-    ("D1", dp.aut_d1(), "torus (lam, mu)"),
-    ("D2", dp.aut_d2(), "additive (alpha, beta)"),
-    ("D3", dp.aut_d3_additive(), "additive (alpha, beta)"),
-    ("D3", dp.aut_d3_torus(), "torus (lam)"),
-]
+families = [(kind, family(), label) for kind, family, label, *_ in dp.FAMILIES.values()]
 for kind, m, label in families:
     ok, cert = dp.verify_preserves(m, kind)
     rows = "; ".join(f"({c1}, {c2})" for c1, c2 in (tuple(map(str, r)) for r in cert))

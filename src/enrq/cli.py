@@ -33,13 +33,14 @@ class OutputError(OSError):
 # sequence that 1000 finds
 BOUND_MIN, BOUND_CAP = 4, 1000
 FORMATS = ("markdown", "csv", "json")
+LEFSCHETZ_ORDERS = (2, 3, 5, 7)  # the lefschetz suite's orders when none is given
 
 
 class RunConfig(namedtuple("RunConfig", "suite fmt out bound ext_degree order",
                            defaults=("all", "markdown", None, 6, 0, 0))):
     """One run's settings, checked when built (ValueError on a bad one) and
     fixed from then on: bound, ext_degree and order are ints.  ext_degree 0
-    means `ecaut.EXT_DEGREE`, order 0 the tame orders 2, 3, 5, 7."""
+    means `ecaut.EXT_DEGREE`, order 0 the LEFSCHETZ_ORDERS."""
 
     __slots__ = ()
 
@@ -52,7 +53,8 @@ class RunConfig(namedtuple("RunConfig", "suite fmt out bound ext_degree order",
             raise ValueError(f"bound {self.bound}: use {BOUND_MIN} to {BOUND_CAP} "
                              f"(the sequence search does not finish below {BOUND_MIN})")
         if self.order and self.order < 2:
-            raise ValueError(f"order {self.order}: use 0 (orders 2, 3, 5, 7) or an order >= 2")
+            raise ValueError(f"order {self.order}: use 0 (orders {', '.join(map(str, LEFSCHETZ_ORDERS))}) "
+                             "or an order >= 2")
         if self.ext_degree:
             from . import ecaut
 
@@ -165,7 +167,7 @@ def suite_fibers_2conn(s, cfg):
 def suite_lefschetz(s, cfg):
     from . import fibers
 
-    orders = [cfg.order] if cfg.order else [2, 3, 5, 7]
+    orders = (cfg.order,) if cfg.order else LEFSCHETZ_ORDERS
     for order in orders:
         for tag in fibers.standard_tags(9):
             res = fibers.lefschetz_check(tag, order)
@@ -238,12 +240,7 @@ def suite_ecaut_tables(s, cfg):
 def suite_delpezzo_verify(s, cfg):
     from . import delpezzo
 
-    families = [
-        ("D1", delpezzo.aut_d1(), "torus (lam, mu)"),
-        ("D2", delpezzo.aut_d2(), "additive (alpha, beta)"),
-        ("D3", delpezzo.aut_d3_additive(), "additive (alpha, beta)"),
-        ("D3", delpezzo.aut_d3_torus(), "torus (lam)"),
-    ]
+    families = [(kind, family(), label) for kind, family, label, *_ in delpezzo.FAMILIES.values()]
     for kind, m, label in families:
         ok, cert = delpezzo.verify_preserves(m, kind)
         detail = ""
@@ -338,7 +335,8 @@ def main(argv=None):
     parser.add_argument("--ext-degree", type=int,
                         help="override extension degree for point counting: 0 (the table rows' degree) or a "
                              "degree that serves every table row; a bad value is rejected with the list")
-    parser.add_argument("--order", type=int, help="restrict the lefschetz suite to one order >= 2 (0: 2,3,5,7)")
+    parser.add_argument("--order", type=int, help="restrict the lefschetz suite to one order >= 2 "
+                                                  f"(0: {','.join(map(str, LEFSCHETZ_ORDERS))})")
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(**vars(args))

@@ -72,11 +72,9 @@ from .lattice import exact_det
 
 @dataclass(frozen=True)
 class FiberEntry:
-    """One singular fiber of a pencil: type, simple/double marker
-    (None when unspecified), and a wild ramification term."""
+    """One singular fiber of a pencil: type and a wild ramification term."""
 
     tag: str
-    double: bool | None = None
     wild: int = 0
 
     def __post_init__(self):
@@ -87,8 +85,8 @@ class FiberEntry:
 @dataclass(frozen=True)
 class Configuration:
     """Multiset of singular fibers of one genus-one pencil on a
-    supersingular Enriques surface in characteristic 2: half-fibers are
-    additive, and only additive fibers carry a wild term."""
+    supersingular Enriques surface in characteristic 2: only additive
+    fibers carry a wild term."""
 
     entries: tuple
 
@@ -101,8 +99,6 @@ class Configuration:
                 raise ValueError("wild term must be >= 0")
             if e.wild > 0 and ent.kind != fibers.ADDITIVE:
                 raise ValueError("only additive fibers carry a wild term")
-            if e.double and ent.kind != fibers.ADDITIVE:
-                raise ValueError("half-fibers must be additive")
         if self.shioda_tate_sum() > 8:
             raise ValueError("sum(m_D - 1) exceeds the Shioda-Tate room 8")
 
@@ -195,10 +191,10 @@ def odd_order_smooth_case(order: int):
             movers = [t for t in fibers.standard_tags(9) if fibers.catalog(t).euler_tame == each and fibers.catalog(t).m == 1]
             if not movers:
                 continue
-            entries = (FiberEntry(tag, double=False),) + tuple(FiberEntry(movers[0], double=False) for _ in range(order))
+            entries = (FiberEntry(tag),) + tuple(FiberEntry(movers[0]) for _ in range(order))
             configs.append(Configuration(entries))
         else:
-            configs.append(Configuration((FiberEntry(tag, double=False, wild=12 - ent.euler_tame),)))
+            configs.append(Configuration((FiberEntry(tag, wild=12 - ent.euler_tame),)))
     return configs
 
 

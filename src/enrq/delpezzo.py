@@ -20,7 +20,9 @@ How the kernel computes:
   computed once per set of columns, and zero entries and zero minors are
   skipped, so a sparse matrix costs a few products, not 120 terms.
 - Pullbacks.  Each power of a coordinate that a polynomial needs is
-  computed once per pullback and shared by its monomials.
+  computed once per pullback and shared by its x-monomials, and each
+  x-monomial's coefficient (all its parameter terms at once) is
+  multiplied by those powers.
 
 The three surfaces (D1 for classical, D2 for ordinary, D3 for
 supersingular covers) are intersections of two quadrics g1, g2.  A
@@ -32,8 +34,16 @@ The induced action on a pencil of conics comes from pulling back the
 generic member a*A_i + b*B_i and writing it in the basis A1, B1, A2, B2
 (pencil_action).  Both certificates come from one elimination, `_solve`:
 the basis forms are parameter-free, so Gauss-Jordan over F2 on the
-x-monomials of the `_x_coefficients` splits gives the parameter
-coefficients, with polynomial right-hand sides.
+x-monomials of their x-splits gives the parameter coefficients, with
+polynomial right-hand sides.
+
+Every coefficient is read through one split, `_split(poly, block)`: by
+the exponents on x0..x4 (a map's matrix, a pullback, the elimination) or
+on a, b (the entries of a pencil action).  A map's coordinates are
+checked free of a and b when it is built, so each solved entry of a
+pencil action is a*u + b*v and its (a, b) split is the action.  The four
+printed families, with their surfaces, report labels and the cells that
+`recover_params` reads, are listed once, in FAMILIES.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ NAMES = (
 NVARS = len(NAMES)
 _IDX = {n: i for i, n in enumerate(NAMES)}
 X_VARS = tuple(range(5))
+_X, _AB = slice(0, 5), slice(5, 7)  # the x block and the pencil block (a, b)
 UNIT_VARS = tuple(_IDX[n] for n in ("lam", "mu", "lam2", "mu2"))
 
 NOT_PRESERVED = "NOT_PRESERVED"
@@ -94,7 +105,7 @@ class ParamPoly:
         return not self.monomials
 
     def x_degrees(self):
-        return {sum(m[i] for i in X_VARS) for m in self.monomials}
+        return {sum(m[_X]) for m in self.monomials}
 
     def is_param_free(self):
         return all(all(m[i] == 0 for i in range(5, NVARS)) for m in self.monomials)
@@ -112,12 +123,6 @@ class ParamPoly:
             raise ValueError("not a unit")
         (m,) = self.monomials
         return ParamPoly(frozenset({tuple(-e for e in m)}))
-
-    def coefficient_of(self, var_index):
-        """Coefficient of the degree-1 part in one variable (the monomials
-        with exponent exactly 1 there, with that variable removed)."""
-        monomials = frozenset(m[:var_index] + (0,) + m[var_index + 1:] for m in self.monomials if m[var_index] == 1)
-        return ParamPoly(monomials) if monomials else ZERO
 
     def __str__(self):
         if not self.monomials:
@@ -166,17 +171,28 @@ class QuadricPair:
 
 @dataclass(frozen=True)
 class ProjMap:
-    coords: tuple  # five ParamPoly, linear in x
+    coords: tuple  # five ParamPoly, linear in x and free of a, b
 
     def __post_init__(self):
         if len(_check_type(self.coords, tuple, "map coordinates")) != 5:
             raise ValueError("five coordinates required")
         for c in self.coords:
-            if _check_type(c, ParamPoly, "map coordinate").x_degrees() - {1}:
-                raise ValueError("coordinates must be homogeneous linear in x")
+            for mon in _check_type(c, ParamPoly, "map coordinate").monomials:
+                if sum(mon[_X]) != 1:
+                    raise ValueError("coordinates must be homogeneous linear in x")
+                if any(mon[_AB]):
+                    raise ValueError("coordinates must be free of the pencil variables a, b")
 
-    def matrix(self):  # entry (i, j): the coefficient of x_j in coordinate i
-        return [[c.coefficient_of(j) for j in X_VARS] for c in self.coords]
+    def matrix(self):
+        """Entry (i, j): the coefficient of x_j in coordinate i, from the
+        x-split of each coordinate (its keys are unit vectors)."""
+        rows = []
+        for c in self.coords:
+            row = [ZERO] * 5
+            for key, coeff in _split(c, _X).items():
+                row[key.index(1)] = coeff
+            rows.append(row)
+        return rows
 
     def det(self):
         """Cofactor expansion along the rows (char 2: no signs).  The minor
@@ -232,8 +248,11 @@ class Pencil:
     forms: tuple  # ((A1, B1), (A2, B2))
 
     def __post_init__(self):
-        for pair in _check_type(self.forms, tuple, "pencil forms"):
-            for f in _check_type(pair, tuple, "pencil form pair"):
+        forms = _check_type(self.forms, tuple, "pencil forms")
+        if len(forms) != 2 or any(len(_check_type(pair, tuple, "pencil form pair")) != 2 for pair in forms):
+            raise ValueError("a pencil needs two pairs of two forms")
+        for pair in forms:
+            for f in pair:
                 if _check_type(f, ParamPoly, "pencil form").x_degrees() - {1} or not f.is_param_free():
                     raise ValueError("pencil basis forms must be linear and parameter-free")
 
@@ -243,9 +262,9 @@ class Pencil:
 
     @cached_property
     def basis(self):
-        """The `_x_coefficients` splits of A1, B1, A2, B2, the basis that
-        `pencil_action` solves in."""
-        return tuple(_x_coefficients(f) for pair in self.forms for f in pair)
+        """The x-splits of A1, B1, A2, B2, the basis that `pencil_action`
+        solves in."""
+        return tuple(_split(f, _X) for pair in self.forms for f in pair)
 
 
 @cache
@@ -318,31 +337,31 @@ def aut_d3_torus(lam=LAM):
 # verification
 
 
+def _split(poly, block):
+    """Split a polynomial by its exponents on one block of variables (_X
+    or _AB): {exponent tuple on the block: coefficient, the polynomial in
+    the other variables}.  Distinct monomials never cancel."""
+    out = {}
+    zero = (0,) * (block.stop - block.start)
+    for mon in poly.monomials:
+        out.setdefault(mon[block], set()).add(mon[:block.start] + zero + mon[block.stop:])
+    return {k: ParamPoly(frozenset(v)) for k, v in out.items()}
+
+
 def pullback(poly, m: ProjMap):
-    """Substitute the map's coordinates for x0..x4.  Each monomial's
-    parameter part is kept as it is."""
+    """Substitute the map's coordinates for x0..x4: each x-monomial's
+    coefficient is multiplied by the powers of the coordinates it needs."""
     _check_type(m, ProjMap, "map")
     powers = {}
     out = ZERO
-    for mon in _check_type(poly, ParamPoly, "poly").monomials:
-        term = ParamPoly(frozenset({(0,) * 5 + mon[5:]}))
-        for i in X_VARS:
-            e = mon[i]
+    for key, term in _split(_check_type(poly, ParamPoly, "poly"), _X).items():
+        for i, e in enumerate(key):
             if e:
                 if (i, e) not in powers:
                     powers[i, e] = m.coords[i] ** e
                 term = term * powers[i, e]
         out = out + term
     return out
-
-
-def _x_coefficients(poly):
-    """Split a polynomial by its x-monomial part: {x-exponent-tuple:
-    parameter-polynomial coefficient}.  Distinct monomials never cancel."""
-    out = {}
-    for mon in poly.monomials:
-        out.setdefault(mon[:5], set()).add((0,) * 5 + mon[5:])
-    return {k: ParamPoly(frozenset(v)) for k, v in out.items()}
 
 
 def verify_preserves(m: ProjMap, kind: str):
@@ -356,7 +375,7 @@ def verify_preserves(m: ProjMap, kind: str):
     if not _check_type(m, ProjMap, "map").is_invertible():
         raise ValueError("map is not invertible")
     quad = surface(kind)
-    basis = (_x_coefficients(quad.g1), _x_coefficients(quad.g2))
+    basis = (_split(quad.g1, _X), _split(quad.g2, _X))
     certificate = []
     for g in (quad.g1, quad.g2):
         coeffs = _solve(basis, pullback(g, m))
@@ -388,21 +407,19 @@ def pencil_action(m: ProjMap, pencil: Pencil):
     # so this one test also gives each member's rank one.
     if not rows or not all(_proportional(rows[0], row) for row in rows[1:]):
         return NOT_PRESERVED
-    mat = tuple((p.coefficient_of(_IDX["a"]), p.coefficient_of(_IDX["b"])) for p in rows[0])
-    # the solution must be linear in (a, b): anything else is inconsistent
-    if any(A * ca + B * cb != p for (ca, cb), p in zip(mat, rows[0])):
-        return NOT_PRESERVED
-    return normalize_action(mat)
+    # the map is free of a, b, so each entry is a*u + b*v: its (a, b) split is (u, v)
+    splits = [_split(p, _AB) for p in rows[0]]
+    return normalize_action(tuple((s.get((1, 0), ZERO), s.get((0, 1), ZERO)) for s in splits))
 
 
 def _solve(cols, poly):
     """The unique parameter coefficients (w_j) with sum_j w_j * cols[j] =
     poly, or None when the columns are dependent or poly is outside their
-    span.  The columns are `_x_coefficients` splits of parameter-free
-    forms, so every coefficient in them is 1; poly is split the same way.
+    span.  The columns are x-splits of parameter-free forms, so every
+    coefficient in them is 1; poly is split the same way.
     Gauss-Jordan over F2 runs on one row per x-monomial: the bitmask of
     the columns that hold it and poly's coefficient there."""
-    target = _x_coefficients(poly)
+    target = _split(poly, _X)
     masks = {}
     for j, col in enumerate(cols):
         for key in col:
@@ -459,25 +476,28 @@ def compose(m1: ProjMap, m2: ProjMap) -> ProjMap:
     return ProjMap(coords)
 
 
-# kind: (family, (row, col) of the normalizing coefficient,
-#        {parameter: (row, col) of its coefficient})
-_FAMILIES = {
-    "D1": (aut_d1, (0, 0), {"lam": (1, 1), "mu": (3, 3)}),
-    "D2": (aut_d2, (1, 1), {"alpha": (0, 1), "beta": (4, 1)}),
-    "D3-additive": (aut_d3_additive, (1, 1), {"alpha": (0, 1), "beta": (4, 1)}),
-    "D3-torus": (aut_d3_torus, (0, 0), {"lam": (2, 2)}),
+# the printed families, in report order: name -> (surface, constructor,
+# report label, (row, col) of the normalizing matrix entry,
+# {parameter: (row, col) of its matrix entry})
+FAMILIES = {
+    "D1": ("D1", aut_d1, "torus (lam, mu)", (0, 0), {"lam": (1, 1), "mu": (3, 3)}),
+    "D2": ("D2", aut_d2, "additive (alpha, beta)", (1, 1), {"alpha": (0, 1), "beta": (4, 1)}),
+    "D3-additive": ("D3", aut_d3_additive, "additive (alpha, beta)", (1, 1), {"alpha": (0, 1), "beta": (4, 1)}),
+    "D3-torus": ("D3", aut_d3_torus, "torus (lam)", (0, 0), {"lam": (2, 2)}),
 }
 
 
 def recover_params(m: ProjMap, kind: str):
-    """Match a map against the printed family of the given kind and
-    return its parameters, or None if it is not in the family."""
-    family, (row, col), where = _FAMILIES[_check_tag(kind, _FAMILIES, "family")]
-    scale = _check_type(m, ProjMap, "map").coords[row].coefficient_of(col)
+    """Match a map against the printed family of the given name (a key
+    of FAMILIES) and return its parameters, or None if it is not in the
+    family."""
+    _, family, _, (row, col), where = FAMILIES[_check_tag(kind, FAMILIES, "family")]
+    mat = _check_type(m, ProjMap, "map").matrix()
+    scale = mat[row][col]
     if not scale.is_unit():
         return None
     inv = scale.unit_inverse()
-    params = {name: inv * m.coords[r].coefficient_of(c) for name, (r, c) in where.items()}
+    params = {name: inv * mat[r][c] for name, (r, c) in where.items()}
     try:
         candidate = family(**params)
     except ValueError:  # a torus parameter that is not a unit

@@ -7,10 +7,10 @@ Run it in a fresh interpreter, with enrq importable:
 It exits 0 when `import enrq.cli` loads no suite module and not
 `dataclasses` (which, with its `inspect` import, took about a third of
 the import time of `enrq.cli`), a suite run loads only the modules that
-suite reaches (configs-shared8 in an interpreter of its own, so that it
-finds nothing loaded), and the package still offers every submodule as
-an attribute.  `tests/test_cli.py` runs it in a
-subprocess, so that the test process's own imports do not count.
+suite reaches (configs-shared8 and tables-consistency each in an
+interpreter of its own, so that it finds nothing loaded), and the package
+still offers every submodule as an attribute.  `tests/test_cli.py` runs
+it in a subprocess, so that the test process's own imports do not count.
 """
 
 import contextlib
@@ -41,6 +41,11 @@ def fresh_footprint(suite):
 # no enrq.ecaut and no enrq.gf: configs loads ecaut only for the odd-order case
 footprint = fresh_footprint("configs-shared8")
 assert footprint == {"enrq.configs", "enrq.fibers", "enrq.lattice"}, sorted(footprint)
+
+# no enrq.configs: tables loads it only for a supersingular ct group with
+# an element of order 3, which no shipped row has
+footprint = fresh_footprint("tables-consistency")
+assert footprint == {"enrq.data", "enrq.ecaut", "enrq.gf", "enrq.tables"}, sorted(footprint)
 
 
 import enrq.cli  # noqa: E402

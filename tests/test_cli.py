@@ -259,7 +259,7 @@ def boundary_calls():
         ("ProjMap", delpezzo.ProjMap, (d1.coords,)),
         ("Pencil", delpezzo.Pencil, (delpezzo.pencils("D1")[0].forms,)),
         ("QuadricPair", delpezzo.QuadricPair, (quadrics.g1, quadrics.g2)),
-        ("FiberEntry", configs.FiberEntry, ("II", None, 0)),
+        ("FiberEntry", configs.FiberEntry, ("II", 0)),
         ("realizable_filter", configs.realizable_filter, (configs.enumerate_pairs(),)),
         ("odd_order_smooth_case", configs.odd_order_smooth_case, (3,)),
         ("shared_eight_search", configs.shared_eight_search, ("I4*", "II*")),

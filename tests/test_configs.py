@@ -88,12 +88,26 @@ def test_odd_order_smooth_case_rejects_bad_orders():
 def test_configuration_validation():
     with pytest.raises(ValueError):  # Shioda-Tate room exceeded
         configs.Configuration((configs.FiberEntry("II*"), configs.FiberEntry("I0*")))
-    with pytest.raises(ValueError):  # multiplicative half-fiber
-        configs.Configuration((configs.FiberEntry("I2", double=True),))
     with pytest.raises(ValueError):  # wild term on a multiplicative fiber
         configs.Configuration((configs.FiberEntry("I2", wild=1),))
-    cfg = configs.Configuration((configs.FiberEntry("I0*", double=True), configs.FiberEntry("I0*")))
+    cfg = configs.Configuration((configs.FiberEntry("I0*"), configs.FiberEntry("I0*")))
     assert cfg.shioda_tate_sum() == 8
+
+
+@pytest.mark.parametrize("v1, v2, rank", [
+    ((2, 4), (0, 0), 0),
+    ((0, 0), (0, 2), 0),
+    ((1, 0), (1, 0), 1),
+    ((3, 2), (1, 0), 1),
+    ((0, 0), (1, 1), 1),
+    ((1, 1), (0, 0), 1),
+    ((1, 0), (0, 1), 2),
+    ((1, 1), (3, 2), 2),
+])
+def test_mod2_rank_reads_the_rank_of_the_reduced_pair(v1, v2, rank):
+    # the rank over F2 of the two vectors reduced mod 2: 0 when both are
+    # even, 1 when one is even or both agree, 2 otherwise
+    assert configs._mod2_rank(v1, v2) == rank
 
 
 # each entry point rejects a tag that is not a str and a number that is

@@ -23,7 +23,7 @@ def test_surfaces_match_printed_equations():
 
 
 def _coeff_of_x1(poly):
-    return poly.coefficient_of(1)
+    return coefficient_oracle(poly, 1)
 
 
 def test_printed_generator_terms():
@@ -229,6 +229,13 @@ def substitute_oracle(poly, mapping):
     return from_monomials(out)
 
 
+def coefficient_oracle(poly, j):
+    # the coefficient of x_j in a polynomial linear in x: the monomials
+    # with x_j to the first power, with x_j removed
+    x = (f"x{j}", 1)
+    return from_monomials({mon - {x} for mon in to_monomials(poly) if x in mon})
+
+
 def _oracle_pullback(poly, m):
     return substitute_oracle(poly, {f"x{i}": m.coords[i] for i in range(5)})
 
@@ -367,7 +374,7 @@ def test_normalize_action_shifts_each_unit_to_minimal_exponent_zero():
 
 
 def det_oracle(m):
-    mat = [[c.coefficient_of(j) for j in dp.X_VARS] for c in m.coords]
+    mat = [[coefficient_oracle(c, j) for j in dp.X_VARS] for c in m.coords]
     total = ZERO
     for perm in itertools.permutations(range(5)):  # char 2: no signs
         term = dp.ONE
@@ -407,6 +414,13 @@ def test_det_matches_permutation_oracle_on_family_maps():
         assert m.det() == det_oracle(m), m
 
 
+def test_matrix_matches_coefficient_oracle():
+    rng = random.Random(20260820)
+    maps = FAMILY_MAPS + COMPOSED_MAPS + [_random_linear_map(rng) for _ in range(40)]
+    for m in maps + [dp.identity_map(), dp.ProjMap((ZERO,) * 5)]:
+        assert m.matrix() == [[coefficient_oracle(c, j) for j in dp.X_VARS] for c in m.coords], m
+
+
 def test_det_matches_permutation_oracle_on_random_maps():
     rng = random.Random(20260814)
     dets = []
@@ -439,7 +453,7 @@ def test_pencil_basis_is_the_split_of_each_form():
         for pencil in dp.pencils(kind):
             (a1, b1), (a2, b2) = pencil.forms
             want = tuple({tuple(int(i == j) for i in dp.X_VARS): dp.ONE for j in dp.X_VARS
-                          if not f.coefficient_of(j).is_zero()} for f in (a1, b1, a2, b2))
+                          if not coefficient_oracle(f, j).is_zero()} for f in (a1, b1, a2, b2))
             assert pencil.basis == want
             assert pencil.basis is pencil.basis  # built once per pencil
 
@@ -501,7 +515,9 @@ def test_solve_matches_brute_force():
         if rng.randrange(2):
             poly = poly + _random_param_poly(rng, x_degree=0) * rng.choice(x_monomials)
         want = solve_oracle(forms, poly)
-        assert dp._solve(tuple(dp._x_coefficients(f) for f in forms), poly) == want, ([str(f) for f in forms], str(poly))
+        # the forms are parameter-free, so each x-monomial's coefficient is 1
+        cols = tuple({mon[:5]: dp.ONE for mon in f.monomials} for f in forms)
+        assert dp._solve(cols, poly) == want, ([str(f) for f in forms], str(poly))
         if want is not None:
             outcomes["solved"] += 1
             assert sum((w * f for w, f in zip(want, forms)), ZERO) == poly
@@ -522,12 +538,48 @@ def test_pencil_action_rejects_members_moved_by_different_actions():
 
 
 def test_pencil_action_rejects_a_solution_nonlinear_in_a_b():
-    # coordinates scaled by 1 + a: the pulled-back members are (1 + a)
-    # times the originals, so the solved (a' : b') = (a + a^2 : b + a*b)
-    # is consistent but not linear in (a, b)
-    scaled = dp.ProjMap(tuple((dp.ONE + dp.A) * x for x in (X0, X1, X2, X3, X4)))
-    for pencil in dp.pencils("D1"):
-        assert dp.pencil_action(scaled, pencil) == dp.NOT_PRESERVED
+    # coordinates scaled by 1 + a would pull the members back to (1 + a)
+    # times the originals, a consistent (a' : b') = (a + a^2 : b + a*b)
+    # that is not linear in (a, b); scaled by a*b they would give
+    # (a^2 b : a b^2), which a rebuild-and-compare test accepted as the
+    # action ((0, a^2), (b^2, 0)).  So a map holding a or b is refused
+    # when built.
+    for scale in (dp.ONE + dp.A, dp.A * dp.B):
+        with pytest.raises(ValueError, match="^coordinates must be free of the pencil variables a, b$"):
+            dp.ProjMap(tuple(scale * x for x in (X0, X1, X2, X3, X4)))
+
+
+@pytest.mark.parametrize("coord", [dp.A * X0, dp.B * X0, X0 + dp.A * LAM * X1, dp.A * dp.A * X0 + X0])
+def test_proj_map_rejects_the_pencil_variables(coord):
+    with pytest.raises(ValueError) as exc:
+        dp.ProjMap((coord, X1, X2, X3, X4))
+    assert str(exc.value) == "coordinates must be free of the pencil variables a, b"
+
+
+@pytest.mark.parametrize("forms", [
+    ((X1, X2),),
+    ((X1, X2, X3), (X1, X2)),
+    ((X1, X2), (X3,)),
+    ((X1, X2), (X3, X4), (X0, X1)),
+    (),
+])
+def test_pencil_needs_two_pairs_of_two_forms(forms):
+    # one pair used to be built, and pencil_action then raised IndexError;
+    # three forms in a pair raised an unpacking ValueError
+    with pytest.raises(ValueError) as exc:
+        dp.Pencil(forms)
+    assert str(exc.value) == "a pencil needs two pairs of two forms"
+
+
+def test_families_table_lists_each_printed_family_once():
+    # each constructor's generic map preserves its surface, and
+    # recover_params reads its default parameters back from the table's cells
+    defaults = {"lam": LAM, "mu": MU, "alpha": ALPHA, "beta": BETA}
+    assert list(dp.FAMILIES) == ["D1", "D2", "D3-additive", "D3-torus"]
+    for name, (kind, family, _, _, where) in dp.FAMILIES.items():
+        m = family()
+        assert dp.verify_preserves(m, kind)[0], name
+        assert dp.recover_params(m, name) == {p: defaults[p] for p in where}, name
 
 
 def test_recover_params_rejects_maps_outside_the_families():

@@ -1,6 +1,6 @@
 import pytest
 
-from enrq import tables
+from enrq import configs, tables
 
 
 def test_rows_match_classification():
@@ -44,6 +44,25 @@ def test_classical_nt_check_accepts_exactly_the_2_elementary_groups_of_rank_at_m
     monkeypatch.setattr(tables, "_load", lambda: data)
     got = {label.split()[3]: ok for label, ok, _ in tables.consistency_check() if "2-elementary" in label}
     assert got == {s: s in ("1", "Z/2", "Z/2xZ/2") for s in tables.GROUPS}
+
+
+def test_a_supersingular_order_3_row_needs_the_order_3_configurations(monkeypatch):
+    # no shipped supersingular row has a ct group with an element of order
+    # 3 outside odd_order_beyond_fixed_point_tables, so only a row like
+    # this one reaches that branch, and with it configs
+    data = dict(tables._load())
+    data["surface_rows"] = [{"kind": "supersingular", "type": "T3", "aut_ct": ["Z/3"], "aut_nt": ["Z/3"]}]
+    monkeypatch.setattr(tables, "_load", lambda: data)
+
+    def entry():
+        label = "supersingular T3: ct Z/3 element orders"
+        return next((ok, detail) for l, ok, detail in tables.consistency_check() if l == label)
+
+    ok, detail = entry()
+    assert ok is True
+    assert detail == "element orders [1, 3] within realizable [1, 2, 3, 4, 6]; order-3 smooth-fiber configurations exist"
+    monkeypatch.setattr(configs, "odd_order_smooth_case", lambda order: [])
+    assert entry()[0] is False
 
 
 def test_consistency_check_passes_on_shipped_data():
