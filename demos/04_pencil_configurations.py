@@ -35,7 +35,7 @@ print()
 
 print("odd order with a smooth fixed member:")
 for c in configs.odd_order_smooth_case(3):
-    wilds = [e.wild for e in c.entries]
+    wilds = [wild for _, wild in c.entries]
     print(f"  {c.label():<22} Shioda-Tate sum {c.shioda_tate_sum()}, wild terms {wilds}")
 print("order 5:", configs.odd_order_smooth_case(5), "(no odd order > 3 on a supersingular curve)")
 print()
@@ -44,7 +44,7 @@ print("necessary conditions for a numerically trivial bielliptic involution:")
 for tags, shared, mult in [(("I0*", "I0*"), 8, 2), (("I9",), 8, 1), (("I0*", "I0*"), 7, 2)]:
     entries = [fibers.catalog(t) for t in tags]
     reasons = []
-    if sum(e.m - 1 for e in entries) != 8:
+    if sum(e.m - 1 for e in entries) != configs.SHIODA_TATE_ROOM:
         reasons.append("extremality deficit: sum(m-1) != 8")
     if shared != 8:
         reasons.append(f"extremality deficit: {shared} shared components != 8")

@@ -27,10 +27,15 @@ Input is checked once, at the public boundary (README, "Input rule"), by
 one helper per input shape: `check_ints`, `_check_int_tuple`,
 `_check_pairs`, `_check_tag` and `_check_type`.  Code inside the
 boundary trusts its caller; `_quoted` is the one way the helpers'
-ValueErrors quote a value.
+ValueErrors quote a value.  `BOUND_CAP` caps the bound of the
+isotropic-sequence search for the search and `cli.RunConfig` alike.
 """
 
 __version__ = "0.1.0"
+
+# the largest coordinate bound of the isotropic-sequence search: a search
+# lists the 2 bound + 1 coordinate values at every node it opens
+BOUND_CAP = 1000
 
 _SUBMODULES = ("cli", "configs", "delpezzo", "ecaut", "fibers", "gf", "lattice", "report", "search", "tables")
 

@@ -20,7 +20,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import chain, islice
 
-from . import _check_tag, check_ints
+from . import BOUND_CAP, _check_tag, check_ints
 from .report import Report
 
 
@@ -30,8 +30,8 @@ class OutputError(OSError):
 
 # below 4 the sequence search does not finish (every ordering of a dead prefix
 # is explored again); its cost grows with the bound, and 6 already finds the
-# sequence that 1000 finds
-BOUND_MIN, BOUND_CAP = 4, 1000
+# sequence that BOUND_CAP finds
+BOUND_MIN = 4
 FORMATS = ("markdown", "csv", "json")
 LEFSCHETZ_ORDERS = (2, 3, 5, 7)  # the lefschetz suite's orders when none is given
 
@@ -144,7 +144,7 @@ def suite_fibers_euler(s, cfg):
     oracle = {f"I{n}": n for n in range(1, 10)}
     oracle.update({f"I{n}*": n + 6 for n in range(0, 10)})
     oracle.update({"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10})
-    for tag in fibers.standard_tags(9):
+    for tag in fibers.standard_tags():
         ent = fibers.catalog(tag)
         s.add(
             f"e({tag}) [{ent.dynkin}]",
@@ -156,7 +156,7 @@ def suite_fibers_euler(s, cfg):
 def suite_fibers_2conn(s, cfg):
     from . import fibers
 
-    for tag in fibers.standard_tags(9):
+    for tag in fibers.standard_tags():
         ent = fibers.catalog(tag)
         if not ent.model.reducible():
             continue
@@ -169,7 +169,7 @@ def suite_lefschetz(s, cfg):
 
     orders = (cfg.order,) if cfg.order else LEFSCHETZ_ORDERS
     for order in orders:
-        for tag in fibers.standard_tags(9):
+        for tag in fibers.standard_tags():
             res = fibers.lefschetz_check(tag, order)
             if res["expected"] is None:
                 ok, detail = None, f"irreducible singular fiber, e(F) = {res['euler']}"
@@ -188,11 +188,11 @@ def suite_configs_enumerate(s, cfg):
           "; ".join(c.label() for c in res["realizable"]))
     s.add("rejected pairs", len(res["rejected"]) == 2,
           "; ".join(f"{c.label()} ({why})" for c, why in res["rejected"]))
-    realizable = {c.sorted_tags() for c in res["realizable"]}
     for c in pairs:
         msum = sum(fibers.catalog(t).m for t in c.tags())
-        flag = "realizable" if c.sorted_tags() in realizable else "numerically consistent only"
-        s.add(f"pair {c.label()}", c.euler_total() == 12 and msum == 10,
+        flag = "realizable" if c in res["realizable"] else "numerically consistent only"
+        s.add(f"pair {c.label()}", c.euler_total() == configs.EULER_BUDGET
+              and c.shioda_tate_sum() == configs.SHIODA_TATE_ROOM,
               f"m-sum {msum}, e-sum {c.euler_total()}, {flag}")
     odd3 = configs.odd_order_smooth_case(3)
     s.add("order-3 smooth-member configurations", len(odd3) == 3,

@@ -1,8 +1,10 @@
 """Enumeration and filtering of singular-fiber configurations of genus-one
-pencils on Enriques surfaces: the Euler budget e(S) = 12, the Shioda-Tate
-room sum(m_D - 1) <= 8, extremality, the realizable pairs, the odd-order
-configurations with a smooth fixed member, and the shared-eight-components
-overlay arithmetic.
+pencils on Enriques surfaces: the Euler budget e(S) = EULER_BUDGET, the
+Shioda-Tate room sum(m_D - 1) <= SHIODA_TATE_ROOM, extremality, the
+realizable pairs, the odd-order configurations with a smooth fixed member,
+and the shared-eight-components overlay arithmetic.  A configuration is
+one value, `Configuration`: a tuple of (fiber tag, wild term) pairs,
+checked once when it is built.
 
 Overlay search normalization.  `shared_eight_search` looks for two
 additive nine-component fibers F, F' (one per pencil) sharing eight
@@ -66,69 +68,64 @@ from functools import cache
 from itertools import combinations_with_replacement
 from operator import mul
 
-from . import _check_type, check_ints, fibers
+from . import _check_pairs, _check_type, check_ints, fibers
 from .lattice import exact_det
 
 
-@dataclass(frozen=True)
-class FiberEntry:
-    """One singular fiber of a pencil: type and a wild ramification term."""
-
-    tag: str
-    wild: int = 0
-
-    def __post_init__(self):
-        fibers.catalog(self.tag)
-        check_ints(wild=self.wild)
+# e(S) = 12 for an Enriques surface: the Euler numbers of the singular
+# fibers of a genus-one pencil, wild terms included, add up to it
+EULER_BUDGET = 12
+# sum(m_D - 1) over the singular fibers is at most rank Num(S) - 2 = 8
+SHIODA_TATE_ROOM = 8
 
 
 @dataclass(frozen=True)
 class Configuration:
     """Multiset of singular fibers of one genus-one pencil on a
-    supersingular Enriques surface in characteristic 2: only additive
-    fibers carry a wild term."""
+    supersingular Enriques surface in characteristic 2: a tuple of
+    (fiber tag, wild term) pairs, where only additive fibers carry a wild
+    term, within the Shioda-Tate room."""
 
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        for e in entries:
-            ent = fibers.catalog(e.tag)
-            if e.wild < 0:
+        for tag, wild in _check_pairs(self.entries, "entries", int):
+            kind = fibers.catalog(tag).kind
+            if wild < 0:
                 raise ValueError("wild term must be >= 0")
-            if e.wild > 0 and ent.kind != fibers.ADDITIVE:
+            if wild and kind != fibers.ADDITIVE:
                 raise ValueError("only additive fibers carry a wild term")
-        if self.shioda_tate_sum() > 8:
-            raise ValueError("sum(m_D - 1) exceeds the Shioda-Tate room 8")
+        if self.shioda_tate_sum() > SHIODA_TATE_ROOM:
+            raise ValueError(f"sum(m_D - 1) exceeds the Shioda-Tate room {SHIODA_TATE_ROOM}")
 
     def shioda_tate_sum(self):
-        return sum(fibers.catalog(e.tag).m - 1 for e in self.entries)
+        return sum(fibers.catalog(tag).m - 1 for tag, _ in self.entries)
 
     def euler_total(self):
-        return sum(fibers.catalog(e.tag).euler_tame + e.wild for e in self.entries)
+        return sum(fibers.catalog(tag).euler_tame + wild for tag, wild in self.entries)
 
     def tags(self):
-        return tuple(e.tag for e in self.entries)
+        return tuple(tag for tag, _ in self.entries)
 
     def sorted_tags(self):
         return tuple(sorted(self.tags()))
 
     def label(self):
-        return " + ".join(fibers.catalog(e.tag).dynkin + (f" (wild {e.wild})" if e.wild else "") for e in self.entries)
+        return " + ".join(fibers.catalog(tag).dynkin + (f" (wild {wild})" if wild else "") for tag, wild in self.entries)
 
 
 def enumerate_pairs():
-    """All unordered pairs of additive types with m1 + m2 = 10 and tame
-    Euler numbers summing to the budget e(S) = 12 (no wild term)."""
+    """All unordered pairs of additive types that fill the Shioda-Tate
+    room, (m1 - 1) + (m2 - 1) = SHIODA_TATE_ROOM, with tame Euler numbers
+    summing to EULER_BUDGET (no wild term)."""
     out = []
     # the additive types that fit in the Shioda-Tate room; m(I_n*) = n + 5
     # keeps every fitting I_n* within standard_tags()
     entries = [fibers.catalog(t) for t in sorted(fibers.standard_tags())]
-    additive = [e for e in entries if e.kind == fibers.ADDITIVE and e.m - 1 <= 8]
+    additive = [e for e in entries if e.kind == fibers.ADDITIVE and e.m - 1 <= SHIODA_TATE_ROOM]
     for e1, e2 in combinations_with_replacement(additive, 2):
-        if e1.m + e2.m == 10 and e1.euler_tame + e2.euler_tame == 12:
-            out.append(Configuration((FiberEntry(e1.tag), FiberEntry(e2.tag))))
+        if e1.m - 1 + e2.m - 1 == SHIODA_TATE_ROOM and e1.euler_tame + e2.euler_tame == EULER_BUDGET:
+            out.append(Configuration(((e1.tag, 0), (e2.tag, 0))))
     return out
 
 
@@ -163,9 +160,9 @@ def odd_order_smooth_case(order: int):
 
     The smooth member carries fixed_count(char 2 supersingular, order)
     fixed points, so the other fixed fiber needs fixed-locus Euler number
-    12 minus that; only order 3 admits solutions, since the automorphism
-    group of a supersingular curve in characteristic 2 has no elements of
-    odd order > 3.
+    EULER_BUDGET minus that; only order 3 admits solutions, since the
+    automorphism group of a supersingular curve in characteristic 2 has no
+    elements of odd order > 3.
     """
     from . import ecaut
 
@@ -175,26 +172,25 @@ def odd_order_smooth_case(order: int):
     ss = ecaut.CurveClass(2, ecaut.SPECIAL)
     if order not in ecaut.element_orders(ss):
         return []
-    target = 12 - ecaut.fixed_count(ss, order)
+    target = EULER_BUDGET - ecaut.fixed_count(ss, order)
     configs = []
-    for tag in fibers.standard_tags(9):
+    for tag in fibers.standard_tags():
         ent = fibers.catalog(tag)
-        if ent.euler_tame != target or ent.m - 1 > 8:
+        if ent.euler_tame != target or ent.m - 1 > SHIODA_TATE_ROOM:
             continue
         if ent.kind == fibers.MULTIPLICATIVE:
             # no wild term on multiplicative fibers: the leftover Euler
             # budget is carried by one moved orbit of `order` fibers
-            leftover = 12 - ent.euler_tame
+            leftover = EULER_BUDGET - ent.euler_tame
             if leftover % order:
                 continue
             each = leftover // order
-            movers = [t for t in fibers.standard_tags(9) if fibers.catalog(t).euler_tame == each and fibers.catalog(t).m == 1]
+            movers = [t for t in fibers.standard_tags() if fibers.catalog(t).euler_tame == each and fibers.catalog(t).m == 1]
             if not movers:
                 continue
-            entries = (FiberEntry(tag),) + tuple(FiberEntry(movers[0]) for _ in range(order))
-            configs.append(Configuration(entries))
+            configs.append(Configuration(((tag, 0),) + ((movers[0], 0),) * order))
         else:
-            configs.append(Configuration((FiberEntry(tag, wild=12 - ent.euler_tame),)))
+            configs.append(Configuration(((tag, EULER_BUDGET - ent.euler_tame),)))
     return configs
 
 

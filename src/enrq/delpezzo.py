@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import add
 
-from . import _check_tag, _check_type
+from . import _check_int_tuple, _check_tag, _check_type
 
 NAMES = (
     "x0", "x1", "x2", "x3", "x4",
@@ -64,6 +64,8 @@ NVARS = len(NAMES)
 _IDX = {n: i for i, n in enumerate(NAMES)}
 X_VARS = tuple(range(5))
 _X, _AB = slice(0, 5), slice(5, 7)  # the x block and the pencil block (a, b)
+# the x-parts of a linear form's monomials; ProjMap.matrix reads the position of the 1
+_X_UNITS = frozenset(tuple(int(i == j) for j in X_VARS) for i in X_VARS)
 UNIT_VARS = tuple(_IDX[n] for n in ("lam", "mu", "lam2", "mu2"))
 
 NOT_PRESERVED = "NOT_PRESERVED"
@@ -178,8 +180,11 @@ class ProjMap:
             raise ValueError("five coordinates required")
         for c in self.coords:
             for mon in _check_type(c, ParamPoly, "map coordinate").monomials:
-                if sum(mon[_X]) != 1:
+                x = _check_type(mon, tuple, "a monomial")[_X]
+                if x not in _X_UNITS:
                     raise ValueError("coordinates must be homogeneous linear in x")
+                if not type(x[0]) is type(x[1]) is type(x[2]) is type(x[3]) is type(x[4]) is int:  # 1.0 == 1
+                    _check_int_tuple(x, "an x-part", length=5)
                 if any(mon[_AB]):
                     raise ValueError("coordinates must be free of the pencil variables a, b")
 
@@ -296,12 +301,13 @@ def pencils(kind: str):
 
 def aut_d1(lam=LAM, mu=MU):
     """Torus action on D1 (lam and mu must be units)."""
+    lam, mu = _check_type(lam, ParamPoly, "lam"), _check_type(mu, ParamPoly, "mu")
     return ProjMap((X0, lam * X1, lam.unit_inverse() * X2, mu * X3, mu.unit_inverse() * X4))
 
 
 def aut_d2(alpha=ALPHA, beta=BETA):
     """Additive two-parameter family on D2."""
-    a, b = alpha, beta
+    a, b = _check_type(alpha, ParamPoly, "alpha"), _check_type(beta, ParamPoly, "beta")
     return ProjMap(
         (
             X0 + a * X1,
@@ -315,7 +321,7 @@ def aut_d2(alpha=ALPHA, beta=BETA):
 
 def aut_d3_additive(alpha=ALPHA, beta=BETA):
     """Additive two-parameter family on D3."""
-    a, b = alpha, beta
+    a, b = _check_type(alpha, ParamPoly, "alpha"), _check_type(beta, ParamPoly, "beta")
     return ProjMap(
         (
             X0 + a * X1,
@@ -329,7 +335,7 @@ def aut_d3_additive(alpha=ALPHA, beta=BETA):
 
 def aut_d3_torus(lam=LAM):
     """One-parameter torus on D3 (lam must be a unit)."""
-    il = lam.unit_inverse()
+    il = _check_type(lam, ParamPoly, "lam").unit_inverse()
     return ProjMap((X0, il * X1, lam * X2, lam**3 * X3, lam * X4))
 
 

@@ -224,9 +224,9 @@ def search_sequences(n: int, bound: int, cap: int | None = 100):
     Returns a list of IsotropicSequence (ordered, so permutations of the
     same vector set count as distinct sequences).  At most `cap` results
     are returned, cap >= 1 (pass cap=None for the full enumeration).  n,
-    bound and cap must be ints.  The search order is fixed, so results
-    are deterministic.  The search itself is in `enrq.search`, loaded on
-    the first call.
+    bound and cap must be ints, and 1 <= bound <= `enrq.BOUND_CAP`.  The
+    search order is fixed, so results are deterministic.  The search
+    itself is in `enrq.search`, loaded on the first call.
     """
     from . import search
 

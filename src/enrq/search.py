@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from . import check_ints, lattice
+from . import BOUND_CAP, check_ints, lattice
 from .lattice import GRAM, RANK, IsotropicSequence, _reduce
 
 
@@ -182,8 +182,8 @@ def search_sequences(n, bound, cap):
         # Eleven isotropic vectors with pairwise product 1 would have a
         # Gram matrix of signature (1, 10): impossible in a rank-10 lattice.
         raise ValueError("sequence length must be between 1 and 10")
-    if bound < 1:
-        raise ValueError("coordinate bound must be >= 1")
+    if not 1 <= bound <= BOUND_CAP:
+        raise ValueError(f"coordinate bound must be between 1 and {BOUND_CAP}")
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1, or None for the full enumeration")
     results = []

@@ -252,6 +252,10 @@ def boundary_calls():
         ("pencil_action", delpezzo.pencil_action, (d1, delpezzo.pencils("D1")[0])),
         ("verify_preserves", delpezzo.verify_preserves, (d1, "D1")),
         ("recover_params", delpezzo.recover_params, (d1, "D1")),
+        ("aut_d1", delpezzo.aut_d1, (delpezzo.LAM, delpezzo.MU)),
+        ("aut_d2", delpezzo.aut_d2, (delpezzo.ALPHA, delpezzo.BETA)),
+        ("aut_d3_additive", delpezzo.aut_d3_additive, (delpezzo.ALPHA, delpezzo.BETA)),
+        ("aut_d3_torus", delpezzo.aut_d3_torus, (delpezzo.LAM,)),
         ("reflect", lattice.reflect, (lattice.BASIS[2], lattice.F)),
         ("signature", lattice.signature, (lattice.GRAM,)),
         ("search_sequences", lattice.search_sequences, (2, 1, 3)),
@@ -259,7 +263,7 @@ def boundary_calls():
         ("ProjMap", delpezzo.ProjMap, (d1.coords,)),
         ("Pencil", delpezzo.Pencil, (delpezzo.pencils("D1")[0].forms,)),
         ("QuadricPair", delpezzo.QuadricPair, (quadrics.g1, quadrics.g2)),
-        ("FiberEntry", configs.FiberEntry, ("II", 0)),
+        ("Configuration", configs.Configuration, ((("I3*", 3), ("I1", 0)),)),
         ("realizable_filter", configs.realizable_filter, (configs.enumerate_pairs(),)),
         ("odd_order_smooth_case", configs.odd_order_smooth_case, (3,)),
         ("shared_eight_search", configs.shared_eight_search, ("I4*", "II*")),
@@ -560,12 +564,14 @@ def test_selfcheck_samples():
 
 def test_reachable_reflections_are_exact_isometric_involutions():
     # the exact statement behind the two "(1000 randomized)" rows: for every
-    # root the sampler can reach, S = I + r (G r)^T has S^2 = I and S^T G S = G
+    # root the sampler can reach, and the 14 more one step further, S = I +
+    # r (G r)^T has S^2 = I and S^T G S = G
     gram = [list(row) for row in lattice.GRAM]
     identity = [list(v) for v in lattice.BASIS]
-    roots = reachable_roots()
-    assert len(roots) == 51
+    roots = reachable_roots(4)
+    assert [len(reachable_roots(k)) for k in range(5)] == [8, 23, 37, 51, 65]
     for r in roots:
+        assert lattice.inner(r, r) == -2, r
         gr = [sum(g * c for g, c in zip(row, r)) for row in gram]
         s = [[(i == j) + r[i] * gr[j] for j in range(10)] for i in range(10)]
         assert matmul(s, s) == identity, r
@@ -575,9 +581,10 @@ def test_reachable_reflections_are_exact_isometric_involutions():
 
 
 def test_reflection_kernel_matches_the_formula_on_reachable_roots():
-    # the map against x + (x.r) r, on random x, the basis and an x orthogonal to r
+    # the map and `reflect` against x + (x.r) r, on random x, the basis and
+    # an x orthogonal to r, for the roots within four simple reflections
     rng = random.Random(16)
-    for r in sorted(reachable_roots()):
+    for r in sorted(reachable_roots(4)):
         refl = lattice.reflection(r)
         xs = [tuple(rng.randint(-5, 5) for _ in range(10)) for _ in range(20)] + list(lattice.BASIS)
         y, z = xs[0], xs[1]
@@ -585,7 +592,7 @@ def test_reflection_kernel_matches_the_formula_on_reachable_roots():
         assert lattice.inner(perp, r) == 0 and any(perp), r
         for x in xs + [perp]:
             k = lattice.inner(x, r)
-            assert refl(x) == tuple(a + k * b for a, b in zip(x, r)), (r, x)
+            assert refl(x) == lattice.reflect(r, x) == tuple(a + k * b for a, b in zip(x, r)), (r, x)
         assert refl(perp) == perp
 
 

@@ -58,7 +58,7 @@ def test_realizable_filter_rejects_what_is_not_configurations(pairs, message):
 def test_odd_order_smooth_case_three():
     got = {c.tags() for c in configs.odd_order_smooth_case(3)}
     assert got == {("I9", "I1", "I1", "I1"), ("I3*",), ("III*",)}
-    wilds = {c.tags(): tuple(e.wild for e in c.entries) for c in configs.odd_order_smooth_case(3)}
+    wilds = {c.tags(): tuple(wild for _, wild in c.entries) for c in configs.odd_order_smooth_case(3)}
     assert wilds[("I3*",)] == (3,)
     assert wilds[("III*",)] == (3,)
     assert wilds[("I9", "I1", "I1", "I1")] == (0, 0, 0, 0)
@@ -86,12 +86,15 @@ def test_odd_order_smooth_case_rejects_bad_orders():
 
 
 def test_configuration_validation():
-    with pytest.raises(ValueError):  # Shioda-Tate room exceeded
-        configs.Configuration((configs.FiberEntry("II*"), configs.FiberEntry("I0*")))
-    with pytest.raises(ValueError):  # wild term on a multiplicative fiber
-        configs.Configuration((configs.FiberEntry("I2", wild=1),))
-    cfg = configs.Configuration((configs.FiberEntry("I0*"), configs.FiberEntry("I0*")))
-    assert cfg.shioda_tate_sum() == 8
+    with pytest.raises(ValueError, match="exceeds the Shioda-Tate room 8"):
+        configs.Configuration((("II*", 0), ("I0*", 0)))
+    with pytest.raises(ValueError, match="only additive fibers carry a wild term"):
+        configs.Configuration((("I2", 1),))
+    cfg = configs.Configuration((("I0*", 0), ("I0*", 0)))
+    assert cfg.shioda_tate_sum() == configs.SHIODA_TATE_ROOM == 8
+    assert cfg.euler_total() == configs.EULER_BUDGET == 12
+    wild = configs.Configuration((("I3*", 3),))
+    assert (wild.tags(), wild.euler_total(), wild.label()) == (("I3*",), 12, "D~7 (wild 3)")
 
 
 @pytest.mark.parametrize("v1, v2, rank", [
@@ -115,10 +118,16 @@ def test_mod2_rank_reads_the_rank_of_the_reduced_pair(v1, v2, rank):
 BAD_INPUTS = {
     "search tag int": (lambda: configs.shared_eight_search(5, "II*"), "fiber tag must be a str, not 5"),
     "search tag list": (lambda: configs.shared_eight_search("II*", ["II*"]), r"fiber tag must be a str, not \['II\*'\]"),
-    "entry wild float": (lambda: configs.FiberEntry("II", wild=1.5), "wild must be an int, not 1.5"),
-    "entry wild bool": (lambda: configs.FiberEntry("II", wild=True), "wild must be an int, not True"),
-    "entry tag int": (lambda: configs.FiberEntry(2), "fiber tag must be a str, not 2"),
-    "entry tag unknown": (lambda: configs.FiberEntry("V"), "unknown fiber tag 'V'"),
+    "entry wild float": (lambda: configs.Configuration((("II", 1.5),)), r"entries must hold \(str, int\) pairs, not \('II', 1.5\)"),
+    "entry wild bool": (lambda: configs.Configuration((("II", True),)), r"entries must hold \(str, int\) pairs, not \('II', True\)"),
+    "entry tag int": (lambda: configs.Configuration(((2, 0),)), r"entries must hold \(str, int\) pairs, not \(2, 0\)"),
+    "entry tag unknown": (lambda: configs.Configuration((("V", 0),)), "unknown fiber tag 'V'"),
+    # None raised TypeError, a bare tag AttributeError, and a negative wild
+    # term was built unchecked
+    "entries None": (lambda: configs.Configuration(None), "^entries must be a tuple, not None$"),
+    "entries list": (lambda: configs.Configuration([("I1", 0)]), r"^entries must be a tuple, not \[\('I1', 0\)\]$"),
+    "entry bare tag": (lambda: configs.Configuration(("I1",)), r"^entries must hold \(str, int\) pairs, not 'I1'$"),
+    "entry wild negative": (lambda: configs.Configuration((("I1", -3),)), "^wild term must be >= 0$"),
     "order str": (lambda: configs.odd_order_smooth_case("3"), "order must be an int, not '3'"),
     "order float": (lambda: configs.odd_order_smooth_case(3.0), "order must be an int, not 3.0"),
     "order bool": (lambda: configs.odd_order_smooth_case(True), "order must be an int, not True"),
@@ -133,22 +142,37 @@ def test_bad_inputs_raise_one_line_value_errors(name):
     assert "\n" not in str(exc.value)
 
 
-@pytest.mark.parametrize("tag, message", [
-    ("I" + "9" * 5000, f"fiber tag 'I{'9' * 38}...: n is above CATALOG_CAP = {fibers.CATALOG_CAP}"),
-    ("X" * 5000, f"unknown fiber tag '{'X' * 39}..."),
-    (["II*"] * 5000, "fiber tag must be a str, not ['II*', 'II*', 'II*', 'II*', 'II*', 'II*..."),
-], ids=["I_n of 5000 digits", "5000 letters", "list of 5000 tags"])
-@pytest.mark.parametrize("entry", [fibers.catalog, configs.FiberEntry, lambda t: configs.shared_eight_search("II*", t)],
-                         ids=["catalog", "FiberEntry", "shared_eight_search"])
+LONG_TAGS = {
+    "I_n of 5000 digits": ("I" + "9" * 5000, f"fiber tag 'I{'9' * 38}...: n is above CATALOG_CAP = {fibers.CATALOG_CAP}"),
+    "5000 letters": ("X" * 5000, f"unknown fiber tag '{'X' * 39}..."),
+    "list of 5000 tags": (["II*"] * 5000, "fiber tag must be a str, not ['II*', 'II*', 'II*', 'II*', 'II*', 'II*..."),
+}
+TAG_ENTRIES = {
+    "catalog": fibers.catalog,
+    "Configuration": lambda t: configs.Configuration(((t, 0),)),
+    "shared_eight_search": lambda t: configs.shared_eight_search("II*", t),
+}
+
+
+@pytest.mark.parametrize("entry, tag, message", [
+    pytest.param(TAG_ENTRIES[e], *LONG_TAGS[t], id=f"{e}-{t}") for e in TAG_ENTRIES for t in LONG_TAGS
+    if (e, t) != ("Configuration", "list of 5000 tags")
+] + [
+    # a pair's tag that is not a str fails the pair check, which quotes the pair
+    pytest.param(TAG_ENTRIES["Configuration"], ["II*"] * 5000,
+                 "entries must hold (str, int) pairs, not (['II*', 'II*', 'II*', 'II*', 'II*', 'II...",
+                 id="Configuration-list of 5000 tags"),
+])
 def test_an_over_long_tag_is_quoted_by_a_bounded_prefix(entry, tag, message):
-    # the first 40 characters of the tag's repr, then "..."
+    # the first 40 characters of the repr, then "..."
     with pytest.raises(ValueError) as exc:
         entry(tag)
     assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: configs.FiberEntry("II", wild=[1] * 5000), f"wild must be an int, not [{'1, ' * 13}..."),
+    (lambda: configs.Configuration((("II", [1] * 5000),)),
+     f"entries must hold (str, int) pairs, not ('II', [{'1, ' * 10}1,..."),
     (lambda: configs.odd_order_smooth_case("3" * 5000), f"order must be an int, not '{'3' * 39}..."),
 ], ids=["wild of 5000 ints", "order of 5000 digits"])
 def test_an_over_long_argument_is_quoted_by_a_bounded_prefix(build, message):

@@ -556,6 +556,23 @@ def test_proj_map_rejects_the_pencil_variables(coord):
     assert str(exc.value) == "coordinates must be free of the pencil variables a, b"
 
 
+@pytest.mark.parametrize("monomial, message", [
+    ((2, -1) + (0,) * 13, "coordinates must be homogeneous linear in x"),
+    ((1.0,) + (0,) * 14, "an x-part must be 5 ints, not (1.0, 0, 0, 0, 0)"),
+    ((True,) + (0,) * 14, "an x-part must be 5 ints, not (True, 0, 0, 0, 0)"),
+    ((1,), "coordinates must be homogeneous linear in x"),
+    ("x0", "a monomial must be a tuple, not 'x0'"),
+], ids=["x0^2/x1", "float x0", "bool x0", "short monomial", "a str"])
+def test_proj_map_takes_only_unit_x_parts_of_ints(monomial, message):
+    # x0^2 x1^-1 has x-degree 1 and used to be built, and its det() then
+    # raised "tuple.index(x): x not in tuple"; a float x0 was built and
+    # its det() returned 1
+    coord = dp.ParamPoly(frozenset({monomial}))
+    with pytest.raises(ValueError) as exc:
+        dp.ProjMap((coord, X1, X2, X3, X4))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("forms", [
     ((X1, X2),),
     ((X1, X2, X3), (X1, X2)),
@@ -610,6 +627,11 @@ WRONG_TYPES = {
     "pullback poly": (lambda: dp.pullback(None, dp.aut_d1()), "poly must be a ParamPoly, not None"),
     "proj_equal map": (lambda: dp.proj_equal(None, None), "map must be a ProjMap, not None"),
     "proj_equal second map": (lambda: dp.proj_equal(dp.aut_d1(), "D1"), "map must be a ProjMap, not 'D1'"),
+    # these two raised TypeError
+    "aut_d1 lam": (lambda: dp.aut_d1(None), "lam must be a ParamPoly, not None"),
+    "aut_d2 alpha": (lambda: dp.aut_d2(None), "alpha must be a ParamPoly, not None"),
+    "aut_d3_additive beta": (lambda: dp.aut_d3_additive(ALPHA, 1), "beta must be a ParamPoly, not 1"),
+    "aut_d3_torus lam": (lambda: dp.aut_d3_torus("lam"), "lam must be a ParamPoly, not 'lam'"),
 }
 
 

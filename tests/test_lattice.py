@@ -6,8 +6,8 @@ from fractions import Fraction
 from itertools import islice, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+import enrq
 from enrq import cli, fibers, lattice, search
 
 
@@ -174,40 +174,10 @@ def test_reflect_rejects_non_root():
         lattice.reflect(lattice.E, lattice.F)
 
 
-coords = st.integers(min_value=-5, max_value=5)
-vectors = st.tuples(*[coords] * 10)
-root_seeds = st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=5)
-
-
-def seed_to_root(seed):
-    r = lattice.BASIS[seed[0]]
-    for i in seed[1:]:
-        r = lattice.reflect(lattice.BASIS[i], r)
-    return r
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(root_seeds, vectors, vectors)
-def test_reflection_is_isometric_involution(seed, u, v):
-    r = seed_to_root(seed)
-    assert lattice.inner(r, r) == -2
-    assert lattice.reflect(r, lattice.reflect(r, u)) == u
-    assert lattice.inner(lattice.reflect(r, u), lattice.reflect(r, v)) == lattice.inner(u, v)
-
-
 def reflection_matrix(r):
     # S = I + r (G r)^T, so that S x = x + (x.r) r
     gr = [sum(g * c for g, c in zip(row, r)) for row in lattice.GRAM]
     return [[(i == j) + r[i] * gr[j] for j in range(10)] for i in range(10)]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(root_seeds, vectors)
-def test_reflection_map_agrees_with_reflect_and_the_matrix(seed, x):
-    r = seed_to_root(seed)
-    got = lattice.reflection(r)(x)
-    assert got == lattice.reflect(r, x)
-    assert got == tuple(sum(s * c for s, c in zip(row, x)) for row in reflection_matrix(r))
 
 
 def test_reflection_is_the_matrix_on_the_selfcheck_roots():
@@ -351,6 +321,16 @@ def test_sequence_holds_its_vectors_as_tuples():
 def test_isotropic_sequence_validates_on_construction():
     with pytest.raises(ValueError):
         lattice.IsotropicSequence((lattice.E, lattice.E))
+
+
+def test_search_rejects_a_bound_above_the_cap(monkeypatch):
+    # the search lists 2 bound + 1 values at every node, so a huge bound
+    # costs memory before the first result; it is refused before any is built
+    monkeypatch.setattr(search, "_candidates", lambda *args: pytest.fail("the search started"))
+    with pytest.raises(ValueError) as exc:
+        lattice.search_sequences(1, enrq.BOUND_CAP + 1, cap=1)
+    assert str(exc.value) == f"coordinate bound must be between 1 and {enrq.BOUND_CAP}"
+    assert cli.BOUND_CAP is enrq.BOUND_CAP == 1000
 
 
 def test_e8_bound_is_the_scaled_form():
