@@ -25,9 +25,11 @@ imports):
 
 Input is checked once, at the public boundary (README, "Input rule"), by
 one helper per input shape: `check_ints`, `_check_int_tuple`,
-`_check_pairs`, `_check_tag` and `_check_type`.  Code inside the
-boundary trusts its caller; `_quoted` is the one way the helpers'
-ValueErrors quote a value.  `BOUND_CAP` caps the bound of the
+`_check_pairs`, `_check_tag` and `_check_type`.  Every value type is a
+named tuple; a checked one also inherits `_Checked`, so that its
+`_make` and `_replace` build through the `__new__` that checks.  Code
+inside the boundary trusts its caller; `_quoted` is the one way the
+helpers' ValueErrors quote a value.  `BOUND_CAP` caps the bound of the
 isotropic-sequence search for the search and `cli.RunConfig` alike.
 """
 
@@ -90,6 +92,14 @@ def _check_type(value, kind, name):
         article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
         raise ValueError(f"{name} must be {article} {kind.__name__}, not {_quoted(value)}")
     return value
+
+
+class _Checked:
+    """Base of every checked value type, listed before its namedtuple:
+    `_make`, and so `_replace`, go through the type's checking `__new__`."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
 def _quoted(value):

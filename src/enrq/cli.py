@@ -20,7 +20,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import chain, islice
 
-from . import BOUND_CAP, _check_tag, check_ints
+from . import BOUND_CAP, _check_tag, _Checked, check_ints
 from .report import Report
 
 
@@ -36,8 +36,8 @@ FORMATS = ("markdown", "csv", "json")
 LEFSCHETZ_ORDERS = (2, 3, 5, 7)  # the lefschetz suite's orders when none is given
 
 
-class RunConfig(namedtuple("RunConfig", "suite fmt out bound ext_degree order",
-                           defaults=("all", "markdown", None, 6, 0, 0))):
+class RunConfig(_Checked, namedtuple("RunConfig", "suite fmt out bound ext_degree order",
+                                     defaults=("all", "markdown", None, 6, 0, 0))):
     """One run's settings, checked when built (ValueError on a bad one) and
     fixed from then on: bound, ext_degree and order are ints.  ext_degree 0
     means `ecaut.EXT_DEGREE`, order 0 the LEFSCHETZ_ORDERS."""
@@ -62,8 +62,6 @@ class RunConfig(namedtuple("RunConfig", "suite fmt out bound ext_degree order",
                 raise ValueError(f"ext degree {self.ext_degree}: use 0 (degree {ecaut.EXT_DEGREE}) "
                                  f"or one of {ecaut.TABLE_EXT_DEGREES}")
         return self
-
-    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks too
 
 
 def _selfcheck_samples(lattice):

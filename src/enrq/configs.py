@@ -63,12 +63,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations_with_replacement
 from operator import mul
 
-from . import _check_pairs, _check_type, check_ints, fibers
+from . import _check_pairs, _check_type, _Checked, check_ints, fibers
 from .lattice import exact_det
 
 
@@ -79,24 +78,25 @@ EULER_BUDGET = 12
 SHIODA_TATE_ROOM = 8
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Checked, namedtuple("Configuration", "entries")):
     """Multiset of singular fibers of one genus-one pencil on a
     supersingular Enriques surface in characteristic 2: a tuple of
     (fiber tag, wild term) pairs, where only additive fibers carry a wild
     term, within the Shioda-Tate room."""
 
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for tag, wild in _check_pairs(self.entries, "entries", int):
+    def __new__(cls, entries):
+        for tag, wild in _check_pairs(entries, "entries", int):
             kind = fibers.catalog(tag).kind
             if wild < 0:
                 raise ValueError("wild term must be >= 0")
             if wild and kind != fibers.ADDITIVE:
                 raise ValueError("only additive fibers carry a wild term")
+        self = super().__new__(cls, entries)
         if self.shioda_tate_sum() > SHIODA_TATE_ROOM:
             raise ValueError(f"sum(m_D - 1) exceeds the Shioda-Tate room {SHIODA_TATE_ROOM}")
+        return self
 
     def shioda_tate_sum(self):
         return sum(fibers.catalog(tag).m - 1 for tag, _ in self.entries)

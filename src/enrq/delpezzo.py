@@ -48,11 +48,11 @@ printed families, with their surfaces, report labels and the cells that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from operator import add
 
-from . import _check_int_tuple, _check_tag, _check_type
+from . import _check_int_tuple, _check_tag, _check_type, _Checked
 
 NAMES = (
     "x0", "x1", "x2", "x3", "x4",
@@ -71,15 +71,15 @@ UNIT_VARS = tuple(_IDX[n] for n in ("lam", "mu", "lam2", "mu2"))
 NOT_PRESERVED = "NOT_PRESERVED"
 
 
-@dataclass(frozen=True)
-class ParamPoly:
+class ParamPoly(namedtuple("ParamPoly", "monomials")):
     """Laurent polynomial over F2 in the fixed variable list.
 
-    Monomials are exponent tuples, negative only at UNIT_VARS; a monomial
-    is present iff its coefficient is 1.
+    `monomials` is a frozenset of exponent tuples, negative only at
+    UNIT_VARS; a monomial is present iff its coefficient is 1.
     """
 
-    monomials: frozenset
+    __slots__ = ()
+    __rmul__ = None  # so 2 * poly raises TypeError rather than repeat a tuple
 
     def __add__(self, other):
         return ParamPoly(self.monomials ^ other.monomials)
@@ -158,27 +158,27 @@ ALPHA2, BETA2 = var("alpha2"), var("beta2")
 # surfaces, maps, pencils
 
 
-@dataclass(frozen=True)
-class QuadricPair:
-    g1: ParamPoly
-    g2: ParamPoly
+class QuadricPair(_Checked, namedtuple("QuadricPair", "g1 g2")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g in (self.g1, self.g2):
+    def __new__(cls, g1, g2):
+        for g in (g1, g2):
             if _check_type(g, ParamPoly, "quadric").x_degrees() != {2} or not g.is_param_free():
                 raise ValueError("defining quadrics must be parameter-free of degree 2")
-        if self.g1 == self.g2:
+        if g1 == g2:
             raise ValueError("quadrics must be linearly independent")
+        return super().__new__(cls, g1, g2)
 
 
-@dataclass(frozen=True)
-class ProjMap:
-    coords: tuple  # five ParamPoly, linear in x and free of a, b
+class ProjMap(_Checked, namedtuple("ProjMap", "coords")):
+    """A map whose `coords` are five ParamPoly, linear in x and free of a, b."""
 
-    def __post_init__(self):
-        if len(_check_type(self.coords, tuple, "map coordinates")) != 5:
+    __slots__ = ()
+
+    def __new__(cls, coords):
+        if len(_check_type(coords, tuple, "map coordinates")) != 5:
             raise ValueError("five coordinates required")
-        for c in self.coords:
+        for c in coords:
             for mon in _check_type(c, ParamPoly, "map coordinate").monomials:
                 x = _check_type(mon, tuple, "a monomial")[_X]
                 if x not in _X_UNITS:
@@ -187,6 +187,7 @@ class ProjMap:
                     _check_int_tuple(x, "an x-part", length=5)
                 if any(mon[_AB]):
                     raise ValueError("coordinates must be free of the pencil variables a, b")
+        return super().__new__(cls, coords)
 
     def matrix(self):
         """Entry (i, j): the coefficient of x_j in coordinate i, from the
@@ -245,21 +246,20 @@ def proj_equal(m1: ProjMap, m2: ProjMap) -> bool:
     return _proportional(_check_type(m1, ProjMap, "map").coords, _check_type(m2, ProjMap, "map").coords)
 
 
-@dataclass(frozen=True)
-class Pencil:
+class Pencil(_Checked, namedtuple("Pencil", "forms")):
     """A pencil of conics cut by a * A_i + b * B_i = 0 (i = 1, 2), with
-    constant-coefficient linear forms A_i, B_i."""
+    constant-coefficient linear forms A_i, B_i: `forms` is
+    ((A1, B1), (A2, B2)).  No __slots__: `basis` is kept on the instance."""
 
-    forms: tuple  # ((A1, B1), (A2, B2))
-
-    def __post_init__(self):
-        forms = _check_type(self.forms, tuple, "pencil forms")
+    def __new__(cls, forms):
+        _check_type(forms, tuple, "pencil forms")
         if len(forms) != 2 or any(len(_check_type(pair, tuple, "pencil form pair")) != 2 for pair in forms):
             raise ValueError("a pencil needs two pairs of two forms")
         for pair in forms:
             for f in pair:
                 if _check_type(f, ParamPoly, "pencil form").x_degrees() - {1} or not f.is_param_free():
                     raise ValueError("pencil basis forms must be linear and parameter-free")
+        return super().__new__(cls, forms)
 
     def member(self, i):
         a_part, b_part = self.forms[i]

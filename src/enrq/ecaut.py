@@ -34,10 +34,10 @@ oracle) rather than computed from the norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, reduce
 
-from . import _check_int_tuple, _check_type, _quoted
+from . import _check_int_tuple, _check_type, _Checked, _quoted
 from .gf import FIELD_CAP, GF, check_field, check_ints
 
 # ---------------------------------------------------------------------------
@@ -126,18 +126,17 @@ characteristic > 3.  In characteristics 2 and 3 the special class
 ordinary."""
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(_Checked, namedtuple("CurveClass", "char j")):
     """Coarse class of an elliptic curve: (characteristic, j-class), one
     of the keys of `_CLASSES`."""
 
-    char: int
-    j: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_ints(char=self.char)
-        if not isinstance(self.j, str) or (self.char, self.j) not in _CLASSES:
-            raise ValueError(f"unknown curve class (char {self.char}, j {_quoted(self.j)})")
+    def __new__(cls, char, j):
+        check_ints(char=char)
+        if not isinstance(j, str) or (char, j) not in _CLASSES:
+            raise ValueError(f"unknown curve class (char {char}, j {_quoted(j)})")
+        return super().__new__(cls, char, j)
 
 
 @cache
@@ -198,26 +197,19 @@ def fixed_count(c: CurveClass, order: int) -> int:
 # explicit curves and automorphism maps
 
 
-@dataclass(frozen=True)
-class Weierstrass:
+class Weierstrass(_Checked, namedtuple("Weierstrass", "p a1 a2 a3 a4 a6")):
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_p, each a_i stored mod p."""
 
-    p: int
-    a1: int = 0
-    a2: int = 0
-    a3: int = 0
-    a4: int = 0
-    a6: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_ints(a1=self.a1, a2=self.a2, a3=self.a3, a4=self.a4, a6=self.a6)
-        check_field(self.p, 1)
-        for name in ("a1", "a2", "a3", "a4", "a6"):  # once, so readers take them as they are
-            object.__setattr__(self, name, getattr(self, name) % self.p)
+    def __new__(cls, p, a1=0, a2=0, a3=0, a4=0, a6=0):
+        check_ints(a1=a1, a2=a2, a3=a3, a4=a4, a6=a6)
+        check_field(p, 1)
+        # reduced once, so readers take them as they are
+        return super().__new__(cls, p, a1 % p, a2 % p, a3 % p, a4 % p, a6 % p)
 
 
-@dataclass(frozen=True)
-class AutMap:
+class AutMap(_Checked, namedtuple("AutMap", "u r s t sym_poly")):
     """The Weierstrass substitution (x, y) -> (u^2 x + r, u^3 y + s u^2 x + t).
 
     Every isomorphism of Weierstrass curves has this form (Silverman,
@@ -228,19 +220,16 @@ class AutMap:
     degree first, irreducible mod p), e.g. (1, 1, 1) for w^2 + w + 1 = 0.
     """
 
-    u: tuple = (1,)
-    r: tuple = ()
-    s: tuple = ()
-    t: tuple = ()
-    sym_poly: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("u", "r", "s", "t", "sym_poly"):
-            _check_int_tuple(getattr(self, name), f"AutMap {name}")
-        if not any(self.u):
+    def __new__(cls, u=(1,), r=(), s=(), t=(), sym_poly=()):
+        for name, value in zip(cls._fields, (u, r, s, t, sym_poly)):
+            _check_int_tuple(value, f"AutMap {name}")
+        if not any(u):
             raise ValueError("AutMap needs u != 0: with u = 0 the substitution is not invertible")
-        if not self.sym_poly and any(any(c[1:]) for c in (self.u, self.r, self.s, self.t)):
+        if not sym_poly and any(any(c[1:]) for c in (u, r, s, t)):
             raise ValueError("AutMap constants with powers of w need sym_poly")
+        return super().__new__(cls, u, r, s, t, sym_poly)
 
 
 def _constants(aut: AutMap, fld: GF):
@@ -374,13 +363,9 @@ def brute_force_count(curve: Weierstrass, aut: AutMap, ext_degree: int) -> int:
 # the classification rows with representative curves
 
 
-@dataclass(frozen=True)
-class TableRow:
-    cls: CurveClass
-    order: int
-    expected: int  # |E^g| from the classification
-    curve: Weierstrass
-    aut: AutMap
+# one classification row: `aut` acts on `curve`, of class `cls`, with the
+# given order and expected = |E^g| from the classification
+TableRow = namedtuple("TableRow", "cls order expected curve aut")
 
 
 def _rows():

@@ -59,23 +59,22 @@ order, so orders such as 101 and 1,000,003 share every entry.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from itertools import permutations, product
 from math import gcd
 from types import MappingProxyType
 
-from . import _check_pairs, _check_type, _quoted, check_ints, lattice
+from . import _check_pairs, _check_type, _Checked, _quoted, check_ints, lattice
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 
 
-@dataclass(frozen=True)
-class Point:
-    id: str
-    branches: tuple  # ((component_id, count), ...)
-    local_mult: int = 1
+class Point(namedtuple("Point", "id branches local_mult", defaults=(1,))):
+    """A singular point: its branches are ((component_id, count), ...)."""
+
+    __slots__ = ()
 
     def total_branches(self):
         return sum(c for _, c in self.branches)
@@ -84,31 +83,31 @@ class Point:
         return (tuple(sorted(self.branches)), self.local_mult)
 
 
-@dataclass(frozen=True)
-class FiberModel:
-    """Components with multiplicities plus singular-point incidences."""
+class FiberModel(_Checked, namedtuple("FiberModel", "components points")):
+    """Components ((id, multiplicity), ...) plus singular-point
+    incidences (Point, ...).  No __slots__: `layout` is kept on the
+    instance."""
 
-    components: tuple  # ((id, multiplicity), ...)
-    points: tuple  # (Point, ...)
-
-    def __post_init__(self):
-        ids = [c for c, _ in _check_pairs(self.components, "components", int)]
+    def __new__(cls, components, points):
+        ids = [c for c, _ in _check_pairs(components, "components", int)]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate component id")
-        if any(m < 1 for _, m in self.components):
+        if any(m < 1 for _, m in components):
             raise ValueError("multiplicities must be positive")
         idset = set(ids)
-        for p in _check_type(self.points, tuple, "points"):
+        for p in _check_type(points, tuple, "points"):
             _check_pairs(_check_type(p, Point, "a point").branches, "branches", int)
             _check_type(p.id, str, "a point id")
             check_ints(local_mult=p.local_mult)
             if p.local_mult < 1 or any(cid not in idset or cnt < 1 for cid, cnt in p.branches):
                 raise ValueError(f"bad incidence data at point {p.id}")
+        self = super().__new__(cls, components, points)
         if self.reducible():
-            mults = [m for _, m in self.components]
-            for (ci, _), row in zip(self.components, self.component_gram()):
+            mults = [m for _, m in components]
+            for (ci, _), row in zip(components, self.component_gram()):
                 if sum(g * m for g, m in zip(row, mults)) != 0:
                     raise ValueError(f"fiber condition F.C = 0 fails on component {ci}")
+        return self
 
     def reducible(self):
         return len(self.components) > 1
@@ -195,14 +194,9 @@ _FAMILY = re.compile(r"I([1-9][0-9]*|0(?=\*))(\*?)")
 CATALOG_CAP = 1000
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    tag: str
-    dynkin: str  # affine Dynkin label
-    model: FiberModel
-    m: int  # number of components
-    euler_tame: int
-    kind: str  # multiplicative | additive
+# dynkin is the affine Dynkin label, m the number of components, kind
+# MULTIPLICATIVE or ADDITIVE
+CatalogEntry = namedtuple("CatalogEntry", "tag dynkin model m euler_tame kind")
 
 
 def catalog(tag: str) -> CatalogEntry:
@@ -277,8 +271,7 @@ def two_connected_min(model: FiberModel) -> int:
 # tame actions fixing the components
 
 
-@dataclass(frozen=True)
-class ComponentAction:
+class ComponentAction(_Checked, namedtuple("ComponentAction", "kind fixed_branches free_slots")):
     """IDENTITY, or TAME with exactly two fixed slots on the component.
 
     For a tame action, `fixed_branches` lists (point_id, k) for each
@@ -286,35 +279,33 @@ class ComponentAction:
     `free_slots` counts fixed points at smooth anonymous positions;
     slots total exactly 2.  Branches not fixed at a fixed point are
     permuted in cycles of length > 1 (which forces even order when two
-    branches at a node are swapped).
+    branches at a node are swapped).  `kind` is "identity" or "tame".
     """
 
-    kind: str  # "identity" | "tame"
-    fixed_branches: tuple = ()
-    free_slots: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_type(self.kind, str, "kind")
-        check_ints(free_slots=self.free_slots)
-        pairs = _check_pairs(self.fixed_branches, "fixed_branches", int)
+    def __new__(cls, kind, fixed_branches=(), free_slots=0):
+        _check_type(kind, str, "kind")
+        check_ints(free_slots=free_slots)
+        pairs = _check_pairs(fixed_branches, "fixed_branches", int)
         # one form per action, so equal actions compare equal
-        object.__setattr__(self, "fixed_branches", tuple(sorted((pid, k) for pid, k in pairs if k)))
+        return super().__new__(cls, kind, tuple(sorted((pid, k) for pid, k in pairs if k)), free_slots)
 
 
-@dataclass(frozen=True)
-class FiberAction:
+class FiberAction(_Checked, namedtuple("FiberAction", "order point_perm components")):
     """A tame automorphism germ on a fiber: no component is permuted.
-    `admissible_actions` lists `components` in model order; `fixed_euler`
-    reads it as a mapping, so any order is accepted."""
+    `point_perm` is sorted ((point_id, image_id), ...) and `components`
+    is ((component_id, ComponentAction), ...).  `admissible_actions` lists
+    `components` in model order; `fixed_euler` reads it as a mapping, so
+    any order is accepted."""
 
-    order: int
-    point_perm: tuple  # sorted ((point_id, image_id), ...)
-    components: tuple  # ((component_id, ComponentAction), ...)
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_order(self.order, 1)
-        _check_pairs(self.point_perm, "point_perm", str)
-        _check_pairs(self.components, "components", ComponentAction)
+    def __new__(cls, order, point_perm, components):
+        _check_order(order, 1)
+        _check_pairs(point_perm, "point_perm", str)
+        _check_pairs(components, "components", ComponentAction)
+        return super().__new__(cls, order, point_perm, components)
 
 
 def _check_order(order, least):

@@ -21,10 +21,10 @@ The search itself is in `enrq.search`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
-from . import _check_int_tuple, _quoted
+from . import _check_int_tuple, _Checked, _quoted
 
 RANK = 10
 
@@ -121,20 +121,33 @@ def validate_sequence(seq) -> bool:
     return all(inner(v, v) == 0 for v in vecs) and all(inner(u, v) == 1 for u, v in combinations(vecs, 2))
 
 
-@dataclass(frozen=True)
-class IsotropicSequence:
-    """An ordered tuple of isotropic vectors with pairwise product 1."""
+class IsotropicSequence(_Checked, namedtuple("IsotropicSequence", "vectors")):
+    """An ordered tuple of isotropic vectors of ints with pairwise product 1."""
 
-    vectors: tuple
+    __slots__ = ()
+    __len__ = None  # callers read seq.vectors
+    __bool__ = lambda self: True  # as at any object; with no __len__, bool() would raise
 
-    def __post_init__(self):
-        try:  # a value of the wrong type or length fails in here; the try costs nothing otherwise
-            object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
-            if validate_sequence(self.vectors):
-                return
-        except (TypeError, ValueError):
-            pass
-        raise ValueError("not an isotropic sequence with pairwise product 1")
+    def __new__(cls, vectors):
+        try:
+            vectors = tuple(map(tuple, vectors))
+        except TypeError:  # no iterable of iterables: _sequence refuses None
+            vectors = None
+        else:
+            for i, v in enumerate(vectors):
+                _check_int_tuple(v, f"vectors[{i}]")
+        return _sequence(vectors)
+
+
+def _sequence(vectors):
+    """The IsotropicSequence of `vectors`, a tuple of tuples of ints as
+    the search makes them: the products are checked, not the types."""
+    try:  # a vector of the wrong length fails in here; the try costs nothing otherwise
+        if validate_sequence(vectors):
+            return tuple.__new__(IsotropicSequence, (vectors,))
+    except (TypeError, ValueError):
+        pass
+    raise ValueError("not an isotropic sequence with pairwise product 1")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ free position, where the bound cuts the coordinate to an interval.
 
 `lattice.search_sequences` is the entry point; it loads this module on
 its first call.  The row G v of each new member comes from `lattice.dual`,
-and the results are checked with `lattice.inner`; both are called as
+and the results are checked with `lattice.inner` (by `lattice._sequence`,
+which skips the public constructor's type pass); both are called as
 module attributes, so that a wrapper put on them sees these calls too.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 
 from . import BOUND_CAP, check_ints, lattice
-from .lattice import GRAM, RANK, IsotropicSequence, _reduce
+from .lattice import GRAM, RANK, _reduce, _sequence
 
 
 def _e8_bound():
@@ -195,7 +196,7 @@ def search_sequences(n, bound, cap):
         for v in _candidates(pivots, bound):
             chosen.append(v)
             if last:
-                results.append(IsotropicSequence(tuple(chosen)))
+                results.append(_sequence(tuple(chosen)))
                 go_on = len(results) != cap
             else:
                 form = _echelon(pivots, lattice.dual(v))

@@ -13,11 +13,11 @@ from characteristic 2 the group is cyclic of order at most 4.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from importlib import resources
 
-from . import _check_tag, ecaut
+from . import _check_tag, _Checked, ecaut
 
 # structure: (order, element orders)
 GROUPS = {
@@ -33,24 +33,20 @@ GROUPS = {
 }
 
 
-@dataclass(frozen=True)
-class GroupTag:
-    structure: str
+class GroupTag(_Checked, namedtuple("GroupTag", "structure")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_tag(self.structure, GROUPS, "group tag")
+    def __new__(cls, structure):
+        return super().__new__(cls, _check_tag(structure, GROUPS, "group tag"))
 
     @property
     def order(self):
         return GROUPS[self.structure][0]
 
 
-@dataclass(frozen=True)
-class SurfaceRow:
-    kind: str  # classical | supersingular
-    type_tag: str
-    aut_ct: tuple  # disjunction of GroupTag alternatives
-    aut_nt: tuple  # paired by position with aut_ct
+# kind is "classical" or "supersingular"; aut_ct is a disjunction of
+# GroupTag alternatives, and aut_nt is paired with it by position
+SurfaceRow = namedtuple("SurfaceRow", "kind type_tag aut_ct aut_nt")
 
 
 @cache

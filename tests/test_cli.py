@@ -267,6 +267,8 @@ def boundary_calls():
         ("realizable_filter", configs.realizable_filter, (configs.enumerate_pairs(),)),
         ("odd_order_smooth_case", configs.odd_order_smooth_case, (3,)),
         ("shared_eight_search", configs.shared_eight_search, ("I4*", "II*")),
+        ("CurveClass(char, j)", ecaut.CurveClass, (2, ecaut.SPECIAL)),
+        ("GroupTag(structure)", tables.GroupTag, ("Q8",)),
         ("aut_group", ecaut.aut_group, (cls,)),
         ("element_orders", ecaut.element_orders, (cls,)),
         ("fixed_count", ecaut.fixed_count, (cls, 3)),
@@ -306,6 +308,50 @@ def test_the_input_boundary_raises_only_one_line_value_errors(time_limit):
                 message = str(exc)
                 assert type(exc) is ValueError, (name, positions, values, repr(exc))
                 assert len(message) <= 160 and "\n" not in message, (name, message)
+
+
+def checked_value_types():
+    """Every named tuple subclass in enrq with a __new__ of its own, which checks."""
+    modules = [getattr(enrq, name) for name in enrq._SUBMODULES]
+    return {kind for module in modules for kind in vars(module).values()
+            if isinstance(kind, type) and hasattr(kind, "_fields") and tuple not in kind.__bases__
+            and "__new__" in vars(kind)}
+
+
+def test_replace_checks_as_the_constructor_does(time_limit):
+    # _replace builds through _make, and a stock named tuple's _make skips
+    # __new__: without the mixin, _replace would store any value.  The
+    # calls past the QUOTING_SITES have valid arguments
+    kinds = checked_value_types()
+    calls = [(site, args) for _, site, args in boundary_calls()[len(QUOTING_SITES):] if site in kinds]
+    assert {site for site, _ in calls} == kinds
+    with time_limit():
+        for site, args in calls:
+            value = site(*args)
+            assert isinstance(value, enrq._Checked) and site._fields == value._fields
+            for i, field in enumerate(value._fields):
+                for bad in BAD_VALUES:
+                    try:
+                        built = site(*args[:i], bad, *args[i + 1:])
+                    except ValueError as exc:
+                        built = str(exc)
+                    try:
+                        replaced = value._replace(**{field: bad})
+                    except Exception as exc:  # the type is what is asserted
+                        assert type(exc) is ValueError, (site.__name__, field, bad, repr(exc))
+                        replaced = str(exc)
+                    assert replaced == built, (site.__name__, field, bad)
+
+
+def test_no_tuple_operation_turns_a_type_error_into_a_value():
+    # a value type is a named tuple, but 2 * poly repeats no tuple and a
+    # sequence has no len (callers read seq.vectors); a sequence is still true
+    with pytest.raises(TypeError):
+        2 * delpezzo.X0
+    seq = lattice.IsotropicSequence((lattice.E, lattice.F))
+    with pytest.raises(TypeError):
+        len(seq)
+    assert seq and list(seq) == [seq.vectors] and seq == (seq.vectors,)
 
 
 @pytest.mark.parametrize("flag, value", [("--bound", "4.5"), ("--ext-degree", "2.0"), ("--order", "2.5")])

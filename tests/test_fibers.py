@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import permutations, product
 
@@ -667,7 +666,7 @@ def test_layout_is_no_field_of_the_model():
     fresh, laid_out = (fibers.FiberModel(model.components, model.points) for _ in range(2))
     assert laid_out.layout == model.layout and "layout" in vars(laid_out) and "layout" not in vars(fresh)
     assert laid_out == fresh and hash(laid_out) == hash(fresh) and repr(laid_out) == repr(fresh)
-    assert "layout" not in {f.name for f in dataclasses.fields(fibers.FiberModel)}
+    assert "layout" not in fibers.FiberModel._fields
 
 
 def test_lefschetz_check_hashes_no_model(monkeypatch):

@@ -323,6 +323,28 @@ def test_isotropic_sequence_validates_on_construction():
         lattice.IsotropicSequence((lattice.E, lattice.E))
 
 
+@pytest.mark.parametrize("i, j, bad", [(0, 0, 1.0), (0, 0, True), (1, 1, 1.0), (1, 5, 0.0), (0, 9, False)])
+def test_isotropic_sequence_applies_the_int_rule(i, j, bad):
+    # 1.0 == 1 and False == 0, so these pass every product: only the int rule refuses them
+    vectors = [list(lattice.E), list(lattice.F)]
+    vectors[i][j] = bad
+    assert lattice.validate_sequence(vectors)
+    for build in (lattice.IsotropicSequence, lattice.IsotropicSequence((lattice.E,))._replace):
+        with pytest.raises(ValueError) as exc:
+            build(vectors=vectors)
+        assert str(exc.value) == f"vectors[{i}][{j}] must be an int, not {bad!r}"
+
+
+def test_search_results_are_checked_sequences_of_ints(time_limit):
+    # the search's own path checks the products of each result, not the types it made
+    with time_limit():
+        found = lattice.search_sequences(3, 2, cap=5)
+    assert found and all(type(c) is int for seq in found for v in seq.vectors for c in v)
+    assert found == [lattice.IsotropicSequence(seq.vectors) for seq in found]
+    with pytest.raises(ValueError, match="not an isotropic sequence"):
+        lattice._sequence((lattice.E, lattice.E))
+
+
 def test_search_rejects_a_bound_above_the_cap(monkeypatch):
     # the search lists 2 bound + 1 values at every node, so a huge bound
     # costs memory before the first result; it is refused before any is built
