@@ -100,6 +100,7 @@ class _Checked:
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))
+    __add__ = __mul__ = __rmul__ = None  # so c + c and 2 * c raise TypeError rather than build a tuple
 
 
 def _quoted(value):

@@ -3,10 +3,10 @@ as images of bielliptic maps in characteristic 2, of their printed
 automorphism families, and of the induced actions on the two pencils of
 conics.
 
-Everything is polynomial arithmetic over F2 in the projective coordinates
-x0..x4, the pencil parameters a, b, and the group parameters.  The
-invertible parameters lam, mu and their second-generation copies lam2,
-mu2 are Laurent variables: the coefficient ring is
+Everything is polynomial arithmetic over F2 in 13 variables: the
+projective coordinates x0..x4 and the group parameters.  The invertible
+parameters lam, mu and their second-generation copies lam2, mu2 are
+Laurent variables: the coefficient ring is
 F2[lam^±1, mu^±1, lam2^±1, mu2^±1][alpha, beta, alpha2, beta2], and a
 monomial stores one signed exponent per variable, negative only at these
 four units.  So lam^-1 is exponent -1 at lam, and every monomial has
@@ -30,20 +30,20 @@ coordinate map preserves the surface iff the pullback of each g_i lands
 back in the span of g1, g2: since a linear substitution keeps quadrics
 quadric and the degree-2 part of the ideal is exactly <g1, g2>, this is
 a finite linear-algebra check over the parameter ring (verify_preserves).
-The induced action on a pencil of conics comes from pulling back the
-generic member a*A_i + b*B_i and writing it in the basis A1, B1, A2, B2
-(pencil_action).  Both certificates come from one elimination, `_solve`:
-the basis forms are parameter-free, so Gauss-Jordan over F2 on the
-x-monomials of their x-splits gives the parameter coefficients, with
-polynomial right-hand sides.
+The induced action on a pencil of conics comes from pulling back each
+basis form A_i, B_i and writing it in the basis A1, B1, A2, B2
+(pencil_action); the pencil parameters (a : b) are not ring variables,
+as the member a*A_i + b*B_i pulls back to a*u + b*v by linearity.  Both
+certificates come from one elimination, `_solve`: the basis forms are
+parameter-free, so Gauss-Jordan over F2 on the x-monomials of their
+x-splits gives the parameter coefficients, with polynomial right-hand
+sides.
 
-Every coefficient is read through one split, `_split(poly, block)`: by
-the exponents on x0..x4 (a map's matrix, a pullback, the elimination) or
-on a, b (the entries of a pencil action).  A map's coordinates are
-checked free of a and b when it is built, so each solved entry of a
-pencil action is a*u + b*v and its (a, b) split is the action.  The four
-printed families, with their surfaces, report labels and the cells that
-`recover_params` reads, are listed once, in FAMILIES.
+Every coefficient is read through one split, `_split(poly)`, by the
+exponents on x0..x4: a map's matrix, a pullback, the elimination.  The
+four printed families, with their surfaces, report labels and the cells
+that `recover_params` reads, are listed once, in FAMILIES; the additive
+families on D2 and D3 are one builder, `_additive`.
 """
 
 from __future__ import annotations
@@ -56,14 +56,13 @@ from . import _check_int_tuple, _check_tag, _check_type, _Checked
 
 NAMES = (
     "x0", "x1", "x2", "x3", "x4",
-    "a", "b",
     "lam", "mu", "alpha", "beta",
     "lam2", "mu2", "alpha2", "beta2",
 )
 NVARS = len(NAMES)
 _IDX = {n: i for i, n in enumerate(NAMES)}
 X_VARS = tuple(range(5))
-_X, _AB = slice(0, 5), slice(5, 7)  # the x block and the pencil block (a, b)
+_X = slice(0, 5)  # the x block of a monomial
 # the x-parts of a linear form's monomials; ProjMap.matrix reads the position of the 1
 _X_UNITS = frozenset(tuple(int(i == j) for j in X_VARS) for i in X_VARS)
 UNIT_VARS = tuple(_IDX[n] for n in ("lam", "mu", "lam2", "mu2"))
@@ -147,7 +146,6 @@ def var(name):
 
 
 X0, X1, X2, X3, X4 = (var(f"x{i}") for i in range(5))
-A, B = var("a"), var("b")
 LAM, MU = var("lam"), var("mu")
 ALPHA, BETA = var("alpha"), var("beta")
 LAM2, MU2 = var("lam2"), var("mu2")
@@ -171,7 +169,7 @@ class QuadricPair(_Checked, namedtuple("QuadricPair", "g1 g2")):
 
 
 class ProjMap(_Checked, namedtuple("ProjMap", "coords")):
-    """A map whose `coords` are five ParamPoly, linear in x and free of a, b."""
+    """A map whose `coords` are five ParamPoly, linear in x."""
 
     __slots__ = ()
 
@@ -185,8 +183,6 @@ class ProjMap(_Checked, namedtuple("ProjMap", "coords")):
                     raise ValueError("coordinates must be homogeneous linear in x")
                 if not type(x[0]) is type(x[1]) is type(x[2]) is type(x[3]) is type(x[4]) is int:  # 1.0 == 1
                     _check_int_tuple(x, "an x-part", length=5)
-                if any(mon[_AB]):
-                    raise ValueError("coordinates must be free of the pencil variables a, b")
         return super().__new__(cls, coords)
 
     def matrix(self):
@@ -195,7 +191,7 @@ class ProjMap(_Checked, namedtuple("ProjMap", "coords")):
         rows = []
         for c in self.coords:
             row = [ZERO] * 5
-            for key, coeff in _split(c, _X).items():
+            for key, coeff in _split(c).items():
                 row[key.index(1)] = coeff
             rows.append(row)
         return rows
@@ -231,13 +227,14 @@ def identity_map():
 
 
 def _proportional(e1, e2) -> bool:
-    """Whether two nonzero vectors of ParamPoly entries are proportional,
-    by cross-multiplication (the parameter ring is a domain).  A zero
-    vector is proportional to nothing."""
-    if all(e.is_zero() for e in e1) or all(e.is_zero() for e in e2):
+    """Whether two vectors of ParamPoly entries are proportional: e1[i] *
+    e2[k] == e2[i] * e1[k] at the first nonzero entry k of e1 (n - 1 cross-
+    products; over a domain e2 = c * e1, c != 0, forces e2[k] != 0).  A
+    zero vector is proportional to nothing."""
+    k = next((i for i, e in enumerate(e1) if not e.is_zero()), None)
+    if k is None or e2[k].is_zero():
         return False
-    n = len(e1)
-    return all(e1[i] * e2[j] == e1[j] * e2[i] for i in range(n) for j in range(i + 1, n))
+    return all(e1[i] * e2[k] == e2[i] * e1[k] for i in range(len(e1)) if i != k)
 
 
 def proj_equal(m1: ProjMap, m2: ProjMap) -> bool:
@@ -261,15 +258,11 @@ class Pencil(_Checked, namedtuple("Pencil", "forms")):
                     raise ValueError("pencil basis forms must be linear and parameter-free")
         return super().__new__(cls, forms)
 
-    def member(self, i):
-        a_part, b_part = self.forms[i]
-        return A * a_part + B * b_part
-
     @cached_property
     def basis(self):
         """The x-splits of A1, B1, A2, B2, the basis that `pencil_action`
         solves in."""
-        return tuple(_split(f, _X) for pair in self.forms for f in pair)
+        return tuple(_split(f) for pair in self.forms for f in pair)
 
 
 @cache
@@ -305,32 +298,25 @@ def aut_d1(lam=LAM, mu=MU):
     return ProjMap((X0, lam * X1, lam.unit_inverse() * X2, mu * X3, mu.unit_inverse() * X4))
 
 
+def _additive(alpha, beta, on_d2):
+    """The additive two-parameter family on D2 or D3: the two differ only
+    in coordinate 3, each written as printed."""
+    a, b = _check_type(alpha, ParamPoly, "alpha"), _check_type(beta, ParamPoly, "beta")
+    if on_d2:
+        y3 = b * X0 + (a * b + a * a * b + b * b) * X1 + b * X2 + X3 + (a + a * a) * X4
+    else:
+        y3 = (a * a * b + b * b) * X1 + b * X2 + X3 + a * a * X4
+    return ProjMap((X0 + a * X1, X1, a * a * X1 + X2, y3, b * X1 + X4))
+
+
 def aut_d2(alpha=ALPHA, beta=BETA):
     """Additive two-parameter family on D2."""
-    a, b = _check_type(alpha, ParamPoly, "alpha"), _check_type(beta, ParamPoly, "beta")
-    return ProjMap(
-        (
-            X0 + a * X1,
-            X1,
-            a * a * X1 + X2,
-            b * X0 + (a * b + a * a * b + b * b) * X1 + b * X2 + X3 + (a + a * a) * X4,
-            b * X1 + X4,
-        )
-    )
+    return _additive(alpha, beta, True)
 
 
 def aut_d3_additive(alpha=ALPHA, beta=BETA):
     """Additive two-parameter family on D3."""
-    a, b = _check_type(alpha, ParamPoly, "alpha"), _check_type(beta, ParamPoly, "beta")
-    return ProjMap(
-        (
-            X0 + a * X1,
-            X1,
-            a * a * X1 + X2,
-            (a * a * b + b * b) * X1 + b * X2 + X3 + a * a * X4,
-            b * X1 + X4,
-        )
-    )
+    return _additive(alpha, beta, False)
 
 
 def aut_d3_torus(lam=LAM):
@@ -343,14 +329,12 @@ def aut_d3_torus(lam=LAM):
 # verification
 
 
-def _split(poly, block):
-    """Split a polynomial by its exponents on one block of variables (_X
-    or _AB): {exponent tuple on the block: coefficient, the polynomial in
-    the other variables}.  Distinct monomials never cancel."""
+def _split(poly):
+    """Split a polynomial by its exponents on x0..x4: {x-part: coefficient,
+    the polynomial in the parameters}.  Distinct monomials never cancel."""
     out = {}
-    zero = (0,) * (block.stop - block.start)
     for mon in poly.monomials:
-        out.setdefault(mon[block], set()).add(mon[:block.start] + zero + mon[block.stop:])
+        out.setdefault(mon[_X], set()).add((0,) * 5 + mon[5:])
     return {k: ParamPoly(frozenset(v)) for k, v in out.items()}
 
 
@@ -360,7 +344,7 @@ def pullback(poly, m: ProjMap):
     _check_type(m, ProjMap, "map")
     powers = {}
     out = ZERO
-    for key, term in _split(_check_type(poly, ParamPoly, "poly"), _X).items():
+    for key, term in _split(_check_type(poly, ParamPoly, "poly")).items():
         for i, e in enumerate(key):
             if e:
                 if (i, e) not in powers:
@@ -381,7 +365,7 @@ def verify_preserves(m: ProjMap, kind: str):
     if not _check_type(m, ProjMap, "map").is_invertible():
         raise ValueError("map is not invertible")
     quad = surface(kind)
-    basis = (_split(quad.g1, _X), _split(quad.g2, _X))
+    basis = (_split(quad.g1), _split(quad.g2))
     certificate = []
     for g in (quad.g1, quad.g2):
         coeffs = _solve(basis, pullback(g, m))
@@ -392,30 +376,30 @@ def verify_preserves(m: ProjMap, kind: str):
 
 
 def pencil_action(m: ProjMap, pencil: Pencil):
-    """Induced projective action on the pencil base.
+    """Induced projective action on the pencil base: the 2x2 matrix
+    ((u1, v1), (u2, v2)) sending (a : b) to (a' : b') = (u1 a + v1 b :
+    u2 a + v2 b), normalized, or NOT_PRESERVED.  It is an action only for
+    an invertible map, which `verify_preserves` requires (not checked here).
 
-    Pulls back the generic member a*A_i + b*B_i and solves for (a':b')
-    such that the pulled-back pair spans the member at (a':b'); returns
-    the 2x2 parameter matrix sending (a, b) to (a', b'), normalized, or
-    NOT_PRESERVED when no consistent solution exists.
+    The member a*A_i + b*B_i pulls back to the coefficients a*u + b*v in
+    the basis A1, B1, A2, B2, u and v solved from the pullbacks of A_i and
+    B_i.  Each nonzero pair (w1, w2), (w3, w4) must be a constant multiple
+    of (a', b'), so the nonzero 4-vectors (u1, v1, u2, v2), (u3, v3, u4,
+    v4) of both members must be proportional; the first is the action.
     """
     _check_type(m, ProjMap, "map")
     _check_type(pencil, Pencil, "pencil")
     rows = []
-    for i in range(2):
-        sol = _solve(pencil.basis, pullback(pencil.member(i), m))
-        if sol is None:
+    for a_form, b_form in pencil.forms:
+        u, v = _solve(pencil.basis, pullback(a_form, m)), _solve(pencil.basis, pullback(b_form, m))
+        if u is None or v is None:
             return NOT_PRESERVED
-        rows += [pair for pair in (sol[:2], sol[2:]) if not (pair[0].is_zero() and pair[1].is_zero())]
-    # Each member's [w1 w2; w3 w4] must be (s, t)^T (a', b'): its nonzero
-    # rows all proportional to one (a', b').  Over a domain two nonzero
-    # rows proportional to one nonzero row are proportional to each other,
-    # so this one test also gives each member's rank one.
+        rows += [row for row in ((u[0], v[0], u[1], v[1]), (u[2], v[2], u[3], v[3]))
+                 if not all(e.is_zero() for e in row)]
     if not rows or not all(_proportional(rows[0], row) for row in rows[1:]):
         return NOT_PRESERVED
-    # the map is free of a, b, so each entry is a*u + b*v: its (a, b) split is (u, v)
-    splits = [_split(p, _AB) for p in rows[0]]
-    return normalize_action(tuple((s.get((1, 0), ZERO), s.get((0, 1), ZERO)) for s in splits))
+    u1, v1, u2, v2 = rows[0]
+    return normalize_action(((u1, v1), (u2, v2)))
 
 
 def _solve(cols, poly):
@@ -425,7 +409,7 @@ def _solve(cols, poly):
     coefficient in them is 1; poly is split the same way.
     Gauss-Jordan over F2 runs on one row per x-monomial: the bitmask of
     the columns that hold it and poly's coefficient there."""
-    target = _split(poly, _X)
+    target = _split(poly)
     masks = {}
     for j, col in enumerate(cols):
         for key in col:

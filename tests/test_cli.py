@@ -318,15 +318,20 @@ def checked_value_types():
             and "__new__" in vars(kind)}
 
 
-def test_replace_checks_as_the_constructor_does(time_limit):
-    # _replace builds through _make, and a stock named tuple's _make skips
-    # __new__: without the mixin, _replace would store any value.  The
-    # calls past the QUOTING_SITES have valid arguments
+def checked_calls():
+    """(type, valid arguments) for every checked value type: the calls past
+    the QUOTING_SITES, which have valid arguments."""
     kinds = checked_value_types()
     calls = [(site, args) for _, site, args in boundary_calls()[len(QUOTING_SITES):] if site in kinds]
     assert {site for site, _ in calls} == kinds
+    return calls
+
+
+def test_replace_checks_as_the_constructor_does(time_limit):
+    # _replace builds through _make, and a stock named tuple's _make skips
+    # __new__: without the mixin, _replace would store any value
     with time_limit():
-        for site, args in calls:
+        for site, args in checked_calls():
             value = site(*args)
             assert isinstance(value, enrq._Checked) and site._fields == value._fields
             for i, field in enumerate(value._fields):
@@ -352,6 +357,14 @@ def test_no_tuple_operation_turns_a_type_error_into_a_value():
     with pytest.raises(TypeError):
         len(seq)
     assert seq and list(seq) == [seq.vectors] and seq == (seq.vectors,)
+    # nor does any checked value repeat or concatenate into a plain tuple
+    # that no constructor checked; (1,) + c is tuple's own and stays open
+    for site, args in checked_calls():
+        c = site(*args)
+        for operation in (lambda: c * 2, lambda: 2 * c, lambda: c + c, lambda: c + (1,)):
+            with pytest.raises(TypeError):
+                operation()
+        assert (1,) + c == (1, *c)
 
 
 @pytest.mark.parametrize("flag, value", [("--bound", "4.5"), ("--ext-degree", "2.0"), ("--order", "2.5")])

@@ -250,7 +250,7 @@ def test_pullback_matches_substitution_oracle():
     for kind in ("D1", "D2", "D3"):
         quad = dp.surface(kind)
         polys += [quad.g1, quad.g2]
-        polys += [p.member(i) for p in dp.pencils(kind) for i in range(2)]
+        polys += [f for p in dp.pencils(kind) for pair in p.forms for f in pair]
     maps = FAMILY_MAPS + [dp.compose(m1, m2) for m1 in FAMILY_MAPS for m2 in SECOND_GENERATION]
     for m in maps:
         for poly in polys:
@@ -332,9 +332,9 @@ def test_inverse_prints_a_negative_exponent():
     assert str(MU2.unit_inverse() * X0) == "x0*mu2^-1"
 
 
-@pytest.mark.parametrize("name", ["nope", "x5", "X0", "", None, 0])
+@pytest.mark.parametrize("name", ["nope", "x5", "X0", "", None, 0, "a", "b"])
 def test_var_rejects_an_unknown_name(name):
-    # "nope" raised KeyError
+    # "nope" raised KeyError; the pencil parameters a, b are not ring variables
     with pytest.raises(ValueError, match="unknown variable") as exc:
         dp.var(name)
     assert "\n" not in str(exc.value)
@@ -343,7 +343,7 @@ def test_var_rejects_an_unknown_name(name):
 def test_is_unit_fails_on_any_non_unit_variable():
     rng = random.Random(20260902)
     others = [n for n in dp.NAMES if n not in UNIT_NAMES]
-    assert others == ["x0", "x1", "x2", "x3", "x4", "a", "b", "alpha", "beta", "alpha2", "beta2"]
+    assert others == ["x0", "x1", "x2", "x3", "x4", "alpha", "beta", "alpha2", "beta2"]
     for _ in range(20):
         u = _random_unit(rng)
         for n in others:
@@ -537,29 +537,52 @@ def test_pencil_action_rejects_members_moved_by_different_actions():
     assert dp.pencil_action(swap, dp.pencils("D1")[0]) == dp.NOT_PRESERVED
 
 
-def test_pencil_action_rejects_a_solution_nonlinear_in_a_b():
-    # coordinates scaled by 1 + a would pull the members back to (1 + a)
-    # times the originals, a consistent (a' : b') = (a + a^2 : b + a*b)
-    # that is not linear in (a, b); scaled by a*b they would give
-    # (a^2 b : a b^2), which a rebuild-and-compare test accepted as the
-    # action ((0, a^2), (b^2, 0)).  So a map holding a or b is refused
-    # when built.
-    for scale in (dp.ONE + dp.A, dp.A * dp.B):
-        with pytest.raises(ValueError, match="^coordinates must be free of the pencil variables a, b$"):
-            dp.ProjMap(tuple(scale * x for x in (X0, X1, X2, X3, X4)))
+def test_pencil_action_rejects_a_map_that_collapses_the_members():
+    # x2 -> x2 + x3 = A1 + B1 and x3 -> x4 + x1 = A2 + B2 send the first
+    # member a*x2 + b*x3 of D1's first pencil to coefficients (a, a, b, b):
+    # its two rows (a, a), (b, b) are proportional only by the ratio a/b,
+    # which depends on the member, and a test on those rows returned the
+    # rank-one "action" ((1, 0), (1, 0)).  The map is not invertible.
+    collapse = dp.ProjMap((X0, X4 + X1, X2 + X3, X4 + X1, X2 + X3))
+    assert not collapse.is_invertible()
+    assert dp.pencil_action(collapse, dp.pencils("D1")[0]) == dp.NOT_PRESERVED
 
 
-@pytest.mark.parametrize("coord", [dp.A * X0, dp.B * X0, X0 + dp.A * LAM * X1, dp.A * dp.A * X0 + X0])
-def test_proj_map_rejects_the_pencil_variables(coord):
-    with pytest.raises(ValueError) as exc:
-        dp.ProjMap((coord, X1, X2, X3, X4))
-    assert str(exc.value) == "coordinates must be free of the pencil variables a, b"
+def proportional_oracle(e1, e2):
+    # every pair of positions cross-multiplied; a zero vector is
+    # proportional to nothing
+    if all(e.is_zero() for e in e1) or all(e.is_zero() for e in e2):
+        return False
+    return all(mul_oracle(e1[i], e2[j]) == mul_oracle(e1[j], e2[i])
+               for i, j in itertools.combinations(range(len(e1)), 2))
+
+
+def test_proportional_matches_the_all_pairs_oracle():
+    # vectors of length 2, 4 and 5, with zero entries and zero vectors;
+    # half the second vectors are a multiple of the first, some of those
+    # with one entry changed
+    rng = random.Random(20261022)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.choice((2, 4, 5))
+        e1 = [rng.choice((ZERO, _random_param_poly(rng, x_degree=0))) for _ in range(n)]
+        if rng.randrange(2):
+            c = _random_param_poly(rng, x_degree=0)
+            e2 = [c * e for e in e1]
+            if rng.randrange(2):
+                e2[rng.randrange(n)] = rng.choice((ZERO, _random_param_poly(rng, x_degree=0)))
+        else:
+            e2 = [rng.choice((ZERO, _random_param_poly(rng, x_degree=0))) for _ in range(n)]
+        want = proportional_oracle(e1, e2)
+        assert dp._proportional(e1, e2) == want, ([str(e) for e in e1], [str(e) for e in e2])
+        outcomes[want] += 1
+    assert min(outcomes.values()) >= 60, outcomes
 
 
 @pytest.mark.parametrize("monomial, message", [
-    ((2, -1) + (0,) * 13, "coordinates must be homogeneous linear in x"),
-    ((1.0,) + (0,) * 14, "an x-part must be 5 ints, not (1.0, 0, 0, 0, 0)"),
-    ((True,) + (0,) * 14, "an x-part must be 5 ints, not (True, 0, 0, 0, 0)"),
+    ((2, -1) + (0,) * 11, "coordinates must be homogeneous linear in x"),
+    ((1.0,) + (0,) * 12, "an x-part must be 5 ints, not (1.0, 0, 0, 0, 0)"),
+    ((True,) + (0,) * 12, "an x-part must be 5 ints, not (True, 0, 0, 0, 0)"),
     ((1,), "coordinates must be homogeneous linear in x"),
     ("x0", "a monomial must be a tuple, not 'x0'"),
 ], ids=["x0^2/x1", "float x0", "bool x0", "short monomial", "a str"])
